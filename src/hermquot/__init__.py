@@ -11,6 +11,6 @@ from .localval import FrameCache, LocalFrame, RamificationData, Series, \
 from .formulas import (CASES, HypothesisNotMet, VSequence, case_modulus,
                        case_spec, expected_genus, sigma_order)
 from .engine import (EngineError, GenusReport, OrbitRow, genus_of_quotient,
-                     quotient_rational_count, tame_diff_crosscheck)
+                     tame_diff_crosscheck)
 
 __version__ = "0.1.0"

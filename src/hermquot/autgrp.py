@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from ._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
-from .curve import P_INF, Place, degree3_place, place_of_point, rational_place
+from .curve import Place, degree3_place, normalize_point, place_of_point
 from .gf import FieldTower, GFError
 
 
@@ -30,25 +30,12 @@ def pgu_order(q: int) -> int:
     return q ** 3 * (q * q - 1) * (q ** 3 + 1)
 
 
-def _normalize_mat(lvl, m):
-    for c in m:
-        if c != 0:
-            if c == 1:
-                return tuple(m)
-            ic = lvl.inv(c)
-            return tuple(lvl.mul(ic, x) for x in m)
-    raise GFError("zero matrix")
-
-
 @dataclass(frozen=True)
 class Aut:
     """A curve automorphism, represented projectively (first nonzero entry 1)."""
 
     tower: FieldTower
     m: tuple
-
-    def __mul__(self, other: "Aut") -> "Aut":
-        return compose(self, other)
 
     def is_identity(self) -> bool:
         return self.m == IDENTITY3
@@ -85,18 +72,18 @@ def from_affine(tower: FieldTower, a: int, b: int, c: int) -> Aut:
     m = (a, 0, b,
          abq, aq1, c,
          0, 0, 1)
-    return Aut(tower, _normalize_mat(lvl, m))
+    return Aut(tower, normalize_point(lvl, m))
 
 
 def compose(f: Aut, g: Aut) -> Aut:
     """f o g as maps of functions (g applied first); point matrix M_g M_f."""
     lvl = f.tower.q2
-    return Aut(f.tower, _normalize_mat(lvl, mat_mul3(lvl, g.m, f.m)))
+    return Aut(f.tower, normalize_point(lvl, mat_mul3(lvl, g.m, f.m)))
 
 
 def inverse(f: Aut) -> Aut:
     lvl = f.tower.q2
-    return Aut(f.tower, _normalize_mat(lvl, mat_adj3(lvl, f.m)))
+    return Aut(f.tower, normalize_point(lvl, mat_adj3(lvl, f.m)))
 
 
 def aut_order(f: Aut) -> int:
@@ -130,18 +117,10 @@ def apply_point(f: Aut, lvl, pt):
 
 def apply_place(f: Aut, place: Place) -> Place:
     tower = f.tower
-    if place.kind == "infinity":
-        v = apply_point(f, tower.q2, (0, 1, 0))
-    elif place.kind == "rational":
-        v = apply_point(f, tower.q2, (place.alpha, place.beta, 1))
-    else:
-        v6 = apply_point(f, tower.q6, place.data[0])
-        return degree3_place(tower, v6)
-    if v[2] == 0:
-        return P_INF
-    iz = tower.q2.inv(v[2])
-    mul = tower.q2.mul
-    return rational_place(mul(v[0], iz), mul(v[1], iz))
+    if place.kind == "degree3":
+        return degree3_place(tower, apply_point(f, tower.q6, place.data[0]))
+    pt = (0, 1, 0) if place.kind == "infinity" else (place.alpha, place.beta, 1)
+    return place_of_point(tower, apply_point(f, tower.q2, pt))
 
 
 def sigma4(tower: FieldTower, delta: int) -> Aut:

@@ -21,10 +21,11 @@ from math import gcd
 
 from . import autgrp, formulas
 from .autgrp import DSLError
-from .curve import degree3_count, degree3_places, rational_places
+from .curve import (DEFAULT_DEG3_BUDGET, degree3_count, degree3_places,
+                    rational_places)
 from .engine import EngineError, genus_of_quotient, tame_diff_crosscheck
 from .formulas import HypothesisNotMet
-from .gf import BudgetExceeded, GFError, build_tower
+from .gf import BudgetExceeded, GFError, build_tower, factorize
 
 CSV_COLUMNS = ["case", "q", "m", "expected", "computed", "status",
                "deg_diff", "group_order", "runtime_ms"]
@@ -35,17 +36,11 @@ class UsageError(Exception):
 
 
 def _factor_q(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise UsageError(f"q = {q} is not a prime power")
-            return p, e
-    raise UsageError(f"bad q = {q}")
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise UsageError(f"q = {q} is not a prime power")
+    (p, e), = fac.items()
+    return p, e
 
 
 def _tower_from_args(args):
@@ -59,8 +54,6 @@ def _tower_from_args(args):
         p, e = args.p, args.e or 1
     else:
         raise UsageError("one of --q or --p is required")
-    if args.deg3_budget is not None:
-        return build_tower(p, e, deg3_budget=args.deg3_budget)
     return build_tower(p, e)
 
 
@@ -94,13 +87,9 @@ def _report_dict(tower, group, rep, spec_strings, formula=None):
     return out
 
 
-def _emit(data, args):
-    if args.format == "json":
-        text = json.dumps(data, indent=2)
-    else:
-        text = _as_text(data)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(text, out):
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -159,7 +148,9 @@ def cmd_genus(args) -> int:
     if expected is not None:
         formula = {"name": args.case, "params": {"q": tower.q, "m": args.m},
                    "expected": expected, "matched": rep.genus == expected}
-    _emit(_report_dict(tower, group, rep, gens, formula), args)
+    data = _report_dict(tower, group, rep, gens, formula)
+    _write(json.dumps(data, indent=2) if args.format == "json"
+           else _as_text(data), args.out)
     if expected is not None and rep.genus != expected:
         return 1
     return 0
@@ -222,12 +213,7 @@ def cmd_table(args) -> int:
         raise UsageError("table needs --q or --q-list")
     rows = []
     for q in sorted(qs):
-        p, e = _factor_q(q)
-        if args.deg3_budget is not None:
-            tower = build_tower(p, e, deg3_budget=args.deg3_budget)
-        else:
-            tower = build_tower(p, e)
-        rows.extend(_table_rows(tower, cases))
+        rows.extend(_table_rows(build_tower(*_factor_q(q)), cases))
     rows.sort(key=lambda r: (r["case"], r["q"], r["m"]))
     failed = any(r["status"] == "FAILED" for r in rows)
     if args.format == "json":
@@ -239,11 +225,7 @@ def cmd_table(args) -> int:
         for r in rows:
             w.writerow({k: r.get(k, "") for k in CSV_COLUMNS})
         text = buf.getvalue().rstrip("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, args.out)
     return 1 if failed else 0
 
 
@@ -255,7 +237,7 @@ def cmd_places(args) -> int:
     if args.with_degree3:
         try:
             data["degree3"] = [_place_str(tower, pl)
-                               for pl in degree3_places(tower)]
+                               for pl in degree3_places(tower, args.deg3_budget)]
         except BudgetExceeded as ex:
             data["degree3"] = f"budget exceeded: {ex}"
     if args.format == "json":
@@ -299,11 +281,12 @@ def _verify_suites(tower):
                         ("sigma5", tower.a)):
         try:
             seq = formulas.VSequence(tower, delta, kind)
+            closed = [seq.closed_form(i) for i in range(21)]
         except GFError:
             continue
         rec = seq.recurrence(20)
         for i in range(21):
-            ok = rec[i] == seq.closed_form(i)
+            ok = rec[i] == closed[i]
             if kind == "sigma4":
                 ok = ok and rec[i] == seq.binomial(i)
             passes += ok
@@ -376,40 +359,40 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def tower_flags(sp):
         sp.add_argument("--q", type=int, help="prime power q")
         sp.add_argument("--p", type=int, help="characteristic")
         sp.add_argument("--e", type=int, help="exponent, q = p^e")
-        sp.add_argument("--format", choices=["json", "csv", "text"],
-                        default="text")
-        sp.add_argument("--deg3-budget", type=int, default=None,
-                        help="max |F_q^6| for degree-3 place enumeration")
-        sp.add_argument("--horizon", type=int, default=None,
-                        help="initial series horizon override")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; runs are sequential")
-        sp.add_argument("--out", default=None, help="write output to a file")
 
     g = sub.add_parser("genus", help="genus of one quotient")
-    common(g)
+    tower_flags(g)
+    g.add_argument("--format", choices=["text", "json"], default="text")
+    g.add_argument("--horizon", type=int, default=None,
+                   help="initial series horizon override")
+    g.add_argument("--out", help="write output to a file")
     g.add_argument("--spec", help="generator list, e.g. 'eps(a), omega'")
     g.add_argument("--case", choices=formulas.CASES)
     g.add_argument("--m", type=int)
     g.set_defaults(func=cmd_genus)
 
     t = sub.add_parser("table", help="sweep cases against their formulas")
-    common(t)
+    t.add_argument("--q", type=int, help="prime power q")
+    t.add_argument("--format", choices=["csv", "json"], default="csv")
+    t.add_argument("--out", help="write output to a file")
     t.add_argument("--case", help="comma-separated case names (default all)")
     t.add_argument("--q-list", help="comma-separated q values")
     t.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run property suites")
-    common(v)
+    tower_flags(v)
     v.set_defaults(func=cmd_verify)
 
     pl = sub.add_parser("places", help="list places of the curve")
-    common(pl)
+    tower_flags(pl)
+    pl.add_argument("--format", choices=["text", "json"], default="text")
     pl.add_argument("--with-degree3", action="store_true")
+    pl.add_argument("--deg3-budget", type=int, default=DEFAULT_DEG3_BUDGET,
+                    help="max |F_q^6| for --with-degree3")
     pl.set_defaults(func=cmd_places)
     return ap
 

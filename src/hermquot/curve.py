@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .gf import BudgetExceeded, FieldTower, GFError
 
+DEFAULT_DEG3_BUDGET = 2_000_000   # largest |F_{q^6}| degree3_places enumerates
+
 
 @dataclass(frozen=True)
 class Place:
@@ -59,7 +61,8 @@ def place_sort_key(tower: FieldTower, place: Place):
 
 
 def normalize_point(lvl, v):
-    """Scale a nonzero projective triple so its first nonzero entry is 1."""
+    """Scale a nonzero projective vector (a point, or a 3x3 matrix as a
+    row-major 9-tuple) so its first nonzero entry is 1."""
     for c in v:
         if c != 0:
             if c == 1:
@@ -101,17 +104,15 @@ def degree3_place(tower: FieldTower, pt) -> Place:
     return Place("degree3", tuple(orbit))
 
 
-def place_of_point(tower: FieldTower, pt, lvl=None) -> Place:
-    """Classify a projective point on the curve into a place."""
-    lvl = lvl or tower.q2
-    if lvl is not tower.q2 and not point_is_rational(tower, pt):
-        return degree3_place(tower, pt)
-    v = normalize_point(lvl, pt)  # rational coordinates stay base-field ints
-    if v[2] == 0:
-        assert v == (0, 1, 0), "the only rational point at infinity is (0:1:0)"
+def place_of_point(tower: FieldTower, pt) -> Place:
+    """The rational place of a projective F_{q^2}-point on the curve."""
+    x, y, z = pt
+    if z == 0:
+        assert x == 0 and y != 0, "the only rational point at infinity is (0:1:0)"
         return P_INF
-    iz = lvl.inv(v[2])
-    return rational_place(lvl.mul(v[0], iz), lvl.mul(v[1], iz))
+    lvl = tower.q2
+    iz = lvl.inv(z)
+    return rational_place(lvl.mul(x, iz), lvl.mul(y, iz))
 
 
 def rational_places(tower: FieldTower) -> list[Place]:
@@ -134,10 +135,10 @@ def degree3_count(tower: FieldTower) -> int:
     return (n6 - n2) // 3
 
 
-def degree3_places(tower: FieldTower, budget: int | None = None) -> list[Place]:
+def degree3_places(tower: FieldTower,
+                   budget: int = DEFAULT_DEG3_BUDGET) -> list[Place]:
     """Enumerate every degree-3 place; gated by the F_{q^6} size budget."""
     q6 = tower.q6
-    budget = budget if budget is not None else tower.deg3_budget
     if q6.size > budget:
         raise BudgetExceeded(
             f"|F_q^6| = {q6.size} exceeds the degree-3 enumeration budget {budget}")

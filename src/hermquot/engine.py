@@ -578,14 +578,6 @@ def genus_of_quotient(tower: FieldTower, group: Group,
                        n_rational, f3, maximal, expected, sub, uncounted)
 
 
-def quotient_rational_count(tower: FieldTower, group: Group) -> int:
-    """Degree-1 places of the quotient lying under places of degree 1 or 3:
-    orbit count of rational places plus orbit count of degree-3 places with
-    residue degree 3."""
-    return genus_of_quotient(tower, group, with_count=True,
-                             dual_check=False).n_rational_deg13
-
-
 def tame_diff_crosscheck(tower: FieldTower, group: Group) -> int:
     """Independent different degree for groups with order prime to both p
     and q^2 - q + 1: every ramified place is rational and tame, so each

@@ -248,7 +248,8 @@ class VSequence:
         lvl = self.lvl
         d = self.delta
         den = lvl.add(lvl.pow(d, 2), self.norm)
-        assert den != 0, "degenerate delta for the closed form"
+        if den == 0:
+            raise GFError("degenerate delta for the closed form")
         t1 = lvl.pow(d, i + 2)
         t2 = lvl.mul(lvl.pow(lvl.neg(lvl.inv(d)), i), lvl.pow(self.norm, i + 1))
         return lvl.div(lvl.add(t1, t2), den)

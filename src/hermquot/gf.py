@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 
 class GFError(Exception):
@@ -29,7 +28,6 @@ DESK_CAP = 1 << 16          # largest p^e accepted at all
 TABLE_LIMIT = 1 << 20       # largest field size for exp/log tables
 ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
 SCAN_ROOT_LIMIT = 20000     # exhaustive root scan up to this field size
-DEFAULT_DEG3_BUDGET = 2_000_000   # largest |F_{q^6}| we will enumerate
 
 
 def is_prime(n: int) -> bool:
@@ -312,19 +310,10 @@ class BaseLevel:
         """x -> x^q."""
         return self.frobt[x]
 
-    def in_fq(self, x) -> bool:
-        return self.frobt[x] == x
-
     def dlog(self, x) -> int:
         if x == 0:
             raise GFError("dlog of zero")
         return self.log[x]
-
-    def order(self, x) -> int:
-        if x == 0:
-            raise GFError("order of zero")
-        n = self.size - 1
-        return n // __import__("math").gcd(n, self.log[x])
 
     def elements_by_key(self):
         return sorted(range(self.size), key=self.key)
@@ -498,19 +487,6 @@ class ExtLevel:
     def in_base(self, x) -> bool:
         return x < self._Q
 
-    def order(self, x) -> int:
-        if x == 0:
-            raise GFError("order of zero")
-        n = self.size - 1
-        order = n
-        for r, k in factorize(n).items():
-            for _ in range(k):
-                if self.pow(x, order // r) == 1:
-                    order //= r
-                else:
-                    break
-        return order
-
     def primitive(self) -> int:
         """A deterministic generator of the multiplicative group."""
         if self._primitive is None:
@@ -661,74 +637,12 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Public tower and element wrappers.
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Typed wrapper over a packed int; mixing levels or towers is an error."""
-
-    tower: "FieldTower"
-    level: str
-    val: int
-
-    def _lvl(self):
-        return self.tower.level(self.level)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise GFError(f"cannot combine field element with {type(other).__name__}")
-        if other.tower is not self.tower or other.level != self.level:
-            raise GFError("mixed-level or mixed-tower arithmetic rejected")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self._lvl().add(self.val, other.val))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self._lvl().sub(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.level, self._lvl().neg(self.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.tower, self.level, self._lvl().mul(self.val, other.val))
-
-    def __truediv__(self, other):
-        self._check(other)
-        lvl = self._lvl()
-        return FieldElement(self.tower, self.level, lvl.mul(self.val, lvl.inv(other.val)))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.tower, self.level, self._lvl().pow(self.val, k))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and other.tower is self.tower
-                and other.level == self.level and other.val == self.val)
-
-    def __hash__(self):
-        return hash((id(self.tower), self.level, self.val))
-
-    def order(self) -> int:
-        return self._lvl().order(self.val)
-
-    def __str__(self):
-        if self.level == "q2":
-            return self.tower.elt_str(self.val)
-        return repr(self)
-
-    def __repr__(self):
-        return f"FieldElement({self.level}, {self.tower.elt_str_any(self.val, self.level)})"
-
+# The public tower.
 
 class FieldTower:
     """The tower F_p < F_{q^2} < F_{q^6} for q = p^e."""
 
-    def __init__(self, p: int, e: int, deg3_budget: int = DEFAULT_DEG3_BUDGET):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise GFError(f"p = {p} is not prime")
         if e < 1 or p ** e > DESK_CAP:
@@ -736,7 +650,6 @@ class FieldTower:
         self.p = p
         self.e = e
         self.q = p ** e
-        self.deg3_budget = deg3_budget
         self.q2 = BaseLevel(p, e)
         self.a = self.q2.a
         self._q6: ExtLevel | None = None
@@ -756,29 +669,8 @@ class FieldTower:
         raise GFError(f"unknown level {name!r}")
 
     # -- element helpers ----------------------------------------------------
-    def el(self, val: int, level: str = "q2") -> FieldElement:
-        lvl = self.level(level)
-        if not 0 <= val < lvl.size:
-            raise GFError("element out of range")
-        return FieldElement(self, level, val)
-
     def a_pow(self, k: int) -> int:
         return self.q2.exp[k % (self.q2.size - 1)]
-
-    def gen(self) -> FieldElement:
-        return self.el(self.a)
-
-    def zero(self, level: str = "q2") -> FieldElement:
-        return self.el(0, level)
-
-    def one(self, level: str = "q2") -> FieldElement:
-        return self.el(1, level)
-
-    def embed(self, x: FieldElement) -> FieldElement:
-        """F_{q^2} -> F_{q^6}; the identity on packed integers."""
-        if x.level != "q2":
-            raise GFError("embed expects a q2 element")
-        return FieldElement(self, "q6", x.val)
 
     def elt_str(self, v: int) -> str:
         """Print a q2 value as '0' or 'a^k'."""
@@ -792,25 +684,10 @@ class FieldTower:
         c0, c1, c2 = self.q6.unpack(v)
         return "[" + ",".join(self.elt_str(c) for c in (c0, c1, c2)) + "]"
 
-    def parse_elt(self, s: str) -> int:
-        s = s.strip()
-        if s == "0":
-            return 0
-        if s == "1":
-            return 1
-        if s == "a":
-            return self.a
-        if s.startswith("a^"):
-            return self.a_pow(int(s[2:]))
-        raise GFError(f"cannot parse element literal {s!r}")
-
     # -- additive equation y^q + y = alpha^(q+1) -----------------------------
     def _preimage_map(self, level: str) -> dict[int, list[int]]:
         if level not in self._preimage:
             lvl = self.level(level)
-            if level == "q6" and lvl.size > self.deg3_budget:
-                raise BudgetExceeded(
-                    f"|F_q^6| = {lvl.size} exceeds the enumeration budget {self.deg3_budget}")
             m: dict[int, list[int]] = {}
             for y in range(lvl.size):
                 m.setdefault(lvl.add(lvl.frobq(y), y), []).append(y)
@@ -823,48 +700,6 @@ class FieldTower:
         rhs = lvl.mul(lvl.frobq(alpha), alpha)
         return sorted(self._preimage_map(level).get(rhs, []))
 
-    def debug_dump(self) -> dict:
-        d = {
-            "p": self.p, "e": self.e, "q": self.q,
-            "modulus_q2": list(self.q2.mod),
-            "primitive": self.a,
-            "primitive_str": self.elt_str(self.a),
-        }
-        if self._q6 is not None:
-            d["modulus_q6"] = list(self._q6.mod)
-        return d
 
-
-def build_tower(p: int, e: int, deg3_budget: int = DEFAULT_DEG3_BUDGET) -> FieldTower:
-    return FieldTower(p, e, deg3_budget)
-
-
-def element_order(x: FieldElement) -> int:
-    return x.order()
-
-
-def solve_additive(alpha: FieldElement, level: str | None = None) -> list[FieldElement]:
-    level = level or alpha.level
-    t = alpha.tower
-    v = alpha.val
-    if alpha.level == "q2" and level == "q6":
-        v = alpha.val  # embedding is the identity on ints
-    return [t.el(y, level) for y in t.solve_additive_raw(v, level)]
-
-
-def poly_roots_in_field(coeffs: list[FieldElement], level: str | None = None
-                        ) -> list[tuple[FieldElement, int]]:
-    """Roots with multiplicity of a polynomial of degree <= 3."""
-    if not coeffs:
-        raise GFError("empty polynomial")
-    t = coeffs[0].tower
-    level = level or coeffs[0].level
-    for c in coeffs:
-        if c.tower is not t or c.level != level:
-            raise GFError("mixed coefficient levels")
-    cs = [c.val for c in coeffs]
-    if not any(cs):
-        raise GFError("zero polynomial")
-    if len(p_trim(list(cs))) - 1 > 3:
-        raise GFError("degree > 3 not supported by this entry point")
-    return [(t.el(r, level), m) for r, m in poly_roots(t.level(level), cs)]
+def build_tower(p: int, e: int) -> FieldTower:
+    return FieldTower(p, e)

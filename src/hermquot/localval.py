@@ -131,7 +131,7 @@ class Series:
     def frobq(self) -> "Series":
         """The q-power map: exponents scale by q, coefficients by Frobenius."""
         lvl = self.lvl
-        q = _level_q(lvl)
+        q = lvl.q
         cs = [0] * (q * (len(self.cs) - 1) + 1) if self.cs else []
         for i, c in enumerate(self.cs):
             cs[q * i] = lvl.frobq(c)
@@ -152,10 +152,6 @@ class Series:
                     acc = lvl.add(acc, lvl.mul(u[j], w[k - j]))
             w[k] = lvl.neg(lvl.mul(i0, acc))
         return Series.make(lvl, -m, w, self.prec - 2 * m)
-
-
-def _level_q(lvl) -> int:
-    return lvl.q
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Automorphisms: generators, composition, group closure, and the spec DSL."""
 
+from math import gcd
+
 import pytest
 
 from hermquot.autgrp import (
@@ -37,9 +39,10 @@ def test_omega_is_involution(tw4):
 
 
 def test_epsilon_order_matches_element_order(tw8):
+    n = tw8.q2.size - 1
     for k in (1, 3, 7, 9, 21):
         eps = epsilon(tw8, tw8.a_pow(k))
-        assert aut_order(eps) == tw8.q2.order(tw8.a_pow(k))
+        assert aut_order(eps) == n // gcd(n, k)  # the order of a^k
 
 
 def test_omega_conjugates_epsilon(towers):

@@ -104,6 +104,19 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("genus", "--q", "4", "--spec", "omega", "--jobs", "2"),
+    ("genus", "--q", "4", "--spec", "omega", "--format", "csv"),
+    ("verify", "--q", "2", "--format", "json"),
+    ("places", "--q", "2", "--out", "f"),
+    ("table", "--q-list", "4", "--p", "2"),
+    ("genus", "--q", "6", "--spec", "omega"),  # not a prime power
+])
+def test_unknown_flag_format_or_q_exit_code(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 2
+
+
 def test_table_q5_hypothesis_skips(capsys):
     code, out, _ = run_cli(capsys, "table", "--q-list", "5", "--format", "csv")
     assert code == 0
@@ -148,6 +161,15 @@ def test_verify_reports_suites(capsys):
     assert "v-sequence:" in out
     assert "hurwitz:" in out
     assert "maximality: 4 passed, 0 failed, 0 unknown" in out
+
+
+def test_verify_skips_degenerate_closed_form(capsys):
+    # at q = 3 the sigma4 delta = a^(q-1) has delta^2 + 1 = 0, so the closed
+    # form of its v-sequence is undefined and that kind is skipped
+    code, out, err = run_cli(capsys, "verify", "--q", "3")
+    assert code == 0, err
+    assert "v-sequence: 21 passed, 0 failed" in out
+    assert all(" 0 failed" in line for line in out.splitlines())
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hermquot.curve import (
     P_INF,
     degree3_count,
+    degree3_place,
     degree3_places,
     frobenius_point,
     normalize_point,
@@ -74,11 +75,10 @@ def test_degree3_orbit_structure(tw2):
 
 
 def test_place_of_point_rational(tw3):
-    lvl = tw3.q2
     for pl in rational_places(tw3)[1:]:
-        back = place_of_point(tw3, (pl.alpha, pl.beta, 1), lvl=lvl)
+        back = place_of_point(tw3, (pl.alpha, pl.beta, 1))
         assert back == pl
-    assert place_of_point(tw3, (0, 1, 0), lvl=lvl) == P_INF
+    assert place_of_point(tw3, (0, 1, 0)) == P_INF
 
 
 def test_place_of_point_scaling_invariance(tw3):
@@ -86,12 +86,12 @@ def test_place_of_point_scaling_invariance(tw3):
     pl = rational_places(tw3)[5]
     for c in range(1, lvl.size):
         scaled = tuple(lvl.mul(c, v) for v in (pl.alpha, pl.beta, 1))
-        assert place_of_point(tw3, scaled, lvl=lvl) == pl
+        assert place_of_point(tw3, scaled) == pl
 
 
 def test_place_of_point_degree3_roundtrip(tw2):
     for pl in degree3_places(tw2)[:10]:
-        assert place_of_point(tw2, pl.data[0], lvl=tw2.q6) == pl
+        assert degree3_place(tw2, pl.data[0]) == pl
 
 
 def test_place_degrees(tw2):

@@ -20,7 +20,6 @@ from hermquot.engine import (
     fixed_rational_places,
     genus_of_quotient,
     pointwise_fixed_degree3_places,
-    quotient_rational_count,
     tame_diff_crosscheck,
     twisted_fix_count,
 )
@@ -154,7 +153,8 @@ def test_quotient_rational_count_vs_brute_orbits(towers):
                     if any(normalize_point(tw.q6, apply_point(f, tw.q6, pt)) == fr
                            for f in setwise):
                         f3 += 1
-            assert quotient_rational_count(tw, g) == n_orbits + f3
+            rep = genus_of_quotient(tw, g, dual_check=False)
+            assert rep.n_rational_deg13 == n_orbits + f3
 
 
 def test_tame_diff_crosscheck_regime(tw7):
