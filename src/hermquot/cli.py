@@ -143,8 +143,7 @@ def cmd_genus(args) -> int:
     for g in gens:
         gen_auts.extend(autgrp.parse_spec(tower, g))
     group = autgrp.close_group(tower, gen_auts)
-    rep = genus_of_quotient(tower, group, expected=expected,
-                            horizon=args.horizon)
+    rep = genus_of_quotient(tower, group, expected=expected)
     if expected is not None:
         formula = {"name": args.case, "params": {"q": tower.q, "m": args.m},
                    "expected": expected, "matched": rep.genus == expected}
@@ -247,8 +246,10 @@ def cmd_places(args) -> int:
               f"{data['degree3_count']} places of degree 3")
         for s in data["rational"]:
             print(" ", s)
-        if "degree3" in data and isinstance(data["degree3"], list):
-            for s in data["degree3"]:
+        if isinstance(data.get("degree3"), str):
+            print(data["degree3"])  # the budget-exceeded message
+        else:
+            for s in data.get("degree3", []):
                 print(" ", s)
     return 0
 
@@ -367,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("genus", help="genus of one quotient")
     tower_flags(g)
     g.add_argument("--format", choices=["text", "json"], default="text")
-    g.add_argument("--horizon", type=int, default=None,
-                   help="initial series horizon override")
     g.add_argument("--out", help="write output to a file")
     g.add_argument("--spec", help="generator list, e.g. 'eps(a), omega'")
     g.add_argument("--case", choices=formulas.CASES)

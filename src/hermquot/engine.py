@@ -3,10 +3,10 @@ automorphism group.
 
 The strategy avoids scanning places. For each nontrivial automorphism the
 fixed rational places come out of an eigenvalue analysis of its matrix over
-F_{q^2}, and the pointwise-fixed degree-3 places out of the same analysis
-over F_{q^6} (an eigenvector line defined over F_{q^2} meets the curve in a
-sparse polynomial's roots). Only places fixed by some nontrivial element can
-ramify, so the different degree is a sum over a handful of orbits.
+F_{q^2}, and a pointwise-fixed degree-3 place needs an irreducible cubic
+factor of its charpoly (every line of PG(2, q^2) meets the curve only in
+rational points). Only places fixed by some nontrivial element can ramify,
+so the different degree is a sum over a handful of orbits.
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
@@ -37,7 +37,7 @@ from .autgrp import Aut, Group, apply_place, aut_order, from_affine, omega
 from .curve import (P_INF, Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
-from .localval import FrameCache, RamificationData, ramification_data
+from .localval import FrameCache, ramification_data
 
 
 class EngineError(GFError):
@@ -100,65 +100,36 @@ def fixed_rational_places(tower: FieldTower, aut: Aut,
     return sorted(places, key=lambda p: place_sort_key(tower, p))
 
 
-def _line_curve_points_q6(tower: FieldTower, basis):
-    """Intersection over F_{q^6} of the curve with a line defined over
-    F_{q^2}, parameterized as A + s B (plus B itself at s = infinity).
-    Substituting into Y^q Z + Y Z^q - X^(q+1) leaves only the exponents
-    0, 1, q, q + 1 in s because the basis coordinates live in F_{q^2}."""
-    lvl = tower.q2
-    q6 = tower.q6
-    q = tower.q
-    a, b = (tuple(v) for v in basis)
-    cs = [0] * (q + 2)
-    cs[0] = _herm(lvl, a, a)
-    cs[1] = _herm(lvl, a, b)
-    cs[q] = _herm(lvl, b, a)
-    cs[q + 1] = _herm(lvl, b, b)
-    assert any(cs), "the curve is irreducible and contains no line"
-    pts = []
-    for s, _mult in poly_roots(q6, cs):
-        pt = tuple(q6.add(pa, q6.mul(s, pb)) for pa, pb in zip(a, b))
-        pts.append(normalize_point(q6, pt))
-    if cs[q + 1] == 0 and on_curve(lvl, q, b):
-        pts.append(normalize_point(q6, b))
-    for pt in pts:
-        assert on_curve(q6, q, pt)
-    return pts
-
-
 def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
                                    eigen=None) -> list[Place]:
     """All degree-3 places every point of which is fixed by aut. Nonempty
     only when ord(aut) divides q^2 - q + 1. eigen as in
-    fixed_rational_places."""
+    fixed_rational_places. A fixed point is an eigenvector; an eigenspace
+    over F_{q^2} is a rational point or a line of PG(2, q^2), which meets
+    the curve in 1 or q + 1 rational points, all q + 1 intersections by
+    Bezout (Hirschfeld-Korchmaros-Torres 2008). So only an irreducible
+    cubic factor of the charpoly can fix a degree-3 place."""
     assert not aut.is_identity()
     q6 = tower.q6
-    q = tower.q
-    eig, rem = eigen or _eigen_data(tower, aut)
-    places = set()
-    for _lam, _mult, basis in eig:
-        if len(basis) != 2:
-            continue  # a one-dimensional eigenspace is a rational point
-        for pt in _line_curve_points_q6(tower, basis):
-            if not point_is_rational(tower, pt):
-                places.add(degree3_place(tower, pt))
-    if len(rem) == 4:
-        # irreducible cubic factor: eigenvalues form one Frobenius orbit in
-        # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
-        # single root already determines the whole candidate place
-        roots = poly_roots(q6, [c for c in rem])
-        assert roots
-        lam = roots[0][0]
-        flat = list(aut.m)
-        for i in range(3):
-            flat[4 * i] = q6.sub(flat[4 * i], lam)
-        basis = kernel(q6, [flat[0:3], flat[3:6], flat[6:9]])
-        assert len(basis) == 1
-        pt = normalize_point(q6, basis[0])
-        if on_curve(q6, q, pt):
-            assert not point_is_rational(tower, pt)
-            places.add(degree3_place(tower, pt))
-    return sorted(places, key=lambda p: place_sort_key(tower, p))
+    _eig, rem = eigen or _eigen_data(tower, aut)
+    if len(rem) != 4:
+        return []
+    # irreducible cubic factor: eigenvalues form one Frobenius orbit in
+    # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
+    # single root already determines the whole candidate place
+    roots = poly_roots(q6, rem)
+    assert roots
+    lam = roots[0][0]
+    flat = list(aut.m)
+    for i in range(3):
+        flat[4 * i] = q6.sub(flat[4 * i], lam)
+    basis = kernel(q6, [flat[0:3], flat[3:6], flat[6:9]])
+    assert len(basis) == 1
+    pt = normalize_point(q6, basis[0])
+    if not on_curve(q6, tower.q, pt):
+        return []
+    assert not point_is_rational(tower, pt)
+    return [degree3_place(tower, pt)]
 
 
 def _frob_matrix_q2(tower: FieldTower):
@@ -546,8 +517,7 @@ def _rational_count(tower: FieldTower, group_order: int, elements):
 def genus_of_quotient(tower: FieldTower, group: Group,
                       expected: int | None = None,
                       with_count: bool = True,
-                      dual_check: bool = True,
-                      horizon: int | None = None) -> GenusReport:
+                      dual_check: bool = True) -> GenusReport:
     q = tower.q
     elements = []
     ramified: set[Place] = set()
@@ -561,7 +531,7 @@ def genus_of_quotient(tower: FieldTower, group: Group,
         ramified.update(fixed)
         if (q * q - q + 1) % order == 0:
             ramified.update(pointwise_fixed_degree3_places(tower, s, eigen))
-    cache = FrameCache(tower, horizon=horizon)
+    cache = FrameCache(tower)
     rows = _orbit_rows(tower, group, ramified, cache, dual_check)
     deg_diff = sum(r.d * r.size * r.degree for r in rows)
     genus = _hurwitz_genus(q, group.order, deg_diff)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .autgrp import Aut, Group, apply_place, apply_point
-from .curve import P_INF, Place, normalize_point
+from .curve import Place, normalize_point
 from .gf import FieldTower, GFError
 
 
@@ -213,7 +213,6 @@ def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
 class FrameCache:
     tower: FieldTower
     frames: dict = field(default_factory=dict)
-    horizon: int | None = None  # override for the initial i-value horizon
 
     def get(self, place: Place, horizon: int) -> LocalFrame:
         key = (place.kind, place.data)
@@ -255,7 +254,7 @@ def i_value(tower: FieldTower, place: Place, aut: Aut,
     difference still vanishes to the known precision."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
-    n = max(tower.q + 5, cache.horizon or 0)
+    n = tower.q + 5
     limit = 8 * n
     while True:
         frame = cache.get(place, n)

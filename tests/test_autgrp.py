@@ -34,7 +34,7 @@ def test_pgu_order_values():
 
 def test_omega_is_involution(tw4):
     w = omega(tw4)
-    assert compose(w, w).is_identity
+    assert compose(w, w).is_identity()
     assert aut_order(w) == 2
 
 
@@ -67,9 +67,9 @@ def test_compose_acts_contravariantly(tw3):
 
 def test_inverse_and_pow(tw4):
     f = compose(omega(tw4), epsilon(tw4, tw4.a))
-    assert compose(f, inverse(f)).is_identity
+    assert compose(f, inverse(f)).is_identity()
     n = aut_order(f)
-    assert aut_pow(f, n).is_identity
+    assert aut_pow(f, n).is_identity()
     assert aut_pow(f, -1) == inverse(f)
     assert aut_pow(f, n + 3) == aut_pow(f, 3)
 

@@ -76,13 +76,6 @@ def test_genus_empty_spec_is_identity(capsys):
     assert json.loads(out)["genus"] == 6
 
 
-def test_genus_horizon_flag(capsys):
-    code, out, _ = run_cli(capsys, "genus", "--q", "4", "--spec", "eps(a), omega",
-                           "--horizon", "20", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["genus"] == 0
-
-
 def test_genus_mismatch_exit_code(capsys, monkeypatch):
     # exit 1 when a named case disagrees with the engine; force a wrong
     # expectation to exercise the path
@@ -111,6 +104,7 @@ def test_usage_error_exit_code(capsys):
     ("places", "--q", "2", "--out", "f"),
     ("table", "--q-list", "4", "--p", "2"),
     ("genus", "--q", "6", "--spec", "omega"),  # not a prime power
+    ("genus", "--q", "4", "--spec", "eps(a), omega", "--horizon", "20"),
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
@@ -153,6 +147,14 @@ def test_places_with_degree3(capsys):
     assert code == 0
     assert "P3[" in out
     assert "24 places of degree 3" in out
+
+
+def test_places_degree3_budget_exceeded_text(capsys):
+    code, out, _ = run_cli(capsys, "places", "--q", "2", "--with-degree3",
+                           "--deg3-budget", "10")
+    assert code == 0
+    assert "budget exceeded" in out
+    assert "P3[" not in out
 
 
 def test_verify_reports_suites(capsys):

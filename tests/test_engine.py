@@ -2,6 +2,7 @@
 
 import pytest
 
+from hermquot._linalg import charpoly3
 from hermquot.autgrp import (
     apply_place,
     apply_point,
@@ -24,6 +25,7 @@ from hermquot.engine import (
     twisted_fix_count,
 )
 from hermquot.formulas import case_spec, expected_genus
+from hermquot.gf import poly_roots
 
 
 def brute_fixed_rational(tw, f):
@@ -43,20 +45,32 @@ def test_fixed_rational_places_vs_brute(towers):
                 map(repr, brute_fixed_rational(tw, f)))
 
 
-def test_pointwise_fixed_degree3_vs_brute(tw3):
-    q6 = tw3.q6
-    g = group_from_spec(tw3, "eps(a^2), omega")
-    d3 = degree3_places(tw3)
+@pytest.mark.parametrize("q, spec", [
+    # order-3 homologies, with a 2-dimensional eigenspace
+    pytest.param(2, "eps(a), omega", id="q2-homology3"),
+    # an irreducible charpoly at order 3, 7 and 13
+    pytest.param(2, "aff(a, 1, a) * omega", id="q2-irreducible3"),
+    pytest.param(3, "aff(a, 1, a^4) * omega", id="q3-irreducible7"),
+    pytest.param(4, "aff(a, 1, a^14) * omega", id="q4-irreducible13"),
+    # orders 2 and 4 only
+    pytest.param(3, "eps(a^2), omega", id="q3-orders2and4"),
+    # an order-3 homology at q = 5
+    pytest.param(5, "eps(a^8)", id="q5-homology3"),
+])
+def test_pointwise_fixed_degree3_vs_brute(towers, q, spec):
+    tw = towers[q]
+    q6 = tw.q6
+    g = group_from_spec(tw, spec)
+    d3 = degree3_places(tw)
     for f in g.elements:
         if f.is_identity():
             continue
-        brute = [
-            pl for pl in d3
-            if all(normalize_point(q6, apply_point(f, q6, pt)) in pl.data
-                   and normalize_point(q6, apply_point(f, q6, pt)) == pt
-                   for pt in pl.data)
-        ]
-        assert set(pointwise_fixed_degree3_places(tw3, f)) == set(brute)
+        brute = {pl for pl in d3
+                 if all(normalize_point(q6, apply_point(f, q6, pt)) == pt
+                        for pt in pl.data)}
+        assert set(pointwise_fixed_degree3_places(tw, f)) == brute
+        if not poly_roots(tw.q2, charpoly3(tw.q2, f.m)):
+            assert len(brute) == 1  # an irreducible charpoly fixes one
 
 
 def test_twisted_fix_count_vs_brute(tw2):

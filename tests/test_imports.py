@@ -1,0 +1,30 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hermquot
+
+MODULES = sorted(p for p in Path(hermquot.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_its_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
