@@ -25,7 +25,7 @@ from .curve import (DEFAULT_DEG3_BUDGET, degree3_count, degree3_places,
                     rational_places)
 from .engine import EngineError, genus_of_quotient, tame_diff_crosscheck
 from .formulas import HypothesisNotMet
-from .gf import BudgetExceeded, GFError, build_tower, factorize
+from .gf import BudgetExceeded, GFError, build_tower, factorize, is_prime
 
 CSV_COLUMNS = ["case", "q", "m", "expected", "computed", "status",
                "deg_diff", "group_order", "runtime_ms"]
@@ -51,7 +51,11 @@ def _tower_from_args(args):
         if args.e is not None and args.e != e:
             raise UsageError(f"--e {args.e} contradicts --q {args.q}")
     elif args.p is not None:
-        p, e = args.p, args.e or 1
+        p, e = args.p, 1 if args.e is None else args.e
+        if not is_prime(p):
+            raise UsageError(f"--p {p} is not prime")
+        if e < 1:
+            raise UsageError(f"--e {e} is below 1")
     else:
         raise UsageError("one of --q or --p is required")
     return build_tower(p, e)
@@ -207,7 +211,10 @@ def cmd_table(args) -> int:
     for c in cases:
         if c not in formulas.CASES:
             raise UsageError(f"unknown case {c!r}")
-    qs = [int(s) for s in args.q_list.split(",")] if args.q_list else [args.q]
+    try:
+        qs = [int(s) for s in args.q_list.split(",")] if args.q_list else [args.q]
+    except ValueError:
+        raise UsageError(f"--q-list {args.q_list!r} is not a list of integers") from None
     if qs == [None]:
         raise UsageError("table needs --q or --q-list")
     rows = []

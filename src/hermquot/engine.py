@@ -132,18 +132,10 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     return [degree3_place(tower, pt)]
 
 
-def _frob_matrix_q2(tower: FieldTower):
-    """3x3 matrix over F_{q^2} of x -> x^(q^2) on F_{q^6} in basis 1, t, t^2."""
-    q6 = tower.q6
-    cols = [q6.unpack(q6.frobq2(q6.pack(*(1 if j == k else 0 for j in range(3)))))
-            for k in range(3)]
-    return tuple(cols[j][i] for i in range(3) for j in range(3))
-
-
-def _mult_matrix(tower: FieldTower, lam: int):
-    """3x3 matrix over F_{q^2} of multiplication by lam on F_{q^6}."""
-    q6 = tower.q6
-    cols = [q6.unpack(q6.mul(lam, q6.pack(*(1 if j == k else 0 for j in range(3)))))
+def _q2_matrix(q6, f):
+    """3x3 matrix over F_{q^2} of an F_{q^2}-linear map f on F_{q^6} in the
+    basis 1, t, t^2, row-major."""
+    cols = [q6.unpack(f(q6.pack(*(1 if j == k else 0 for j in range(3)))))
             for k in range(3)]
     return tuple(cols[j][i] for i in range(3) for j in range(3))
 
@@ -218,7 +210,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     lvl = tower.q2
     q6 = tower.q6
     n = lvl.size - 1
-    f2 = _frob_matrix_q2(tower)
+    f2 = _q2_matrix(q6, q6.frobq2)
     w = q6.primitive()
     # N(w) = w^((q^6 - 1)/(q^2 - 1)) generates F_{q^2}^*, and N(w^j) = N(w)^j
     nw = q6.pow(w, (q6.size - 1) // n)
@@ -229,7 +221,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     total = 0
     for eta, _mult in poly_roots(lvl, charpoly3(lvl, m3)):
         lam = q6.pow(w, (-lvl.dlog(eta) * inv_log_nw) % n)
-        ll = _mult_matrix(tower, lam)
+        ll = _q2_matrix(q6, lambda x: q6.mul(lam, x))
         rows = []
         for k in range(3):
             for i in range(3):

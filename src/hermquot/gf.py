@@ -9,6 +9,11 @@ this packing the embedding F_{q^2} -> F_{q^6} is the identity on integers.
 Both moduli and the canonical primitive are picked by a fixed deterministic
 rule (least coefficient tuple, compared from the constant term upward), so
 two towers built for the same (p, e) are bit-identical.
+
+There is one polynomial arithmetic: the generic p_* helpers, which run over
+any level (F_p, F_{q^2} or F_{q^6}).  They test the base modulus for
+irreducibility, make the products that fill the F_{q^2} tables, and find
+roots; only the F_{q^6} product is written out by hand, as the hot path.
 """
 from __future__ import annotations
 
@@ -56,94 +61,46 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[X] helpers, little-endian coefficient lists.  Only used while building
-# the base level, so plain modular arithmetic is fast enough.
+# Levels.  Every polynomial operation but the F_{q^6} product goes through
+# the p_* helpers below, which need only add, sub, mul and inv from a level
+# (zero and one are the ints 0 and 1); F_p is such a minimal level.
+# poly_roots also needs size, char, neg and key (deterministic ordering
+# tuple).  F_{q^2} and F_{q^6} also expose pow and frobq (the q-power map).
 
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _PrimeLevel:
+    """F_p with plain modular arithmetic; only used while building F_{q^2}."""
 
+    def __init__(self, p: int):
+        self.p = p
 
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    return _fp_trim(r)
+    def add(self, x, y):
+        return (x + y) % self.p
 
+    def sub(self, x, y):
+        return (x - y) % self.p
 
-def _fp_mod(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] * inv_lead % p
-        off = len(a) - 1 - dm
-        if c:
-            for i, mi in enumerate(m):
-                a[off + i] = (a[off + i] - c * mi) % p
-        a.pop()
-        _fp_trim(a)
-    return a
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def inv(self, x):
+        if x % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(x, self.p - 2, self.p)
 
 
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    return a
-
-
-def _fp_powmod(a, n, m, p):
-    r = [1]
-    a = _fp_mod(a, m, p)
-    while n:
-        if n & 1:
-            r = _fp_mod(_fp_mul(r, a, p), m, p)
-        a = _fp_mod(_fp_mul(a, a, p), m, p)
-        n >>= 1
-    return r
-
-
-def _fp_is_irreducible(f, p) -> bool:
-    """Rabin test: f monic of degree d over F_p."""
+def _is_irreducible(fp: _PrimeLevel, f) -> bool:
+    """Rabin's test for a monic f of degree d >= 1 over F_p: X^(p^d) = X
+    mod f, and gcd(f, X^(p^(d/r)) - X) = 1 for every prime r | d."""
     d = len(f) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
 
-    def frob_power(k):
-        # X^(p^k) mod f
-        h = x
-        for _ in range(k):
-            h = _fp_powmod(h, p, f, p)
-        return h
+    def frob_minus_x(k):  # X^(p^k) - X mod f
+        h = p_powmod(fp, [0, 1], fp.p ** k, f) + [0, 0]
+        h[1] = fp.sub(h[1], 1)
+        return p_mod(fp, p_trim(h), f)
 
-    h = frob_power(d)
-    diff = list(h) + [0] * (2 - len(h))
-    diff[1] = (diff[1] - 1) % p
-    if _fp_trim(diff):
-        return False
-    for r in factorize(d):
-        h = frob_power(d // r)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        diff = _fp_trim(diff)
-        if not diff:
-            return False  # X^(p^(d/r)) = X: f divides a splitting poly
-        g = _fp_gcd(f, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return not frob_minus_x(d) and all(
+        len(p_gcd(fp, f, frob_minus_x(d // r))) == 1 for r in factorize(d))
 
-
-# ---------------------------------------------------------------------------
-# Levels.  A level exposes: size, char, zero/one as 0/1, add, sub, neg, mul,
-# inv, pow, frobq (the q-power map), key (deterministic ordering tuple).
 
 class BaseLevel:
     """F_{q^2} with exp/log tables generated by the canonical primitive."""
@@ -184,72 +141,35 @@ class BaseLevel:
 
     # -- construction ------------------------------------------------------
     def _find_modulus(self) -> tuple[int, ...]:
+        fp = _PrimeLevel(self.p)
         for coeffs in itertools.product(range(self.p), repeat=self.deg):
-            f = list(coeffs) + [1]
-            if _fp_is_irreducible(f, self.p):
+            if coeffs[0] == 0:
+                continue  # constant term zero is always reducible
+            if _is_irreducible(fp, [*coeffs, 1]):
                 return coeffs
         raise GFError("no irreducible modulus found")  # pragma: no cover
 
-    def _mulraw(self, x: int, y: int) -> int:
-        p, deg = self.p, self.deg
-        if p == 2:
-            r = 0
-            while y:
-                if y & 1:
-                    r ^= x
-                x <<= 1
-                y >>= 1
-            modint = self._modint
-            for shift in range(r.bit_length() - 1, deg - 1, -1):
-                if (r >> shift) & 1:
-                    r ^= modint << (shift - deg)
-            return r
-        a, b = self.digits(x), self.digits(y)
-        r = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    r[i + j] = (r[i + j] + ai * bj) % p
-        mod = self.mod
-        for i in range(len(r) - 1, deg - 1, -1):
-            c = r[i]
-            if c:
-                r[i] = 0
-                for j in range(deg):
-                    r[i - deg + j] = (r[i - deg + j] - c * mod[j]) % p
-        return self.pack(r[:deg])
-
-    @property
-    def _modint(self) -> int:
-        # p = 2 only: modulus as a bitmask including the leading term
-        return self.pack(self.mod) | (1 << self.deg)
-
-    def _powraw(self, x: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mulraw(r, x)
-            x = self._mulraw(x, x)
-            n >>= 1
-        return r
-
     def _find_primitive(self) -> int:
-        fac = factorize(self.size - 1)
+        fp, m, n = _PrimeLevel(self.p), [*self.mod, 1], self.size - 1
+        fac = factorize(n)
         for x in sorted(range(1, self.size), key=self.key):
-            if all(self._powraw(x, (self.size - 1) // r) != 1 for r in fac):
+            if all(p_powmod(fp, self.digits(x), n // r, m) != [1] for r in fac):
                 return x
         raise GFError("no primitive element")  # pragma: no cover
 
     def _build_tables(self):
+        fp, m = _PrimeLevel(self.p), [*self.mod, 1]
+        a = p_trim(list(self.digits(self.a)))
         n = self.size - 1
         exp = [0] * n
         log = [-1] * self.size
-        cur = 1
+        cur = [1]
         for i in range(n):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mulraw(cur, self.a)
-        assert cur == 1
+            x = self.pack(cur)
+            exp[i] = x
+            log[x] = i
+            cur = p_mod(fp, p_mul(fp, a, cur), m)
+        assert cur == [1]
         self.exp, self.log = exp, log
         if self.p == 2:
             self.negt = None
@@ -356,12 +276,8 @@ class ExtLevel:
                 continue  # constant term zero is always reducible
             for g1 in elems:
                 for g2 in elems:
-                    if not any(
-                        b.add(b.add(b.mul(b.mul(x, x), x),
-                                    b.mul(g2, b.mul(x, x))),
-                              b.add(b.mul(g1, x), g0)) == 0
-                        for x in range(b.size)
-                    ):
+                    f = (g0, g1, g2, 1)
+                    if all(p_eval(b, f, x) for x in range(b.size)):
                         return (g0, g1, g2)
         raise GFError("no irreducible cubic")  # pragma: no cover
 
@@ -415,46 +331,11 @@ class ExtLevel:
         return self.pack(m(c, a0), m(c, a1), m(c, a2))
 
     def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # extended Euclid on cubic polynomials over the base field
-        b = self.base
-        g0, g1, g2 = self.mod
-        r0 = [g0, g1, g2, 1]
-        r1 = [c for c in self.unpack(x)]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            # divide r0 by r1
-            quo = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            ilead = b.inv(r1[-1])
-            for i in range(len(rem) - len(r1), -1, -1):
-                c = b.mul(rem[i + len(r1) - 1], ilead)
-                quo[i] = c
-                if c:
-                    for j, rj in enumerate(r1):
-                        rem[i + j] = b.sub(rem[i + j], b.mul(c, rj))
-            while rem and rem[-1] == 0:
-                rem.pop()
-            # s0, s1 = s1, s0 - quo * s1
-            qs = [0] * (len(quo) + len(s1) - 1) if s1 else []
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = b.add(qs[i + j], b.mul(qi, sj))
-            ln = max(len(s0), len(qs))
-            new = [(b.sub(s0[i] if i < len(s0) else 0,
-                          qs[i] if i < len(qs) else 0)) for i in range(ln)]
-            while new and new[-1] == 0:
-                new.pop()
-            r0, r1, s0, s1 = r1, rem, s1, new
-        if not r1:
-            raise ZeroDivisionError("not invertible")  # pragma: no cover
-        c = b.inv(r1[0])
-        s1 = [b.mul(c, si) for si in s1] + [0] * (3 - len(s1))
-        return self.pack(s1[0], s1[1], s1[2])
+        """x^-1 = y / N(x) with y = x^(q^2) x^(q^4) and the norm N(x) = x y
+        in the base field; the base inverse raises ZeroDivisionError at 0."""
+        y = self.frobq2(x)
+        y = self.mul(y, self.frobq2(y))
+        return self.scalar_mul(self.base.inv(self.mul(x, y)), y)
 
     def pow(self, x, n):
         if n < 0:

@@ -105,6 +105,10 @@ def test_usage_error_exit_code(capsys):
     ("table", "--q-list", "4", "--p", "2"),
     ("genus", "--q", "6", "--spec", "omega"),  # not a prime power
     ("genus", "--q", "4", "--spec", "eps(a), omega", "--horizon", "20"),
+    ("table", "--q-list", "5,x"),
+    ("table", "--q-list", "5,,7"),
+    ("genus", "--p", "2", "--e", "0", "--spec", "omega"),
+    ("genus", "--p", "4", "--spec", "omega"),  # p not prime
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
