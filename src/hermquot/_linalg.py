@@ -80,34 +80,3 @@ def kernel(lvl, rows):
         basis.append(v)
     return basis
 
-
-def span_proj_reps(lvl, basis):
-    """One vector per projective point of the span (scalars from lvl)."""
-    k = len(basis)
-    if k == 0:
-        return
-    n = len(basis[0])
-
-    def combo(coeffs):
-        v = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    v[i] = lvl.add(v[i], lvl.mul(c, b[i]))
-        return v
-
-    # first nonzero coefficient normalized to 1
-    for lead in range(k):
-        tail = k - lead - 1
-        idx = [0] * tail
-        while True:
-            yield combo([0] * lead + [1] + idx)
-            j = tail - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < lvl.size:
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break

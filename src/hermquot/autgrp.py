@@ -153,7 +153,6 @@ def sigma5(tower: FieldTower, delta: int) -> Aut:
 class Group:
     tower: FieldTower
     elements: tuple
-    generators: tuple
 
     @property
     def order(self) -> int:
@@ -183,7 +182,7 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
     assert pgu_order(tower.q) % order == 0, "closure is not a subgroup"
     elements = tuple(sorted(seen.values(),
                             key=lambda a: tuple(tower.q2.key(c) for c in a.m)))
-    return Group(tower, elements, gens)
+    return Group(tower, elements)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\^|\*|,|\(|\)|=)|([A-Za-z_][A-Za-z_0-9]*)|(-?\d+))")
@@ -205,6 +204,14 @@ def _tokenize(text: str):
         pos = m.end()
     out.append(("end", None, pos))
     return out
+
+
+# generator name -> (constructor, number of element arguments)
+_ATOMS = {"eps": (epsilon, 1),
+          "tau": (lambda tw, b, c: from_affine(tw, 1, b, c), 2),
+          "aff": (from_affine, 3),
+          "sigma4": (sigma4, 1),
+          "sigma5": (sigma5, 1)}
 
 
 class _Parser:
@@ -248,37 +255,25 @@ class _Parser:
     def atom(self) -> Aut:
         tok = self.take("name")
         name = tok[1]
-        tw = self.tower
         if name == "omega":
-            return omega(tw)
+            return omega(self.tower)
+        if name not in _ATOMS:
+            raise DSLError(f"unknown generator {name!r} at position {tok[2]}")
+        make, nargs = _ATOMS[name]
         self.take("op", "(")
-        if name == "eps":
-            a = self.elt()
-            self.take("op", ")")
-            return epsilon(tw, a)
-        if name == "tau":
-            b = self.elt()
-            self.take("op", ",")
-            c = self.elt()
-            self.take("op", ")")
-            return from_affine(tw, 1, b, c)
-        if name == "aff":
-            a = self.elt()
-            self.take("op", ",")
-            b = self.elt()
-            self.take("op", ",")
-            c = self.elt()
-            self.take("op", ")")
-            return from_affine(tw, a, b, c)
         if name in ("sigma4", "sigma5"):
             self.take("name", "delta")
             self.take("op", "=")
-            delta = self.elt()
-            self.take("op", ")")
-            if name == "sigma4":
-                return sigma4(tw, delta)
-            return sigma5(tw, delta)
-        raise DSLError(f"unknown generator {name!r} at position {tok[2]}")
+        args = [self.elt()]
+        while len(args) < nargs:
+            self.take("op", ",")
+            args.append(self.elt())
+        self.take("op", ")")
+        try:
+            return make(self.tower, *args)
+        except GFError as ex:
+            # parameters that make no automorphism are a spec error
+            raise DSLError(str(ex)) from ex
 
     def elt(self) -> int:
         tok = self.take()

@@ -236,6 +236,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_places(args) -> int:
+    if args.deg3_budget < 0:
+        raise UsageError(f"--deg3-budget {args.deg3_budget} is negative")
     tower = _tower_from_args(args)
     data = {"q": tower.q, "rational": [], "degree3_count": degree3_count(tower)}
     for pl in rational_places(tower):

@@ -8,6 +8,13 @@ factor of its charpoly (every line of PG(2, q^2) meets the curve only in
 rational points). Only places fixed by some nontrivial element can ramify,
 so the different degree is a sum over a handful of orbits.
 
+Curve points on a projective span over F_{q^2} are found one way, by
+_form_zeros: on the span of b_1..b_k the curve equation is the form
+sum c_i^q c_j h(b_i, b_j), h the sesquilinear Hermitian form of the curve,
+and its zeros in P^(k-1)(F_{q^2}) are listed line by line with the log
+tables. The spans are the eigenspaces (fixed rational places) and the
+twisted kernels of twisted_fix_count.
+
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
 Frobenius-stable G-orbits of points of the curve, which are the rational
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3, span_proj_reps
+from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3
 from .autgrp import Aut, Group, apply_place, aut_order, from_affine, omega
 from .curve import (P_INF, Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
@@ -54,14 +61,18 @@ def _eigen_data(tower: FieldTower, aut: Aut):
     out = []
     rem = list(cp)
     for lam, mult in roots:
-        flat = list(m)
-        for i in range(3):
-            flat[4 * i] = lvl.sub(flat[4 * i], lam)
-        rows = [flat[0:3], flat[3:6], flat[6:9]]
-        out.append((lam, mult, kernel(lvl, rows)))
+        out.append((lam, mult, _eigenspace(lvl, m, lam)))
         for _ in range(mult):
             rem = _deflate(lvl, rem, lam)
     return out, rem
+
+
+def _eigenspace(lvl, m, lam):
+    """Kernel basis of M - lam I over lvl, M a row-major 3x3 matrix."""
+    flat = list(m)
+    for i in range(3):
+        flat[4 * i] = lvl.sub(flat[4 * i], lam)
+    return kernel(lvl, [flat[0:3], flat[3:6], flat[6:9]])
 
 
 def _deflate(lvl, cs, root):
@@ -86,17 +97,22 @@ def _herm(lvl, u, v):
 def fixed_rational_places(tower: FieldTower, aut: Aut,
                           eigen=None) -> list[Place]:
     """All rational places fixed by a nontrivial automorphism; eigen is
-    _eigen_data(tower, aut) when the caller already has it."""
+    _eigen_data(tower, aut) when the caller already has it. A fixed point is
+    an eigenvector, and the curve equation on the span of an eigenspace
+    basis b_i is the form sum c_i^q c_j h(b_i, b_j), h sesquilinear, whose
+    zeros _form_zeros lists."""
     assert not aut.is_identity()
     lvl = tower.q2
-    q = tower.q
     eig, _ = eigen or _eigen_data(tower, aut)
-    places = set()
+    places = []
     for _lam, _mult, basis in eig:
         assert 1 <= len(basis) <= 2, "a non-scalar matrix has eigenspace dim < 3"
-        for v in span_proj_reps(lvl, basis):
-            if on_curve(lvl, q, v):
-                places.add(place_of_point(tower, v))
+        gram = [[_herm(lvl, u, v) for v in basis] for u in basis]
+        for cs in _form_zeros(lvl, tower.q, gram):
+            pt = [0, 0, 0]
+            for c, b in zip(cs, basis):
+                pt = [lvl.add(x, lvl.mul(c, y)) for x, y in zip(pt, b)]
+            places.append(place_of_point(tower, pt))
     return sorted(places, key=lambda p: place_sort_key(tower, p))
 
 
@@ -119,11 +135,7 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     # single root already determines the whole candidate place
     roots = poly_roots(q6, rem)
     assert roots
-    lam = roots[0][0]
-    flat = list(aut.m)
-    for i in range(3):
-        flat[4 * i] = q6.sub(flat[4 * i], lam)
-    basis = kernel(q6, [flat[0:3], flat[3:6], flat[6:9]])
+    basis = _eigenspace(q6, aut.m, roots[0][0])
     assert len(basis) == 1
     pt = normalize_point(q6, basis[0])
     if not on_curve(q6, tower.q, pt):
@@ -153,17 +165,24 @@ def _line_values(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
     return vals
 
 
-def _form_zeros(lvl, q: int, g) -> int:
+def _line_zeros(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
+    """The s in F_{q^2} where c0 + c1 s + cq s^q + cq1 s^(q+1) vanishes."""
+    vals = _line_values(lvl, q, c0, c1, cq, cq1)
+    zeros = [lvl.exp[l] for l, v in enumerate(vals) if v == 0]
+    return [0] + zeros if c0 == 0 else zeros
+
+
+def _form_zeros(lvl, q: int, g) -> list[tuple]:
     """Zeros in P^(k-1)(F_{q^2}) of sum g_ij c_i^q c_j, for a k x k matrix g
-    over F_{q^2} with k <= 3. The points with c_0 = 1 are counted one line
-    c = (1, s, t) at a time, the rest by the same count on g[1:][1:]."""
+    over F_{q^2} with k <= 3, as tuples c with first nonzero entry 1. The
+    zeros with c_0 = 1 are found one line c = (1, s, t) at a time, the rest
+    by the same search on g[1:][1:]."""
     k = len(g)
     if k == 1:
-        return 1 if g[0][0] == 0 else 0
-    total = _form_zeros(lvl, q, [row[1:] for row in g[1:]])
+        return [(1,)] if g[0][0] == 0 else []
+    out = [(0,) + c for c in _form_zeros(lvl, q, [row[1:] for row in g[1:]])]
     if k == 2:
-        return (total + (g[0][0] == 0)
-                + _line_values(lvl, q, g[0][0], g[0][1], g[1][0], g[1][1]).count(0))
+        return out + [(1, s) for s in _line_zeros(lvl, q, *g[0], *g[1])]
     fr, mul, add = lvl.frobq, lvl.mul, lvl.add
     for s in range(lvl.size):
         sq = fr(s)
@@ -171,8 +190,8 @@ def _form_zeros(lvl, q: int, g) -> int:
                  add(mul(g[1][0], sq), mul(g[1][1], mul(sq, s))))
         c1 = add(g[0][2], mul(g[1][2], sq))
         cq = add(g[2][0], mul(g[2][1], s))
-        total += (c0 == 0) + _line_values(lvl, q, c0, c1, cq, g[2][2]).count(0)
-    return total
+        out += [(1, s, t) for t in _line_zeros(lvl, q, c0, c1, cq, g[2][2])]
+    return out
 
 
 def _span_curve_points(tower: FieldTower, basis) -> int:
@@ -192,7 +211,7 @@ def _span_curve_points(tower: FieldTower, basis) -> int:
     gram = [[q6.mul(x, ig) for x in row] for row in gram]
     if not all(q6.in_base(x) for row in gram for x in row):
         raise EngineError("Gram matrix of a twisted kernel is not F_q^2-proportional")
-    return _form_zeros(lvl, tower.q, gram)
+    return len(_form_zeros(lvl, tower.q, gram))
 
 
 def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:

@@ -161,6 +161,24 @@ def test_places_degree3_budget_exceeded_text(capsys):
     assert "P3[" not in out
 
 
+def test_places_negative_budget_exit_code(capsys):
+    code, _, err = run_cli(capsys, "places", "--q", "2", "--with-degree3",
+                           "--deg3-budget", "-5")
+    assert code == 2
+    assert "--deg3-budget" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("eps(0)", "needs a != 0"),
+    ("sigma4(delta=0)", "needs delta != 0"),
+    ("tau(a, 0)", "affine constraint"),
+])
+def test_spec_parameter_error_exit_code(capsys, spec, message):
+    code, _, err = run_cli(capsys, "genus", "--q", "4", "--spec", spec)
+    assert code == 2
+    assert message in err
+
+
 def test_verify_reports_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "2")
     assert "relations:" in out

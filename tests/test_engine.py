@@ -1,5 +1,9 @@
 """Quotient genus engine: fixed points, orbit data, genus, cross-checks."""
 
+import functools
+import itertools
+import random
+
 import pytest
 
 from hermquot._linalg import charpoly3
@@ -8,6 +12,7 @@ from hermquot.autgrp import (
     apply_point,
     close_group,
     epsilon,
+    from_affine,
     group_from_spec,
     omega,
 )
@@ -18,6 +23,7 @@ from hermquot.curve import (
 )
 from hermquot.engine import (
     EngineError,
+    _form_zeros,
     fixed_rational_places,
     genus_of_quotient,
     pointwise_fixed_degree3_places,
@@ -33,16 +39,39 @@ def brute_fixed_rational(tw, f):
 
 
 def test_fixed_rational_places_vs_brute(towers):
-    for q in (2, 3):
+    for q in (2, 3, 4, 5):
         tw = towers[q]
-        w = omega(tw)
-        eps = epsilon(tw, tw.a)
-        samples = [w, eps]
+        c = next(c for c in tw.solve_additive_raw(0) if c)  # c^q + c = 0
+        # eigenspaces that are lines: Z = 0 through P_inf alone, and X = 0
+        # through q + 1 rational points
+        line1, line_q1 = from_affine(tw, 1, 0, c), epsilon(tw, tw.a_pow(q - 1))
+        samples = [omega(tw), epsilon(tw, tw.a), line1, line_q1]
         g = group_from_spec(tw, "eps(a), omega")
         samples.extend(f for f in g.elements if not f.is_identity())
         for f in samples:
             assert sorted(map(repr, fixed_rational_places(tw, f))) == sorted(
                 map(repr, brute_fixed_rational(tw, f)))
+        assert len(fixed_rational_places(tw, line1)) == 1
+        assert len(fixed_rational_places(tw, line_q1)) == q + 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_zeros_vs_brute(tw3, k):
+    lvl = tw3.q2
+    fr, mul, add = lvl.frobq, lvl.mul, lvl.add
+    points = [c for c in itertools.product(range(lvl.size), repeat=k)
+              if any(c) and next(x for x in c if x) == 1]
+    herm = [[lvl.neg(1), 0, 0], [0, 0, 1], [0, 1, 0]]  # the curve's form
+    rng = random.Random(k)
+    gs = [[row[3 - k:] for row in herm[3 - k:]], [[0] * k for _ in range(k)]]
+    gs += [[[rng.choice([0, rng.randrange(lvl.size)]) for _ in range(k)]
+            for _ in range(k)] for _ in range(20)]
+    for g in gs:
+        brute = [c for c in points
+                 if functools.reduce(add, (mul(mul(fr(c[i]), c[j]), g[i][j])
+                                           for i in range(k)
+                                           for j in range(k))) == 0]
+        assert sorted(_form_zeros(lvl, 3, g)) == brute
 
 
 @pytest.mark.parametrize("q, spec", [

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+top-level definition is referenced somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,32 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+# definitions kept only as seams for the tests
+TEST_SEAMS = {"twisted_counts", "v_vanishing_index", "v_vanishing_even_char"}
+
+
+def _referenced_names(node):
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+    return out
+
+
+def test_every_definition_is_referenced():
+    tops = [node for p in Path(hermquot.__file__).parent.glob("*.py")
+            for node in ast.parse(p.read_text()).body]
+    refs = [_referenced_names(node) for node in tops]
+    # a reference from any other top-level statement counts, __init__
+    # exports too
+    unreferenced = [
+        node.name for i, node in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in r for j, r in enumerate(refs) if j != i)]
+    assert sorted(set(unreferenced) - TEST_SEAMS) == []
