@@ -87,12 +87,11 @@ def inverse(f: Aut) -> Aut:
 
 
 def aut_order(f: Aut) -> int:
-    n = 1
-    cur = f
+    n, cur, cap = 1, f, pgu_order(f.tower.q)
     while not cur.is_identity():
         cur = compose(cur, f)
         n += 1
-        assert n <= pgu_order(f.tower.q)
+        assert n <= cap
     return n
 
 

@@ -1,12 +1,15 @@
 """Exact quotient-genus computation for subgroups of the Hermitian curve's
 automorphism group.
 
-The strategy avoids scanning places. For each nontrivial automorphism the
-fixed rational places come out of an eigenvalue analysis of its matrix over
-F_{q^2}, and a pointwise-fixed degree-3 place needs an irreducible cubic
-factor of its charpoly (every line of PG(2, q^2) meets the curve only in
-rational points). Only places fixed by some nontrivial element can ramify,
-so the different degree is a sum over a handful of orbits.
+The strategy avoids scanning places. The group is walked once per cyclic
+subgroup <sigma>: the powers of sigma up to the identity give n = ord(sigma)
+and the generators sigma^k, gcd(k, n) = 1, which share sigma's eigenvectors
+and fixed places, as sigma is in turn a power of sigma^k. The fixed rational
+places come out of an eigenvalue analysis of sigma's matrix over F_{q^2},
+and a pointwise-fixed degree-3 place needs an irreducible cubic factor of
+its charpoly (every line of PG(2, q^2) meets the curve only in rational
+points). Only places fixed by some nontrivial element can ramify, so the
+different degree is a sum over a handful of orbits.
 
 Curve points on a projective span over F_{q^2} are found one way, by
 _form_zeros: on the span of b_1..b_k the curve equation is the form
@@ -39,8 +42,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3
-from .autgrp import Aut, Group, apply_place, aut_order, from_affine, omega
+from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3, mat_vec3
+from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
+                     omega)
 from .curve import (P_INF, Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
@@ -390,9 +394,8 @@ class TwistedCount(NamedTuple):
     path: str
 
 
-def _twisted_count(tower: FieldTower, aut: Aut, order: int, eigen,
+def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
                    fixed) -> TwistedCount:
-    eig, _rem = eigen
     if sum(len(b) for _l, _m, b in eig) == 3:
         return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
     if order % tower.p == 0:
@@ -414,7 +417,7 @@ def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
     """N_sigma for a nontrivial automorphism, from points."""
     assert not aut.is_identity()
     eigen = _eigen_data(tower, aut)
-    return _twisted_count(tower, aut, aut_order(aut), eigen,
+    return _twisted_count(tower, aut, aut_order(aut), eigen[0],
                           fixed_rational_places(tower, aut, eigen))
 
 
@@ -479,8 +482,35 @@ def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
 class _Element(NamedTuple):
     aut: Aut
     order: int
-    eigen: tuple
-    fixed: list
+    eig: list | None  # [(eigenvalue, multiplicity, basis)], for the count
+    fixed: list  # fixed rational places
+    deg3: list   # pointwise-fixed degree-3 places
+
+
+def _cyclic_walk(tower: FieldTower, group: Group, with_eig: bool):
+    """An _Element per nontrivial element of the group, from one power walk
+    per cyclic subgroup <sigma>. Its generators share sigma's eigenspaces
+    and fixed places, and get their own eigenvalues only with_eig."""
+    q, lvl = tower.q, tower.q2
+    seen, out = set(), []
+    for s in group.elements:
+        if s.is_identity() or s.m in seen:
+            continue
+        powers = [s]
+        while not powers[-1].is_identity():
+            powers.append(compose(powers[-1], s))
+        n = len(powers)
+        eigen = _eigen_data(tower, s)
+        fixed = fixed_rational_places(tower, s, eigen)
+        deg3 = (pointwise_fixed_degree3_places(tower, s, eigen)
+                if (q * q - q + 1) % n == 0 else [])
+        for g in (powers[k - 1] for k in range(1, n) if gcd(k, n) == 1):
+            seen.add(g.m)
+            # on sigma's eigenvector v, g v = mu v; read mu where v has a 1
+            eig = [(mat_vec3(lvl, g.m, b[0])[b[0].index(1)], mult, b)
+                   for _lam, mult, b in eigen[0]] if with_eig else None
+            out.append(_Element(g, n, eig, fixed, deg3))
+    return out
 
 
 def _hurwitz_genus(q: int, order: int, deg_diff: int) -> int:
@@ -508,7 +538,7 @@ def _rational_count(tower: FieldTower, group_order: int, elements):
     total = fixed = over_q6 = top
     uncounted = set()
     for el in elements:
-        tc = _twisted_count(tower, el.aut, el.order, el.eigen, el.fixed)
+        tc = _twisted_count(tower, el.aut, el.order, el.eig, el.fixed)
         fixed += len(el.fixed)
         over_q6 += tc.n6
         if tc.n is None:
@@ -530,18 +560,8 @@ def genus_of_quotient(tower: FieldTower, group: Group,
                       with_count: bool = True,
                       dual_check: bool = True) -> GenusReport:
     q = tower.q
-    elements = []
-    ramified: set[Place] = set()
-    for s in group.elements:
-        if s.is_identity():
-            continue
-        order = aut_order(s)
-        eigen = _eigen_data(tower, s)
-        fixed = fixed_rational_places(tower, s, eigen)
-        elements.append(_Element(s, order, eigen, fixed))
-        ramified.update(fixed)
-        if (q * q - q + 1) % order == 0:
-            ramified.update(pointwise_fixed_degree3_places(tower, s, eigen))
+    elements = _cyclic_walk(tower, group, with_count)
+    ramified = {pl for el in elements for pl in el.fixed + el.deg3}
     cache = FrameCache(tower)
     rows = _orbit_rows(tower, group, ramified, cache, dual_check)
     deg_diff = sum(r.d * r.size * r.degree for r in rows)

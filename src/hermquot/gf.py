@@ -32,7 +32,7 @@ class BudgetExceeded(GFError):
 DESK_CAP = 1 << 16          # largest p^e accepted at all
 TABLE_LIMIT = 1 << 20       # largest field size for exp/log tables
 ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
-SCAN_ROOT_LIMIT = 20000     # exhaustive root scan up to this field size
+SCAN_ROOT_LIMIT = 128       # root scan up to this size (crossover 121-169)
 
 
 def is_prime(n: int) -> bool:
@@ -181,15 +181,15 @@ class BaseLevel:
                          for x in range(self.size)]
             if self.size <= ADD_TABLE_LIMIT:
                 sz = self.size
-                addt = [0] * (sz * sz)
-                for x in range(sz):
-                    dx = self.digits(x)
-                    row = x * sz
-                    for y in range(sz):
-                        dy = self.digits(y)
-                        addt[row + y] = self.pack(
-                            tuple((u + v) % p for u, v in zip(dx, dy)))
-                self._addt = addt
+                # digit by digit: with x = x0 + p x' and y = y0 + p y', x + y
+                # is (x0 + y0) mod p + p (x' + y'), x' + y' one digit shorter
+                addt, s = [0], 1
+                for _ in range(self.deg):
+                    addt = [p * v + (x0 + y0) % p
+                            for x1 in range(s) for x0 in range(p)
+                            for v in addt[x1 * s:(x1 + 1) * s]
+                            for y0 in range(p)]
+                    s *= p
                 self.add = lambda x, y: addt[x * sz + y]
             else:  # pragma: no cover - beyond desk scale
                 self.add = lambda x, y: self.pack(
@@ -484,9 +484,10 @@ def _split_linears(lvl, g, rng):
 def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
     """Roots of a nonzero polynomial in the level, with multiplicities.
 
-    Small fields are scanned exhaustively; larger ones use a gcd with the
-    Frobenius power of X followed by seeded equal-degree splitting, so the
-    result is deterministic.
+    Fields up to SCAN_ROOT_LIMIT, the crossover measured on cubics, are
+    scanned exhaustively; larger ones use a gcd with the Frobenius power of
+    X followed by seeded equal-degree splitting, so the result is
+    deterministic.
     """
     cs = p_trim(list(cs))
     if not cs:

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from hermquot._linalg import charpoly3
+from hermquot._linalg import charpoly3, mat_vec3
 from hermquot.autgrp import (
     apply_place,
     apply_point,
+    aut_order,
     close_group,
     epsilon,
     from_affine,
@@ -23,15 +24,20 @@ from hermquot.curve import (
 )
 from hermquot.engine import (
     EngineError,
+    _cyclic_walk,
+    _eigen_data,
     _form_zeros,
+    _twisted_count,
     fixed_rational_places,
     genus_of_quotient,
     pointwise_fixed_degree3_places,
     tame_diff_crosscheck,
+    twisted_counts,
     twisted_fix_count,
 )
-from hermquot.formulas import case_spec, expected_genus
-from hermquot.gf import poly_roots
+from hermquot.formulas import case_modulus, case_spec, expected_genus
+from hermquot.gf import GFError, poly_roots
+from test_acceptance import GRID, random_group
 
 
 def brute_fixed_rational(tw, f):
@@ -232,3 +238,54 @@ def test_expected_mismatch_reported(tw4):
     g = group_from_spec(tw4, "eps(a), omega")
     rep = genus_of_quotient(tw4, g, expected=7)
     assert rep.matches is False
+
+
+def _check_walk_per_element(tw, grp):
+    # the walk lists each nontrivial element once, with what the
+    # per-element route finds for it
+    els = _cyclic_walk(tw, grp, True)
+    assert sorted(el.aut.m for el in els) == sorted(
+        f.m for f in grp.elements if not f.is_identity())
+    for el in els:
+        f = el.aut
+        assert el.order == aut_order(f)
+        # the shared eigenspaces, with f's own eigenvalues
+        assert sorted((mu, mult, len(b)) for mu, mult, b in el.eig) == sorted(
+            (lam, mult, len(b)) for lam, mult, b in _eigen_data(tw, f)[0])
+        for mu, _mult, basis in el.eig:
+            for v in basis:
+                assert mat_vec3(tw.q2, f.m, v) == tuple(tw.q2.mul(mu, x)
+                                                        for x in v)
+        assert el.fixed == fixed_rational_places(tw, f)
+        assert el.deg3 == pointwise_fixed_degree3_places(tw, f)
+        assert _twisted_count(tw, f, el.order, el.eig,
+                              el.fixed) == twisted_counts(tw, f)
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
+def test_cyclic_walk_vs_per_element_on_grid(towers, q):
+    groups = 0
+    for case, qs in GRID.items():
+        if q not in qs:
+            continue
+        n = case_modulus(case, q)
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            try:
+                spec = case_spec(case, q, m)
+            except GFError:
+                continue
+            _check_walk_per_element(towers[q], group_from_spec(towers[q], spec))
+            groups += 1
+    assert groups
+
+
+@pytest.mark.parametrize("q, order", [(4, 13), (8, 504)])
+def test_cyclic_walk_vs_per_element_on_9c_stream(towers, q, order):
+    # the first group of this order in the criterion 9c stream: a Singer
+    # group at q = 4, and a group whose elements have many orders at q = 8
+    tw = towers[q]
+    rng = random.Random(12345 + q)
+    grp = random_group(tw, rng)
+    while grp.order != order:
+        grp = random_group(tw, rng)
+    _check_walk_per_element(tw, grp)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermquot.gf as gf
 from hermquot.autgrp import epsilon, from_affine, parse_spec
 from hermquot.curve import degree3_places
 from hermquot.gf import (
@@ -242,9 +243,10 @@ def test_poly_roots_against_scan(towers):
 def test_poly_roots_in_extension(towers):
     # x^{q^6-1} - 1 vanishes on all of F_{q^6}^*, so a polynomial with
     # known roots must come back exactly, with multiplicities. F_{2^6} is
-    # scanned; F_{7^6} and F_{8^6} lie above SCAN_ROOT_LIMIT and take the
-    # Frobenius gcd and equal-degree splitting, in odd characteristic and by
-    # trace splitting in characteristic 2.
+    # scanned; F_{7^6} and F_{8^6}, like every F_{q^6} with q >= 3 and every
+    # F_{q^2} with q >= 13, lie above SCAN_ROOT_LIMIT and take the Frobenius
+    # gcd and equal-degree splitting, in odd characteristic and by trace
+    # splitting in characteristic 2.
     for q, trials in ((2, 10), (7, 4), (8, 4)):
         q6 = towers[q].q6
         rng = random.Random(5)
@@ -263,6 +265,57 @@ def test_poly_roots_in_extension(towers):
                     cs = nxt
             found = poly_roots(q6, cs, seed=trial)
             assert found == sorted(mults.items(), key=lambda rm: q6.key(rm[0]))
+
+
+def _from_roots(lvl, roots):
+    """Ascending coefficients of the monic product of the X - r."""
+    cs = [1]
+    for r in roots:
+        nxt = [0] + cs
+        for i, c in enumerate(cs):
+            nxt[i] = lvl.sub(nxt[i], lvl.mul(c, r))
+        cs = nxt
+    return cs
+
+
+ROOT_LEVELS = ([(q, "q2") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+               + [(q, "q6") for q in (2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("q,name", ROOT_LEVELS)
+def test_poly_roots_scan_and_gcd_paths_agree(towers, monkeypatch, q, name):
+    # SCAN_ROOT_LIMIT only picks the faster path: the exhaustive scan and
+    # the Frobenius gcd give the same (root, multiplicity) lists
+    lvl = towers[q].level(name)
+    rng = random.Random(q)
+    polys = [[rng.randrange(lvl.size) for _ in range(3)] + [1] for _ in range(3)]
+    for _ in range(2):
+        r, s = rng.randrange(lvl.size), rng.randrange(lvl.size)
+        polys.append(_from_roots(lvl, [r, r, s]))  # a repeated root
+    found = []
+    for limit in (0, 1 << 62):
+        monkeypatch.setattr(gf, "SCAN_ROOT_LIMIT", limit)
+        found.append([poly_roots(lvl, cs, seed=i) for i, cs in enumerate(polys)])
+    assert found[0] == found[1]
+    assert all(sum(m for _r, m in rts) == 3 for rts in found[0][3:])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_add_table_is_the_digitwise_sum(towers, q):
+    # the odd-p addition table is built digit by digit; check it against
+    # the sum of base-p digits, every pair up to |F| = 81 and 5,000 seeded
+    # pairs above
+    (p, e), = factorize(q).items()
+    lvl = towers[q].q2 if q in towers else build_tower(p, e).q2
+    if lvl.size <= 81:
+        pairs = itertools.product(range(lvl.size), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(lvl.size), rng.randrange(lvl.size))
+                 for _ in range(5000)]
+    for x, y in pairs:
+        assert lvl.add(x, y) == lvl.pack(
+            [(u + v) % p for u, v in zip(lvl.digits(x), lvl.digits(y))])
 
 
 def test_parse_and_print_roundtrip(tw8):
