@@ -93,8 +93,11 @@ def _report_dict(tower, group, rep, spec_strings, formula=None):
 
 def _write(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            raise UsageError(f"cannot write --out {out}: {ex.strerror}") from None
     else:
         print(text)
 
@@ -128,6 +131,8 @@ def _as_text(data) -> str:
 def cmd_genus(args) -> int:
     tower = _tower_from_args(args)
     formula = None
+    if args.case and args.spec is not None:
+        raise UsageError("--spec and --case exclude each other")
     if args.case:
         if args.m is None:
             raise UsageError("--case requires --m")
@@ -171,37 +176,28 @@ def _table_rows(tower, cases):
                 continue
             t0 = time.monotonic()
             row = {"case": case, "q": q, "m": m, "expected": "",
-                   "computed": "", "status": "", "deg_diff": "",
-                   "group_order": ""}
+                   "computed": "", "status": "skipped(hypothesis)",
+                   "deg_diff": "", "group_order": ""}
             try:
                 expected = formulas.expected_genus(case, q, m)
-                spec = formulas.case_spec(case, q, m)
             except HypothesisNotMet:
+                expected = None
+            try:
                 # out-of-hypothesis rows still get an empirical genus when a
                 # group can be built at all; the sigma constructors reject
                 # parameters that make no group
-                row["status"] = "skipped(hypothesis)"
-                try:
-                    spec = formulas.case_spec(case, q, m, check=False)
-                    group = autgrp.group_from_spec(tower, spec)
-                    rep = genus_of_quotient(tower, group, with_count=False,
-                                            dual_check=False)
-                    row["computed"] = rep.genus
-                    row["deg_diff"] = rep.deg_diff
-                    row["group_order"] = group.order
-                except (GFError, EngineError):
-                    pass
-                row["runtime_ms"] = int(1000 * (time.monotonic() - t0))
-                yield row
-                continue
-            group = autgrp.group_from_spec(tower, spec)
-            rep = genus_of_quotient(tower, group, expected=expected,
-                                    with_count=False, dual_check=False)
-            row["expected"] = expected
-            row["computed"] = rep.genus
-            row["status"] = "matched" if rep.genus == expected else "FAILED"
-            row["deg_diff"] = rep.deg_diff
-            row["group_order"] = group.order
+                group = autgrp.group_from_spec(
+                    tower, formulas.case_spec(case, q, m, check=False))
+                rep = genus_of_quotient(tower, group, with_count=False,
+                                        dual_check=False)
+                row.update(computed=rep.genus, deg_diff=rep.deg_diff,
+                           group_order=group.order)
+            except (GFError, EngineError):
+                if expected is not None:
+                    raise
+            if expected is not None:
+                row["expected"] = expected
+                row["status"] = "matched" if rep.genus == expected else "FAILED"
             row["runtime_ms"] = int(1000 * (time.monotonic() - t0))
             yield row
 

@@ -3,13 +3,13 @@ automorphism group.
 
 The strategy avoids scanning places. The group is walked once per cyclic
 subgroup <sigma>: the powers of sigma up to the identity give n = ord(sigma)
-and the generators sigma^k, gcd(k, n) = 1, which share sigma's eigenvectors
-and fixed places, as sigma is in turn a power of sigma^k. The fixed rational
-places come out of an eigenvalue analysis of sigma's matrix over F_{q^2},
-and a pointwise-fixed degree-3 place needs an irreducible cubic factor of
-its charpoly (every line of PG(2, q^2) meets the curve only in rational
-points). Only places fixed by some nontrivial element can ramify, so the
-different degree is a sum over a handful of orbits.
+and the phi(n) generators sigma^k, gcd(k, n) = 1, which fix the same places
+as sigma, as sigma is a power of each; all is found once, at sigma. The fixed
+rational places come out of an eigenvalue analysis of sigma's matrix over
+F_{q^2}, and a pointwise-fixed degree-3 place needs an irreducible cubic
+factor of its charpoly (every line of PG(2, q^2) meets the curve only in
+rational points). Only places fixed by some nontrivial element can ramify,
+so the different degree is a sum over a handful of orbits.
 
 Curve points on a projective span over F_{q^2} are found one way, by
 _form_zeros: on the span of b_1..b_k the curve equation is the form
@@ -22,8 +22,9 @@ Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
 Frobenius-stable G-orbits of points of the curve, which are the rational
 places of X/G, number (1/|G|) sum over sigma of N_sigma with
-N_sigma = #{x : Frob(x) = sigma(x)}. Such an x lies over F_{q^(2n)},
-n = ord(sigma), and N_sigma is counted from points on one of three paths:
+N_sigma = #{x : Frob(x) = sigma(x)}, the same for every generator of <sigma>
+and weighted by phi(n) (_rational_count). Such an x lies over F_{q^(2n)},
+and N_sigma is counted from points on one of three paths:
 
   * sigma diagonalisable over F_{q^2}: in eigen-coordinates twisted by a
     (q^2 - 1)-th root of a, the solutions are the zeros in P^2(F_{q^2}) of
@@ -34,7 +35,8 @@ n = ord(sigma), and N_sigma is counted from points on one of three paths:
 
 An element on none of these paths leaves the count unknown (maximal is None)
 and its order is reported. The points over F_{q^6} alone give the subcount
-of quotient places under places of degree 1 and 3 of the curve.
+of quotient places under places of degree 1 and 3; unless ord(sigma) = 3
+they are sigma's fixed rational points (_twisted_count).
 """
 from __future__ import annotations
 
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3, mat_vec3
+from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
-                     omega)
+                     inverse, omega)
 from .curve import (P_INF, Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
@@ -400,17 +402,15 @@ def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
         return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
     if order % tower.p == 0:
         return TwistedCount(*_wild_counts(tower, aut, fixed, order), "wild")
-    # otherwise only the count over F_{q^6} is available, and it is complete
-    # when ord(sigma) = 3. A non-rational x over F_{q^6} with Frob(x) =
-    # sigma(x) makes sigma cycle the three points of a degree-3 place, so
-    # 3 | ord(sigma) and sigma^3 lies in that place's cyclic inertia group.
-    q = tower.q
-    if order % 3 == 0 and (q * q - q + 1) % (order // 3) == 0:
+    if order == 3:
         n6 = twisted_fix_count(tower, aut)
-    else:
-        n6 = len(fixed)
-    return TwistedCount(n6 if order == 3 else None, n6,
-                        "F_q^6" if order == 3 else "none")
+        return TwistedCount(n6, n6, "F_q^6")
+    # other orders: over F_{q^6} only the fixed rational points solve
+    # Frob(x) = sigma(x). sigma would cycle the points of a non-rational
+    # solution's degree-3 place as Frobenius does; a line through all three
+    # would be defined over F_{q^2} and meet the curve only in rational
+    # points, so in their basis sigma is diagonal times a 3-cycle, of order 3
+    return TwistedCount(None, len(fixed), "none")
 
 
 def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
@@ -454,44 +454,46 @@ class GenusReport:
         return None if self.expected is None else self.genus == self.expected
 
 
-def _place_orbit(group: Group, place: Place) -> set[Place]:
-    return {apply_place(s, place) for s in group.elements}
-
-
 def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
                 cache: FrameCache, dual_check: bool) -> list[OrbitRow]:
     rows = []
     todo = set(ramified)
     while todo:
         rep = min(todo, key=lambda p: place_sort_key(tower, p))
-        orbit = _place_orbit(group, rep)
+        images = [apply_place(s, rep) for s in group.elements]
+        orbit = set(images)
         todo -= orbit
-        rd = ramification_data(tower, rep, group, cache, dual_check=dual_check)
-        assert group.order % (len(orbit) * rd.e * rd.f) == 0
+        stab = tuple(s for s, im in zip(group.elements, images) if im == rep)
+        rd = ramification_data(tower, rep, Group(tower, stab), cache,
+                               dual_check=dual_check)
+        assert group.order == len(orbit) * rd.e * rd.f
         if len(orbit) > 1:
-            # ramification data is constant on an orbit; recompute it at a
-            # second member as a guard against a broken stabilizer search
+            # ramification data is constant on an orbit; recompute it at
+            # g(rep) from g D g^-1 as a guard against a broken stabiliser D
             other = max(orbit, key=lambda p: place_sort_key(tower, p))
-            rd2 = ramification_data(tower, other, group, cache,
+            g = group.elements[images.index(other)]
+            g_inv = inverse(g)
+            conj = tuple(compose(compose(g_inv, s), g) for s in stab)
+            rd2 = ramification_data(tower, other, Group(tower, conj), cache,
                                     dual_check=False)
             assert (rd2.e, rd2.f, rd2.d) == (rd.e, rd.f, rd.d)
         rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
     return rows
 
 
-class _Element(NamedTuple):
-    aut: Aut
-    order: int
-    eig: list | None  # [(eigenvalue, multiplicity, basis)], for the count
+class _CyclicSubgroup(NamedTuple):
+    gens: list   # the generators sigma^k, gcd(k, n) = 1, sigma first
+    order: int   # n = ord(sigma)
+    eig: list    # sigma's [(eigenvalue, multiplicity, basis)]
     fixed: list  # fixed rational places
     deg3: list   # pointwise-fixed degree-3 places
 
 
-def _cyclic_walk(tower: FieldTower, group: Group, with_eig: bool):
-    """An _Element per nontrivial element of the group, from one power walk
-    per cyclic subgroup <sigma>. Its generators share sigma's eigenspaces
-    and fixed places, and get their own eigenvalues only with_eig."""
-    q, lvl = tower.q, tower.q2
+def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
+    """One record per nontrivial cyclic subgroup <sigma> of the group, from
+    one power walk. Its generators fix the same places as sigma, since sigma
+    is in turn a power of each."""
+    q = tower.q
     seen, out = set(), []
     for s in group.elements:
         if s.is_identity() or s.m in seen:
@@ -500,16 +502,13 @@ def _cyclic_walk(tower: FieldTower, group: Group, with_eig: bool):
         while not powers[-1].is_identity():
             powers.append(compose(powers[-1], s))
         n = len(powers)
+        gens = [powers[k - 1] for k in range(1, n) if gcd(k, n) == 1]
+        seen.update(g.m for g in gens)
         eigen = _eigen_data(tower, s)
         fixed = fixed_rational_places(tower, s, eigen)
         deg3 = (pointwise_fixed_degree3_places(tower, s, eigen)
                 if (q * q - q + 1) % n == 0 else [])
-        for g in (powers[k - 1] for k in range(1, n) if gcd(k, n) == 1):
-            seen.add(g.m)
-            # on sigma's eigenvector v, g v = mu v; read mu where v has a 1
-            eig = [(mat_vec3(lvl, g.m, b[0])[b[0].index(1)], mult, b)
-                   for _lam, mult, b in eigen[0]] if with_eig else None
-            out.append(_Element(g, n, eig, fixed, deg3))
+        out.append(_CyclicSubgroup(gens, n, eigen[0], fixed, deg3))
     return out
 
 
@@ -527,7 +526,7 @@ def _hurwitz_genus(q: int, order: int, deg_diff: int) -> int:
     return genus
 
 
-def _rational_count(tower: FieldTower, group_order: int, elements):
+def _rational_count(tower: FieldTower, group_order: int, walk):
     """(n_rational, f3_orbits, n_rational_deg13, uncounted orders) by
     Burnside: the rational places of X/G are the Frobenius-stable G-orbits
     of points of X, (1/|G|) sum over sigma of N_sigma. The same sum over the
@@ -537,14 +536,19 @@ def _rational_count(tower: FieldTower, group_order: int, elements):
     top = q ** 3 + 1  # the identity: every rational point
     total = fixed = over_q6 = top
     uncounted = set()
-    for el in elements:
-        tc = _twisted_count(tower, el.aut, el.order, el.eig, el.fixed)
-        fixed += len(el.fixed)
-        over_q6 += tc.n6
+    for c in walk:
+        # sigma and its phi(n) generators sigma^k fix the same points, and
+        # i_P(sigma^k) = i_P(sigma) as sigma is in G_i(P) iff <sigma> is; so
+        # they share the Lefschetz number and the trace on H^1, which on the
+        # maximal curve gives N_sigma = N_(sigma^k), counted once from points
+        phi = len(c.gens)
+        tc = _twisted_count(tower, c.gens[0], c.order, c.eig, c.fixed)
+        fixed += phi * len(c.fixed)
+        over_q6 += phi * tc.n6
         if tc.n is None:
-            uncounted.add(el.order)
+            uncounted.add(c.order)
         else:
-            total += tc.n
+            total += phi * tc.n
     assert fixed % group_order == 0 and over_q6 % group_order == 0
     f3 = (over_q6 - fixed) // group_order
     if uncounted:
@@ -560,8 +564,8 @@ def genus_of_quotient(tower: FieldTower, group: Group,
                       with_count: bool = True,
                       dual_check: bool = True) -> GenusReport:
     q = tower.q
-    elements = _cyclic_walk(tower, group, with_count)
-    ramified = {pl for el in elements for pl in el.fixed + el.deg3}
+    walk = _cyclic_walk(tower, group)
+    ramified = {pl for c in walk for pl in c.fixed + c.deg3}
     cache = FrameCache(tower)
     rows = _orbit_rows(tower, group, ramified, cache, dual_check)
     deg_diff = sum(r.d * r.size * r.degree for r in rows)
@@ -570,7 +574,7 @@ def genus_of_quotient(tower: FieldTower, group: Group,
     uncounted = ()
     if with_count:
         n_rational, f3, sub, uncounted = _rational_count(tower, group.order,
-                                                         elements)
+                                                         walk)
         # the quotient of a maximal curve is maximal (Lachaud 1987), so
         # False here would expose a wrong count; None when one was missing
         if n_rational is not None:

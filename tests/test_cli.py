@@ -168,6 +168,17 @@ def test_places_negative_budget_exit_code(capsys):
     assert "--deg3-budget" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--spec", "omega", "--out", "/nonexistent-dir/x"), "cannot write --out"),
+    (("--spec", "omega", "--case", "t3", "--m", "3"), "exclude each other"),
+])
+def test_genus_flag_error_exit_code(capsys, argv, message):
+    code, _, err = run_cli(capsys, "genus", "--q", "2", *argv)
+    assert code == 2
+    assert err.startswith("usage error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("spec, message", [
     ("eps(0)", "needs a != 0"),
     ("sigma4(delta=0)", "needs delta != 0"),

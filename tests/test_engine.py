@@ -5,17 +5,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermquot._linalg import charpoly3, mat_vec3
+from hermquot._linalg import charpoly3
 from hermquot.autgrp import (
     apply_place,
     apply_point,
     aut_order,
     close_group,
+    compose,
     epsilon,
     from_affine,
     group_from_spec,
+    identity,
+    inverse,
     omega,
+    parse_spec,
 )
 from hermquot.curve import (
     degree3_places,
@@ -37,7 +43,7 @@ from hermquot.engine import (
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
 from hermquot.gf import GFError, poly_roots
-from test_acceptance import GRID, random_group
+from test_acceptance import GRID, random_atom, random_group
 
 
 def brute_fixed_rational(tw, f):
@@ -241,51 +247,101 @@ def test_expected_mismatch_reported(tw4):
 
 
 def _check_walk_per_element(tw, grp):
-    # the walk lists each nontrivial element once, with what the
-    # per-element route finds for it
-    els = _cyclic_walk(tw, grp, True)
-    assert sorted(el.aut.m for el in els) == sorted(
+    # every nontrivial element generates exactly one record of the walk, and
+    # the record holds what the per-element route finds for it; sigma's
+    # twisted count stands for all its generators
+    walk = _cyclic_walk(tw, grp)
+    assert sorted(f.m for c in walk for f in c.gens) == sorted(
         f.m for f in grp.elements if not f.is_identity())
-    for el in els:
-        f = el.aut
-        assert el.order == aut_order(f)
-        # the shared eigenspaces, with f's own eigenvalues
-        assert sorted((mu, mult, len(b)) for mu, mult, b in el.eig) == sorted(
-            (lam, mult, len(b)) for lam, mult, b in _eigen_data(tw, f)[0])
-        for mu, _mult, basis in el.eig:
-            for v in basis:
-                assert mat_vec3(tw.q2, f.m, v) == tuple(tw.q2.mul(mu, x)
-                                                        for x in v)
-        assert el.fixed == fixed_rational_places(tw, f)
-        assert el.deg3 == pointwise_fixed_degree3_places(tw, f)
-        assert _twisted_count(tw, f, el.order, el.eig,
-                              el.fixed) == twisted_counts(tw, f)
+    for c in walk:
+        sigma = c.gens[0]
+        assert c.eig == _eigen_data(tw, sigma)[0]
+        count = _twisted_count(tw, sigma, c.order, c.eig, c.fixed)
+        assert count == twisted_counts(tw, sigma)
+        for f in c.gens:
+            assert aut_order(f) == c.order
+            assert c.fixed == fixed_rational_places(tw, f)
+            assert c.deg3 == pointwise_fixed_degree3_places(tw, f)
+            assert twisted_counts(tw, f)[:2] == count[:2]
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
-def test_cyclic_walk_vs_per_element_on_grid(towers, q):
-    groups = 0
+def _grid_specs(q):
+    """The generator specs of the acceptance grid at q."""
     for case, qs in GRID.items():
         if q not in qs:
             continue
         n = case_modulus(case, q)
         for m in (m for m in range(1, n + 1) if n % m == 0):
             try:
-                spec = case_spec(case, q, m)
+                yield case_spec(case, q, m)
             except GFError:
                 continue
-            _check_walk_per_element(towers[q], group_from_spec(towers[q], spec))
-            groups += 1
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
+def test_cyclic_walk_vs_per_element_on_grid(towers, q):
+    groups = 0
+    for spec in _grid_specs(q):
+        _check_walk_per_element(towers[q], group_from_spec(towers[q], spec))
+        groups += 1
     assert groups
 
 
-@pytest.mark.parametrize("q, order", [(4, 13), (8, 504)])
+@pytest.mark.parametrize("q, order", [(4, 13), (5, 21), (8, 504)])
 def test_cyclic_walk_vs_per_element_on_9c_stream(towers, q, order):
     # the first group of this order in the criterion 9c stream: a Singer
-    # group at q = 4, and a group whose elements have many orders at q = 8
+    # group at q = 4, a group with elements of order 21 at q = 5, and a
+    # group whose elements have many orders at q = 8
     tw = towers[q]
     rng = random.Random(12345 + q)
     grp = random_group(tw, rng)
     while grp.order != order:
         grp = random_group(tw, rng)
     _check_walk_per_element(tw, grp)
+
+
+def test_order_3m_count_over_q6_is_the_fixed_places(towers):
+    # an element of order 3m, m > 1, m | q^2 - q + 1, has no non-rational
+    # twisted point over F_{q^6}; twisted_fix_count checks this on every
+    # such element of the criterion 9c stream, on either path
+    seen, paths = set(), {}
+    for q in (4, 5, 7, 8):
+        tw = towers[q]
+        rng = random.Random(12345 + q)
+        for _ in range(200):
+            for c in _cyclic_walk(tw, random_group(tw, rng)):
+                n = c.order
+                if n == 3 or n % 3 or (q * q - q + 1) % (n // 3):
+                    continue
+                for f in (f for f in c.gens if f.m not in seen):
+                    seen.add(f.m)
+                    tc = twisted_counts(tw, f)
+                    paths.setdefault(tc.path, set()).add(n)
+                    assert twisted_fix_count(tw, f) == tc.n6 == len(
+                        fixed_rational_places(tw, f))
+    assert paths == {"none": {21, 57}, "diagonal": {9}} and len(seen) == 150
+
+
+def _report_key(rep):
+    rows = sorted((r.size, r.degree, r.e, r.f, r.d, r.i_values)
+                  for r in rep.orbits)
+    return (rep.genus, rep.deg_diff, rep.n_rational, rep.f3_orbits,
+            rep.n_rational_deg13, rep.maximal, rep.uncounted_orders, rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_conjugation_leaves_reports_unchanged(towers, rng):
+    # conjugate each grid group at q <= 8 by a product of 1-3 random atoms;
+    # the stabilisers of the moved places are conjugate ones
+    for q in (2, 4, 5, 7, 8):
+        tw = towers[q]
+        for spec in _grid_specs(q):
+            c = identity(tw)
+            for _ in range(rng.randrange(1, 4)):
+                c = compose(c, random_atom(tw, rng))
+            c_inv = inverse(c)
+            gens = parse_spec(tw, spec)
+            conj = close_group(tw, [compose(compose(c_inv, g), c) for g in gens])
+            assert _report_key(genus_of_quotient(tw, conj)) == _report_key(
+                genus_of_quotient(tw, close_group(tw, gens)))
