@@ -46,11 +46,11 @@ from typing import NamedTuple
 
 from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
-                     inverse, omega)
-from .curve import (P_INF, Place, degree3_place, normalize_point, on_curve,
+                     inverse)
+from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
-from .localval import FrameCache, ramification_data
+from .localval import FrameCache, ramification_data, to_infinity
 
 
 class EngineError(GFError):
@@ -329,18 +329,6 @@ def _diagonal_counts(tower: FieldTower, eig):
     return total, total6
 
 
-def _to_infinity(tower: FieldTower, place: Place):
-    """Point matrix of an automorphism taking a rational place to P_inf
-    (None for P_inf itself)."""
-    if place == P_INF:
-        return None
-    lvl = tower.q2
-    al, be = place.alpha, place.beta
-    # the translation taking (al, be) to (0, 0), then omega swapping Y and Z
-    tr = from_affine(tower, 1, lvl.neg(al), lvl.sub(lvl.mul(lvl.frobq(al), al), be))
-    return mat_mul3(lvl, omega(tower).m, tr.m)
-
-
 def _affine_conjugate(lvl, t, m):
     """T M T^-1 (M when T is None) for T M T^-1 fixing P_inf, scaled to the
     affine shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1)."""
@@ -371,7 +359,7 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
     if len(fixed) != 1:
         raise EngineError(f"an element of order {order} fixes "
                           f"{len(fixed)} rational places, not 1")
-    m = _affine_conjugate(lvl, _to_infinity(tower, fixed[0]), aut.m)
+    m = _affine_conjugate(lvl, to_infinity(tower, fixed[0]), aut.m)
     a, b = m[0], m[2]
     if a == 1:
         xs = q if b else 0

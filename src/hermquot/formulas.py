@@ -14,7 +14,7 @@ Case tags:
   ex44        char 2, q = 4^k,     delta of order 5
   t421        odd q > 3 with 3 not dividing q + 1, cyclic, sigma4
   t422        odd q > 3, m | 2(q - 1), cyclic, sigma4
-  t511        char 2, m | q^2 - 1, cyclic, sigma5
+  t511        char 2, q > 2, m | q^2 - 1, cyclic, sigma5
   t512        char 2, m | q + 1,   cyclic, sigma5
   t521        odd q, m | 2(q + 1), cyclic, sigma5
   t522        odd q with q not 5 mod 12, cyclic, sigma5
@@ -146,6 +146,9 @@ def _check_hypotheses(case: str, q: int, m: int):
     if case == "ex44":
         _require(q % 2 == 0 and (q - 1) % 3 == 0,
                  "need q a power of 4")
+    if case == "t511":
+        # at q = 2, delta = a^3 = 1 and sigma5 has order 6, not q^2 - 1
+        _require(q > 2, "q > 2 only")
     if case in ("t421", "t422"):
         _require(q % 2 == 1 and q > 3, "odd q > 3 only")
     if case == "t421":

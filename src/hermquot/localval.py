@@ -1,23 +1,29 @@
-"""Local expansions and ramification data at places of the Hermitian curve.
+"""Ramification data at places of the Hermitian curve, from one expansion.
 
-All wild ramification happens at rational places, so Laurent series frames
-are only ever built there. At a finite place (alpha, beta) the uniformizer
-is t = x - alpha and y = beta + s with s^q + s = R(t),
-R = alpha^q t + alpha t^q + t^(q+1); at the common pole of x and y the
-uniformizer is t = x/y and u = 1/y solves u + u^q = t^(q+1).
+All wild ramification happens at rational places, and every i-value is read
+off one expansion at P_inf: there t = x/y = X/Y is a uniformizer and
+u = 1/y = Z/Y solves u + u^q = t^(q+1), so the curve point is (t : 1 : u).
+A map T_P of PGU(3, q) takes a rational place P to P_inf (i-values are
+invariant under this conjugation), the point near P is w = adj(T_P)(t, 1, u)
+and its uniformizer is l_0/l_1 for the first two rows of T_P, x - alpha at
+an affine place (alpha, beta). For sigma fixing P with point matrix M,
+i_P(sigma) = v(l_0(M w) - t l_1(M w)) - v(l_1(M w)), scanned over the few
+exponents where w or t w has a nonzero coefficient; no series is multiplied.
 
 The different exponent of a place P in the quotient by a group G is
-d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma), where
-i_P(sigma) = v_P(sigma(t) - t). The same number is the Hilbert sum
-sum_i (|G_i| - 1) over the ramification filtration, which we recompute as a
-consistency check whenever the i-values are on hand.
+d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma). The same
+number is the Hilbert sum sum_i (|G_i| - 1) over the ramification
+filtration, which we recompute as a consistency check whenever the i-values
+are on hand.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autgrp import Aut, Group, apply_place, apply_point
-from .curve import Place, normalize_point
+from ._linalg import mat_adj3, mat_mul3, mat_vec3
+from .autgrp import Aut, Group, apply_place, apply_point, from_affine, omega
+from .curve import P_INF, Place, normalize_point
 from .gf import FieldTower, GFError
 
 
@@ -44,7 +50,7 @@ class Series:
             cs.pop(0)
             off += 1
         if len(cs) > prec - off:
-            cs = cs[: prec - off]
+            cs = cs[: max(prec - off, 0)]
             while cs and cs[-1] == 0:
                 cs.pop()
         if not cs:
@@ -54,10 +60,6 @@ class Series:
     @staticmethod
     def zero(lvl, prec):
         return Series(lvl, prec, (), prec)
-
-    @staticmethod
-    def const(lvl, c, prec):
-        return Series.make(lvl, 0, [c], prec)
 
     @staticmethod
     def t_power(lvl, n, prec):
@@ -121,13 +123,6 @@ class Series:
                     cs[k] = lvl.add(cs[k], lvl.mul(ci, cj))
         return Series.make(lvl, off, cs, prec)
 
-    def scaled(self, c: int) -> "Series":
-        lvl = self.lvl
-        if c == 0:
-            return Series.zero(lvl, self.prec)
-        return Series.make(lvl, self.off,
-                           [lvl.mul(c, x) for x in self.cs], self.prec)
-
     def frobq(self) -> "Series":
         """The q-power map: exponents scale by q, coefficients by Frobenius."""
         lvl = self.lvl
@@ -154,117 +149,128 @@ class Series:
         return Series.make(lvl, -m, w, self.prec - 2 * m)
 
 
+def to_infinity(tower: FieldTower, place: Place):
+    """Point matrix T_P of an automorphism taking a rational place to P_inf
+    (None for P_inf itself)."""
+    if place == P_INF:
+        return None
+    lvl = tower.q2
+    al, be = place.alpha, place.beta
+    # the translation taking (al, be) to (0, 0), then omega swapping Y and Z
+    tr = from_affine(tower, 1, lvl.neg(al), lvl.sub(lvl.mul(lvl.frobq(al), al), be))
+    return mat_mul3(lvl, omega(tower).m, tr.m)
+
+
+def pole_expansion(tower: FieldTower, horizon: int) -> Series:
+    """u = Z/Y in t = X/Y at P_inf, exact below t^horizon: the iteration
+    u <- t^(q+1) - u^q of u + u^q = t^(q+1)."""
+    lvl, q = tower.q2, tower.q
+    tq1 = Series.t_power(lvl, q + 1, horizon)
+    u = Series.zero(lvl, horizon)
+    k = q + 1
+    while k < horizon:
+        u = tq1 - u.frobq()
+        u = Series.make(lvl, u.off, u.cs, min(u.prec, horizon))
+        k *= q
+    resid = u + u.frobq() - tq1
+    assert resid.is_zero_to_prec() and resid.prec >= horizon
+    return u
+
+
 @dataclass(frozen=True)
 class LocalFrame:
-    """Expansions of x and y in the local uniformizer at a rational place."""
+    """The curve point w = adj(T_P)(t, 1, u) near a rational place P, as its
+    nonzero coefficient vectors w[e] of t^e, exact for e < horizon."""
 
     place: Place
-    x: Series
-    y: Series
+    to_inf: tuple | None  # T_P
+    w: dict
     horizon: int
 
 
-def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
-    lvl = tower.q2
-    q = tower.q
+def expand_at(tower: FieldTower, place: Place, horizon: int,
+              u: Series | None = None) -> LocalFrame:
+    """The frame at a rational place; u is the pole expansion to this
+    horizon when the caller already has it."""
     if place.kind == "degree3":
         raise GFError("local frames are only built at rational places")
-    if place.kind == "rational":
-        alpha, beta = place.alpha, place.beta
-        n = horizon
-        x = Series.make(lvl, 0, [alpha, 1], n)
-        t = Series.t_power(lvl, 1, n)
-        r = (t.scaled(lvl.frobq(alpha))
-             + Series.t_power(lvl, q, n).scaled(alpha)
-             + Series.t_power(lvl, q + 1, n))
-        s = Series.zero(lvl, n)
-        k = 1
-        while k < n:
-            s = r - s.frobq()
-            s = Series.make(lvl, s.off, s.cs, min(s.prec, n))
-            k *= q
-        y = Series.const(lvl, beta, n) + s
-        resid = y.frobq() + y - x.frobq() * x
-        assert resid.is_zero_to_prec() and resid.prec >= n
-        assert s.valuation() == (q + 1 if alpha == 0 else 1)
-        return LocalFrame(place, x, y, n)
-    # common pole of x and y: work at padded precision so that inverting
-    # u (valuation q + 1) still leaves horizon many exact terms
-    n = horizon + 2 * (q + 1) + 2
-    tq1 = Series.t_power(lvl, q + 1, n)
-    u = Series.zero(lvl, n)
-    k = q + 1
-    while k < n:
-        u = tq1 - u.frobq()
-        u = Series.make(lvl, u.off, u.cs, min(u.prec, n))
-        k *= q
-    # u + u^q = t^(q+1) implies the curve equation identically for
-    # y = 1/u, x = t/u, so checking it avoids the precision loss of
-    # forming x^(q+1) at a pole
-    resid = u + u.frobq() - tq1
-    assert resid.is_zero_to_prec() and resid.prec >= n
-    y = u.inverse()
-    x = Series.t_power(lvl, 1, n) * y
-    assert x.valuation() == -q and y.valuation() == -(q + 1)
-    return LocalFrame(place, x, y, horizon)
+    lvl = tower.q2
+    if u is None:
+        u = pole_expansion(tower, horizon)
+    # (t, 1, u) = sum over e of v[e] t^e
+    v = {0: (0, 1, 0), 1: (1, 0, 0)}
+    for i, c in enumerate(u.cs):
+        if c:
+            v[u.off + i] = (0, 0, c)
+    t = to_infinity(tower, place)
+    if t is not None:
+        adj = mat_adj3(lvl, t)
+        v = {e: mat_vec3(lvl, adj, x) for e, x in v.items()}
+    return LocalFrame(place, t, v, horizon)
 
 
 @dataclass
 class FrameCache:
     tower: FieldTower
     frames: dict = field(default_factory=dict)
+    poles: dict = field(default_factory=dict)  # horizon -> pole expansion
 
     def get(self, place: Place, horizon: int) -> LocalFrame:
         key = (place.kind, place.data)
         frame = self.frames.get(key)
         if frame is None or frame.horizon < horizon:
-            frame = expand_at(self.tower, place, horizon)
-            self.frames[key] = frame
+            if horizon not in self.poles:
+                self.poles[horizon] = pole_expansion(self.tower, horizon)
+            frame = self.frames[key] = expand_at(self.tower, place, horizon,
+                                                 self.poles[horizon])
         return frame
 
 
-def _row_series(lvl, row, x: Series, y: Series, prec: int) -> Series:
-    out = x.scaled(row[0]) + y.scaled(row[1])
-    if row[2]:
-        out = out + Series.const(lvl, row[2], prec)
-    return out
+def _dot(lvl, r, v):
+    m, ad = lvl.mul, lvl.add
+    return ad(ad(m(r[0], v[0]), m(r[1], v[1])), m(r[2], v[2]))
 
 
-def _i_value_at_horizon(tower: FieldTower, frame: LocalFrame, aut: Aut) -> int:
-    lvl = tower.q2
-    m = aut.m
-    x, y = frame.x, frame.y
-    prec = min(x.prec, y.prec)
-    if frame.place.kind == "rational":
-        num = _row_series(lvl, m[0:3], x, y, prec)
-        den = _row_series(lvl, m[6:9], x, y, prec)
-        return (num - x * den).valuation() - den.valuation()
-    num0 = _row_series(lvl, m[0:3], x, y, prec)
-    num1 = _row_series(lvl, m[3:6], x, y, prec)
-    return ((num0 * y - x * num1).valuation()
-            - num1.valuation() - y.valuation())
+def _order(lvl, frame: LocalFrame, r0, r1=None) -> int:
+    """v(r0.w - t r1.w), or v(r0.w) without r1, from the exponents where
+    w[e] or t w[e] is nonzero."""
+    w = frame.w
+    exps = set(w) if r1 is None else set(w) | {e + 1 for e in w}
+    for n in sorted(e for e in exps if e < frame.horizon):
+        c = _dot(lvl, r0, w[n]) if n in w else 0
+        if r1 is not None and n - 1 in w:
+            c = lvl.sub(c, _dot(lvl, r1, w[n - 1]))
+        if c:
+            return n
+    raise PrecisionError(f"no nonzero term below t^{frame.horizon}")
 
 
 def i_value(tower: FieldTower, place: Place, aut: Aut,
             cache: FrameCache) -> int:
     """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t.
 
-    Returns 0 when sigma does not fix the place (the difference is then a
-    unit or has a pole). The horizon escalates internally while the
-    difference still vanishes to the known precision."""
+    Returns 0 when sigma does not fix the place. The horizon escalates
+    internally while the difference still vanishes to the known precision."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
+    lvl = tower.q2
     n = tower.q + 5
     limit = 8 * n
+    frame = cache.get(place, n)
+    tm = aut.m if frame.to_inf is None else mat_mul3(lvl, frame.to_inf, aut.m)
+    # w[0] is P, and sigma fixes P when T_P M w[0] is (0 : 1 : 0)
+    image = mat_vec3(lvl, tm, frame.w[0])
+    if image[0] or image[2]:
+        return 0
+    r0, r1 = tm[0:3], tm[3:6]
     while True:
-        frame = cache.get(place, n)
         try:
-            val = _i_value_at_horizon(tower, frame, aut)
-            return max(val, 0)
+            return _order(lvl, frame, r0, r1) - _order(lvl, frame, r1)
         except PrecisionError:
             if n >= limit:
                 raise
             n = min(2 * n, limit)
+            frame = cache.get(place, n)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,17 @@ def test_table_q5_hypothesis_skips(capsys):
         assert r["computed"] == r["expected"]
 
 
+def test_table_t511_skipped_at_q2(capsys):
+    # at q = 2 sigma5(delta=a^3) has order 6, not q^2 - 1 = 3, so the
+    # closed form does not describe the groups the spec builds
+    code, out, _ = run_cli(capsys, "table", "--q", "2", "--case", "t511",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["m"] for r in rows] == ["1", "3"]
+    assert all(r["status"] == "skipped(hypothesis)" for r in rows)
+
+
 def test_table_json(capsys):
     code, out, _ = run_cli(capsys, "table", "--q-list", "4", "--format", "json")
     assert code == 0

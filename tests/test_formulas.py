@@ -111,6 +111,8 @@ def test_hypothesis_gating():
         case_spec("ex43", 8, 1)  # needs 3 | q - 1
     with pytest.raises(HypothesisNotMet):
         case_spec("t421", 7, 3)  # m must divide q + 1
+    with pytest.raises(HypothesisNotMet):
+        expected_genus("t511", 2, 1)  # delta = a^3 = 1 at q = 2
     # check=False still produces a parseable spec for the engine
     spec = case_spec("t421", 5, 2, check=False)
     assert isinstance(spec, str) and spec

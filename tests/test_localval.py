@@ -1,6 +1,15 @@
-"""Local expansions and higher ramification invariants."""
+"""Local expansions and higher ramification invariants.
+
+The i-values of localval come from one expansion at P_inf. The oracle below
+computes them the way a textbook would: it expands x and y as Laurent series
+in a uniformizer at each place on its own, and forms sigma(t) - t with series
+products and inverses."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermquot.autgrp import (
     apply_place,
@@ -11,7 +20,10 @@ from hermquot.autgrp import (
     group_from_spec,
     omega,
 )
-from hermquot.curve import P_INF, rational_place, rational_places
+from hermquot.curve import P_INF, normalize_point, rational_place, rational_places
+from hermquot.engine import fixed_rational_places
+from hermquot.formulas import case_modulus, case_spec
+from hermquot.gf import GFError
 from hermquot.localval import (
     FrameCache,
     PrecisionError,
@@ -20,6 +32,79 @@ from hermquot.localval import (
     i_value,
     ramification_data,
 )
+
+from test_acceptance import GRID, divisors, random_group
+
+
+def _const(lvl, c, prec):
+    return Series.make(lvl, 0, [c], prec)
+
+
+def _scaled(s, c):
+    return Series.make(s.lvl, s.off, [s.lvl.mul(c, x) for x in s.cs], s.prec)
+
+
+def oracle_frame(tw, place, horizon):
+    """(x, y) as Laurent series in a uniformizer at a rational place: at
+    (alpha, beta) the uniformizer is x - alpha and y = beta + s with
+    s^q + s = R(t), R = alpha^q t + alpha t^q + t^(q+1); at P_inf it is
+    t = x/y, and x = t/u, y = 1/u for u = 1/y, u + u^q = t^(q+1)."""
+    lvl, q = tw.q2, tw.q
+    if place != P_INF:
+        alpha, beta = place.alpha, place.beta
+        n = horizon
+        x = Series.make(lvl, 0, [alpha, 1], n)
+        r = (_scaled(Series.t_power(lvl, 1, n), lvl.frobq(alpha))
+             + _scaled(Series.t_power(lvl, q, n), alpha)
+             + Series.t_power(lvl, q + 1, n))
+        s = Series.zero(lvl, n)
+        k = 1
+        while k < n:
+            s = r - s.frobq()
+            s = Series.make(lvl, s.off, s.cs, min(s.prec, n))
+            k *= q
+        y = _const(lvl, beta, n) + s
+        resid = y.frobq() + y - x.frobq() * x
+        assert resid.is_zero_to_prec() and resid.prec >= n
+        return x, y
+    # padded so that inverting u (valuation q + 1) leaves horizon exact terms
+    n = horizon + 2 * (q + 1) + 2
+    tq1 = Series.t_power(lvl, q + 1, n)
+    u = Series.zero(lvl, n)
+    k = q + 1
+    while k < n:
+        u = tq1 - u.frobq()
+        u = Series.make(lvl, u.off, u.cs, min(u.prec, n))
+        k *= q
+    assert (u + u.frobq() - tq1).is_zero_to_prec()
+    y = u.inverse()
+    return Series.t_power(lvl, 1, n) * y, y
+
+
+def _row(lvl, row, x, y):
+    out = _scaled(x, row[0]) + _scaled(y, row[1])
+    return out + _const(lvl, row[2], out.prec) if row[2] else out
+
+
+def oracle_i_value(tw, place, aut):
+    """v(sigma(t) - t) from the oracle frame, the horizon doubling while the
+    difference vanishes to its precision."""
+    lvl, m = tw.q2, aut.m
+    n = tw.q + 5
+    while True:
+        x, y = oracle_frame(tw, place, n)
+        try:
+            if place != P_INF:
+                den = _row(lvl, m[6:9], x, y)
+                return ((_row(lvl, m[0:3], x, y) - x * den).valuation()
+                        - den.valuation())
+            num1 = _row(lvl, m[3:6], x, y)
+            return ((_row(lvl, m[0:3], x, y) * y - x * num1).valuation()
+                    - num1.valuation() - y.valuation())
+        except PrecisionError:
+            if n >= 8 * (tw.q + 5):
+                raise
+            n *= 2
 
 
 def test_series_arithmetic(tw4):
@@ -58,6 +143,71 @@ def test_series_frobq(tw4):
     assert f.coeff(8) == 1
 
 
+PROPS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def _dense(draw, size):
+    """A truncated Laurent series as (exponent -> nonzero coefficient, prec)."""
+    off = draw(st.integers(-3, 3))
+    cs = draw(st.lists(st.integers(0, size - 1), max_size=6))
+    prec = off + draw(st.integers(0, 8))
+    return {off + i: c for i, c in enumerate(cs) if c and off + i < prec}, prec
+
+
+def _series(lvl, dense):
+    coeffs, prec = dense
+    if not coeffs:
+        return Series.make(lvl, prec, [], prec)
+    lo = min(coeffs)
+    return Series.make(lvl, lo, [coeffs.get(n, 0)
+                                 for n in range(lo, max(coeffs) + 1)], prec)
+
+
+def _agrees(s, coeffs, prec):
+    assert s.prec == prec
+    assert s.off == (min(coeffs) if coeffs else prec)
+    return all(s.coeff(n) == coeffs.get(n, 0) for n in range(-20, prec))
+
+
+def _convolve(lvl, a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = lvl.add(out.get(i + j, 0), lvl.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@PROPS
+@given(data=st.data())
+def test_series_against_dense_arithmetic(towers, q, data):
+    lvl = towers[q].q2
+    (a, pa), (b, pb) = (data.draw(_dense(lvl.size)) for _ in range(2))
+    sa, sb = _series(lvl, (a, pa)), _series(lvl, (b, pb))
+    assert _agrees(sa, a, pa)
+    prec = min(pa, pb)
+    for op, f in ((sa + sb, lvl.add), (sa - sb, lvl.sub)):
+        want = {n: f(a.get(n, 0), b.get(n, 0)) for n in set(a) | set(b)}
+        assert _agrees(op, {n: c for n, c in want.items() if c and n < prec},
+                       prec)
+    assert _agrees(sa.frobq(), {q * n: lvl.frobq(c) for n, c in a.items()},
+                   q * pa)
+    prod = sa * sb
+    if a and b:
+        prec = min(pa + min(b), pb + min(a))
+        assert _agrees(prod, {n: c for n, c in _convolve(lvl, a, b).items()
+                              if c and n < prec}, prec)
+    else:
+        assert prod.is_zero_to_prec()
+    if a:
+        m = min(a)
+        inv = sa.inverse()
+        assert inv.off == -m and inv.prec == pa - 2 * m
+        one = _convolve(lvl, a, {n: inv.coeff(n) for n in range(-m, inv.prec)})
+        assert all(one.get(n, 0) == (n == 0) for n in range(pa - m))
+
+
 def test_series_zero_valuation_raises(tw4):
     with pytest.raises(PrecisionError):
         Series.zero(tw4.q2, 5).valuation()
@@ -65,20 +215,42 @@ def test_series_zero_valuation_raises(tw4):
 
 def test_expand_finite_place_valuations(tw3):
     # at P_{0,0} the function y is a local uniformizer power: v(y) = q + 1
-    fr = expand_at(tw3, rational_place(0, 0), horizon=12)
-    assert fr.x.valuation() == 1
-    assert fr.y.valuation() == 3 + 1
+    x, y = oracle_frame(tw3, rational_place(0, 0), 12)
+    assert x.valuation() == 1
+    assert y.valuation() == 3 + 1
     pl = rational_places(tw3)[5]
-    fr2 = expand_at(tw3, pl, horizon=12)
-    assert fr2.x.valuation() == 0
-    assert (fr2.x - Series.const(tw3.q2, pl.alpha, 12)).valuation() == 1
+    x2, _ = oracle_frame(tw3, pl, 12)
+    assert x2.valuation() == 0
+    assert (x2 - _const(tw3.q2, pl.alpha, 12)).valuation() == 1
 
 
 def test_expand_infinity_valuations(towers):
     for q in (2, 3, 4):
-        fr = expand_at(towers[q], P_INF, horizon=10)
-        assert fr.x.valuation() == -q
-        assert fr.y.valuation() == -(q + 1)
+        x, y = oracle_frame(towers[q], P_INF, 10)
+        assert x.valuation() == -q
+        assert y.valuation() == -(q + 1)
+
+
+def test_frame_point_lies_on_the_curve(towers):
+    # w = adj(T_P)(t, 1, u) is P at t = 0, solves the curve equation to the
+    # horizon, and its uniformizer l_0(w)/l_1(w) is t itself
+    for q in (2, 3, 4):
+        tw = towers[q]
+        lvl = tw.q2
+        for pl in [P_INF] + rational_places(tw)[1:6]:
+            fr = expand_at(tw, pl, 12)
+            pt = (0, 1, 0) if pl == P_INF else (pl.alpha, pl.beta, 1)
+            assert normalize_point(lvl, fr.w[0]) == normalize_point(lvl, pt)
+            X, Y, Z = (Series.make(lvl, 0, [fr.w.get(e, (0, 0, 0))[i]
+                                            for e in range(fr.horizon)],
+                                   fr.horizon) for i in range(3))
+            assert (Y.frobq() * Z + Y * Z.frobq()
+                    - X.frobq() * X).is_zero_to_prec()
+            t = fr.to_inf or (1, 0, 0, 0, 1, 0, 0, 0, 1)
+            l0, l1 = (_scaled(X, r[0]) + _scaled(Y, r[1]) + _scaled(Z, r[2])
+                      for r in (t[0:3], t[3:6]))
+            assert (l0 - Series.t_power(lvl, 1, fr.horizon) * l1
+                    ).is_zero_to_prec()
 
 
 def test_i_value_epsilon_at_infinity(towers):
@@ -106,6 +278,68 @@ def test_i_value_zero_when_not_fixed(tw3):
     w = omega(tw3)
     pl = next(p for p in rational_places(tw3)[1:] if apply_place(w, p) != p)
     assert i_value(tw3, pl, w, cache) == 0
+
+
+def test_i_value_zero_when_moved_within_a_fibre_of_x(towers):
+    # tau(0, 1) keeps x and moves P(0, 0) to P(0, 1): sigma(t) - t vanishes
+    # identically for t = x
+    tw = towers[2]
+    assert i_value(tw, rational_place(0, 0), from_affine(tw, 1, 0, 1),
+                   FrameCache(tw)) == 0
+    # omega keeps x = 0 and moves P(0, b) to P(0, 1/b); v(sigma(x) - x) = 1
+    tw = towers[3]
+    pl = next(p for p in rational_places(tw)[1:]
+              if p.alpha == 0 and p.beta != 0)
+    assert apply_place(omega(tw), pl) != pl
+    assert i_value(tw, pl, omega(tw), FrameCache(tw)) == 0
+
+
+def test_i_value_positive_exactly_on_the_stabiliser(towers):
+    for q in (2, 3):
+        tw = towers[q]
+        cache = FrameCache(tw)
+        auts = [omega(tw), epsilon(tw, tw.a)]
+        auts += [from_affine(tw, 1, b, c) for b in range(tw.q2.size)
+                 for c in tw.solve_additive_raw(b) if (b, c) != (0, 0)]
+        for f in auts:
+            for pl in rational_places(tw):
+                fixed = apply_place(f, pl) == pl
+                assert (i_value(tw, pl, f, cache) > 0) == fixed
+
+
+def _grid_and_9c_groups(towers):
+    for case, qs in GRID.items():
+        for q in qs:
+            if q > 8:
+                continue
+            for m in divisors(case_modulus(case, q)):
+                try:
+                    spec = case_spec(case, q, m)
+                except GFError:
+                    continue
+                yield towers[q], group_from_spec(towers[q], spec)
+    for q in (4, 5):
+        rng = random.Random(12345 + q)
+        for _ in range(10):
+            yield towers[q], random_group(towers[q], rng)
+
+
+def test_i_value_matches_oracle(towers):
+    # every (place, stabiliser element) pair of the acceptance grid at
+    # q <= 8 and of the first ten 9c groups at q = 4, 5
+    seen = set()
+    for tw, grp in _grid_and_9c_groups(towers):
+        cache = FrameCache(tw)
+        for s in grp.elements:
+            if s.is_identity():
+                continue
+            for pl in fixed_rational_places(tw, s):
+                key = (tw.q, s.m, pl)
+                if key in seen:
+                    continue
+                seen.add(key)
+                assert i_value(tw, pl, s, cache) == oracle_i_value(tw, pl, s)
+    assert len(seen) > 1000
 
 
 def test_i_value_consistent_under_horizon(tw4):
