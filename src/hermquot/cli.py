@@ -136,6 +136,10 @@ def cmd_genus(args) -> int:
     if args.case:
         if args.m is None:
             raise UsageError("--case requires --m")
+        modulus = formulas.case_modulus(args.case, tower.q)
+        if args.m < 1 or modulus % args.m:
+            raise UsageError(f"--m {args.m} is not a positive divisor of "
+                             f"{modulus} for {args.case} at q = {tower.q}")
         try:
             expected = formulas.expected_genus(args.case, tower.q, args.m)
             spec = formulas.case_spec(args.case, tower.q, args.m)

@@ -50,7 +50,7 @@ from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
-from .localval import FrameCache, ramification_data, to_infinity
+from .localval import ramification_data, to_infinity
 
 
 class EngineError(GFError):
@@ -443,7 +443,7 @@ class GenusReport:
 
 
 def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
-                cache: FrameCache, dual_check: bool) -> list[OrbitRow]:
+                dual_check: bool) -> list[OrbitRow]:
     rows = []
     todo = set(ramified)
     while todo:
@@ -452,7 +452,7 @@ def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
         orbit = set(images)
         todo -= orbit
         stab = tuple(s for s, im in zip(group.elements, images) if im == rep)
-        rd = ramification_data(tower, rep, Group(tower, stab), cache,
+        rd = ramification_data(tower, rep, Group(tower, stab),
                                dual_check=dual_check)
         assert group.order == len(orbit) * rd.e * rd.f
         if len(orbit) > 1:
@@ -462,7 +462,7 @@ def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
             g = group.elements[images.index(other)]
             g_inv = inverse(g)
             conj = tuple(compose(compose(g_inv, s), g) for s in stab)
-            rd2 = ramification_data(tower, other, Group(tower, conj), cache,
+            rd2 = ramification_data(tower, other, Group(tower, conj),
                                     dual_check=False)
             assert (rd2.e, rd2.f, rd2.d) == (rd.e, rd.f, rd.d)
         rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
@@ -554,8 +554,7 @@ def genus_of_quotient(tower: FieldTower, group: Group,
     q = tower.q
     walk = _cyclic_walk(tower, group)
     ramified = {pl for c in walk for pl in c.fixed + c.deg3}
-    cache = FrameCache(tower)
-    rows = _orbit_rows(tower, group, ramified, cache, dual_check)
+    rows = _orbit_rows(tower, group, ramified, dual_check)
     deg_diff = sum(r.d * r.size * r.degree for r in rows)
     genus = _hurwitz_genus(q, group.order, deg_diff)
     n_rational = f3 = maximal = sub = None

@@ -3,6 +3,8 @@
 All wild ramification happens at rational places, and every i-value is read
 off one expansion at P_inf: there t = x/y = X/Y is a uniformizer and
 u = 1/y = Z/Y solves u + u^q = t^(q+1), so the curve point is (t : 1 : u).
+That u has the closed form u = sum over k >= 0 of (-1)^k t^((q+1) q^k),
+since u^q is the same sum shifted by one term.
 A map T_P of PGU(3, q) takes a rational place P to P_inf (i-values are
 invariant under this conjugation), the point near P is w = adj(T_P)(t, 1, u)
 and its uniformizer is l_0/l_1 for the first two rows of T_P, x - alpha at
@@ -19,7 +21,7 @@ are on hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._linalg import mat_adj3, mat_mul3, mat_vec3
 from .autgrp import Aut, Group, apply_place, apply_point, from_affine, omega
@@ -29,124 +31,6 @@ from .gf import FieldTower, GFError
 
 class PrecisionError(GFError):
     pass
-
-
-@dataclass(frozen=True)
-class Series:
-    """A truncated Laurent series: coefficients cs[i] of t^(off + i), exact
-    for all exponents below prec."""
-
-    lvl: object
-    off: int
-    cs: tuple
-    prec: int
-
-    @staticmethod
-    def make(lvl, off, cs, prec):
-        cs = list(cs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            off += 1
-        if len(cs) > prec - off:
-            cs = cs[: max(prec - off, 0)]
-            while cs and cs[-1] == 0:
-                cs.pop()
-        if not cs:
-            off = prec
-        return Series(lvl, off, tuple(cs), prec)
-
-    @staticmethod
-    def zero(lvl, prec):
-        return Series(lvl, prec, (), prec)
-
-    @staticmethod
-    def t_power(lvl, n, prec):
-        return Series.make(lvl, n, [1], prec)
-
-    def is_zero_to_prec(self) -> bool:
-        return not self.cs
-
-    def valuation(self) -> int:
-        if not self.cs:
-            raise PrecisionError(
-                f"series is zero to its precision O(t^{self.prec})")
-        return self.off
-
-    def coeff(self, n: int) -> int:
-        if n >= self.prec:
-            raise PrecisionError(f"coefficient of t^{n} beyond O(t^{self.prec})")
-        if n < self.off or n >= self.off + len(self.cs):
-            return 0
-        return self.cs[n - self.off]
-
-    def __add__(self, other: "Series") -> "Series":
-        lvl = self.lvl
-        prec = min(self.prec, other.prec)
-        off = min(self.off, other.off, prec)
-        n = max(self.off + len(self.cs), other.off + len(other.cs), off)
-        cs = [0] * (n - off)
-        for i, c in enumerate(self.cs):
-            cs[self.off + i - off] = c
-        for i, c in enumerate(other.cs):
-            j = other.off + i - off
-            cs[j] = lvl.add(cs[j], c)
-        return Series.make(lvl, off, cs, prec)
-
-    def __neg__(self) -> "Series":
-        lvl = self.lvl
-        return Series(lvl, self.off, tuple(lvl.neg(c) for c in self.cs), self.prec)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __mul__(self, other: "Series") -> "Series":
-        lvl = self.lvl
-        if not self.cs or not other.cs:
-            # the product is zero up to the precision the zero factor allows
-            prec = min(self.prec + other.off, other.prec + self.off,
-                       self.prec + other.prec)
-            return Series.zero(lvl, prec)
-        prec = min(self.prec + other.off, other.prec + self.off)
-        off = self.off + other.off
-        n = min(len(self.cs) + len(other.cs) - 1, prec - off)
-        cs = [0] * n
-        for i, ci in enumerate(self.cs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.cs):
-                k = i + j
-                if k >= n:
-                    break
-                if cj:
-                    cs[k] = lvl.add(cs[k], lvl.mul(ci, cj))
-        return Series.make(lvl, off, cs, prec)
-
-    def frobq(self) -> "Series":
-        """The q-power map: exponents scale by q, coefficients by Frobenius."""
-        lvl = self.lvl
-        q = lvl.q
-        cs = [0] * (q * (len(self.cs) - 1) + 1) if self.cs else []
-        for i, c in enumerate(self.cs):
-            cs[q * i] = lvl.frobq(c)
-        return Series.make(lvl, q * self.off, cs, q * self.prec)
-
-    def inverse(self) -> "Series":
-        lvl = self.lvl
-        m = self.valuation()
-        n = self.prec - m  # known unit-part coefficients
-        u = [self.coeff(m + i) for i in range(n)]
-        w = [0] * n
-        i0 = lvl.inv(u[0])
-        w[0] = i0
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, k + 1):
-                if u[j] and w[k - j]:
-                    acc = lvl.add(acc, lvl.mul(u[j], w[k - j]))
-            w[k] = lvl.neg(lvl.mul(i0, acc))
-        return Series.make(lvl, -m, w, self.prec - 2 * m)
 
 
 def to_infinity(tower: FieldTower, place: Place):
@@ -161,22 +45,6 @@ def to_infinity(tower: FieldTower, place: Place):
     return mat_mul3(lvl, omega(tower).m, tr.m)
 
 
-def pole_expansion(tower: FieldTower, horizon: int) -> Series:
-    """u = Z/Y in t = X/Y at P_inf, exact below t^horizon: the iteration
-    u <- t^(q+1) - u^q of u + u^q = t^(q+1)."""
-    lvl, q = tower.q2, tower.q
-    tq1 = Series.t_power(lvl, q + 1, horizon)
-    u = Series.zero(lvl, horizon)
-    k = q + 1
-    while k < horizon:
-        u = tq1 - u.frobq()
-        u = Series.make(lvl, u.off, u.cs, min(u.prec, horizon))
-        k *= q
-    resid = u + u.frobq() - tq1
-    assert resid.is_zero_to_prec() and resid.prec >= horizon
-    return u
-
-
 @dataclass(frozen=True)
 class LocalFrame:
     """The curve point w = adj(T_P)(t, 1, u) near a rational place P, as its
@@ -188,20 +56,17 @@ class LocalFrame:
     horizon: int
 
 
-def expand_at(tower: FieldTower, place: Place, horizon: int,
-              u: Series | None = None) -> LocalFrame:
-    """The frame at a rational place; u is the pole expansion to this
-    horizon when the caller already has it."""
+def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
+    """The frame at a rational place, exact below t^horizon."""
     if place.kind == "degree3":
         raise GFError("local frames are only built at rational places")
     lvl = tower.q2
-    if u is None:
-        u = pole_expansion(tower, horizon)
-    # (t, 1, u) = sum over e of v[e] t^e
+    # (t, 1, u) = sum over e of v[e] t^e, u in its closed form
     v = {0: (0, 1, 0), 1: (1, 0, 0)}
-    for i, c in enumerate(u.cs):
-        if c:
-            v[u.off + i] = (0, 0, c)
+    e, c = tower.q + 1, 1
+    while e < horizon:
+        v[e] = (0, 0, c)
+        e, c = e * tower.q, lvl.neg(c)
     t = to_infinity(tower, place)
     if t is not None:
         adj = mat_adj3(lvl, t)
@@ -209,21 +74,10 @@ def expand_at(tower: FieldTower, place: Place, horizon: int,
     return LocalFrame(place, t, v, horizon)
 
 
-@dataclass
-class FrameCache:
-    tower: FieldTower
-    frames: dict = field(default_factory=dict)
-    poles: dict = field(default_factory=dict)  # horizon -> pole expansion
-
-    def get(self, place: Place, horizon: int) -> LocalFrame:
-        key = (place.kind, place.data)
-        frame = self.frames.get(key)
-        if frame is None or frame.horizon < horizon:
-            if horizon not in self.poles:
-                self.poles[horizon] = pole_expansion(self.tower, horizon)
-            frame = self.frames[key] = expand_at(self.tower, place, horizon,
-                                                 self.poles[horizon])
-        return frame
+def _start_horizon(q: int) -> int:
+    """The horizon a frame is first built to; i_value escalates at most to
+    8 times it."""
+    return q + 5
 
 
 def _dot(lvl, r, v):
@@ -246,17 +100,18 @@ def _order(lvl, frame: LocalFrame, r0, r1=None) -> int:
 
 
 def i_value(tower: FieldTower, place: Place, aut: Aut,
-            cache: FrameCache) -> int:
+            frame: LocalFrame | None = None) -> int:
     """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t.
 
-    Returns 0 when sigma does not fix the place. The horizon escalates
-    internally while the difference still vanishes to the known precision."""
+    Returns 0 when sigma does not fix the place. The frame at the place is
+    built when none is given; its horizon escalates internally while the
+    difference still vanishes to the known precision."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
     lvl = tower.q2
-    n = tower.q + 5
-    limit = 8 * n
-    frame = cache.get(place, n)
+    limit = 8 * _start_horizon(tower.q)
+    if frame is None:
+        frame = expand_at(tower, place, _start_horizon(tower.q))
     tm = aut.m if frame.to_inf is None else mat_mul3(lvl, frame.to_inf, aut.m)
     # w[0] is P, and sigma fixes P when T_P M w[0] is (0 : 1 : 0)
     image = mat_vec3(lvl, tm, frame.w[0])
@@ -267,10 +122,9 @@ def i_value(tower: FieldTower, place: Place, aut: Aut,
         try:
             return _order(lvl, frame, r0, r1) - _order(lvl, frame, r1)
         except PrecisionError:
-            if n >= limit:
+            if frame.horizon >= limit:
                 raise
-            n = min(2 * n, limit)
-            frame = cache.get(place, n)
+            frame = expand_at(tower, place, min(2 * frame.horizon, limit))
 
 
 @dataclass(frozen=True)
@@ -293,8 +147,7 @@ def _is_prime_power_of(n: int, p: int) -> bool:
 
 
 def ramification_data(tower: FieldTower, place: Place, group: Group,
-                      cache: FrameCache, dual_check: bool = True
-                      ) -> RamificationData:
+                      dual_check: bool = True) -> RamificationData:
     p, q = tower.p, tower.q
     if place.kind != "degree3":
         stab = [s for s in group.elements
@@ -304,7 +157,8 @@ def ramification_data(tower: FieldTower, place: Place, group: Group,
         wild = e % p == 0
         if not wild and not dual_check:
             return RamificationData(place, e, 1, e - 1, None)
-        ivals = sorted(i_value(tower, place, s, cache) for s in stab)
+        frame = expand_at(tower, place, _start_horizon(q)) if stab else None
+        ivals = sorted(i_value(tower, place, s, frame) for s in stab)
         assert all(v >= 1 for v in ivals), "stabilizer elements must fix P"
         d_sum = sum(ivals)
         # Hilbert form of the same sum, plus structural checks on the

@@ -35,7 +35,7 @@ from hermquot.formulas import (
     sigma_order,
 )
 from hermquot.gf import GFError, build_tower
-from hermquot.localval import FrameCache, ramification_data
+from hermquot.localval import ramification_data
 
 GRID = {
     "t3": (2, 4, 8),
@@ -86,12 +86,11 @@ def test_criterion_1_different_at_each_place(towers):
     for q in (2, 4, 8):
         tw = towers[q]
         g = group_from_spec(tw, "eps(a), omega")
-        cache = FrameCache(tw)
         fq = [b for b in range(tw.q2.size)
               if tw.q2.frobq(b) == b and b != 0]
         assert len(fq) == q - 1
         for pl in rational_places(tw):
-            dat = ramification_data(tw, pl, g, cache)
+            dat = ramification_data(tw, pl, g)
             if pl == P_INF or (pl.alpha == 0 and pl.beta == 0):
                 assert dat.d == q * q - 2
             elif pl.alpha == 0 and pl.beta in fq:

@@ -109,6 +109,9 @@ def test_usage_error_exit_code(capsys):
     ("table", "--q-list", "5,,7"),
     ("genus", "--p", "2", "--e", "0", "--spec", "omega"),
     ("genus", "--p", "4", "--spec", "omega"),  # p not prime
+    ("genus", "--q", "4", "--case", "t3", "--m", "0"),
+    ("genus", "--q", "4", "--case", "t3", "--m", "-1"),
+    ("genus", "--q", "4", "--case", "t3", "--m", "7"),  # 7 does not divide 15
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)

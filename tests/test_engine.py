@@ -329,6 +329,30 @@ def _report_key(rep):
             rep.n_rational_deg13, rep.maximal, rep.uncounted_orders, rows)
 
 
+def test_genus_grows_down_to_cyclic_subgroups(towers):
+    # X/G is covered by X/H for H <= G, so g(X/G) <= g(X/H); checked for
+    # every cyclic H = <sigma> of the first ten 9c groups at each q
+    pairs = 0
+    for q in (4, 5, 7, 8):
+        tw = towers[q]
+        rng = random.Random(12345 + q)
+        for _ in range(10):
+            grp = random_group(tw, rng)
+            g = genus_of_quotient(tw, grp, with_count=False).genus
+            seen = set()
+            for s in grp.elements:
+                if s.is_identity():
+                    continue
+                sub = close_group(tw, [s])
+                key = frozenset(e.m for e in sub.elements)
+                if key in seen:
+                    continue
+                seen.add(key)
+                assert g <= genus_of_quotient(tw, sub, with_count=False).genus
+                pairs += 1
+    assert pairs > 100
+
+
 @settings(max_examples=10, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_conjugation_leaves_reports_unchanged(towers, rng):

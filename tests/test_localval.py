@@ -5,6 +5,7 @@ computes them the way a textbook would: it expands x and y as Laurent series
 in a uniformizer at each place on its own, and forms sigma(t) - t with series
 products and inverses."""
 
+import itertools
 import random
 
 import pytest
@@ -24,15 +25,9 @@ from hermquot.curve import P_INF, normalize_point, rational_place, rational_plac
 from hermquot.engine import fixed_rational_places
 from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import GFError
-from hermquot.localval import (
-    FrameCache,
-    PrecisionError,
-    Series,
-    expand_at,
-    i_value,
-    ramification_data,
-)
+from hermquot.localval import PrecisionError, expand_at, i_value, ramification_data
 
+from _series import Series
 from test_acceptance import GRID, divisors, random_group
 
 
@@ -42,6 +37,21 @@ def _const(lvl, c, prec):
 
 def _scaled(s, c):
     return Series.make(s.lvl, s.off, [s.lvl.mul(c, x) for x in s.cs], s.prec)
+
+
+def oracle_pole(tw, n):
+    """u = 1/y in t = x/y at P_inf, exact below t^n: the iteration
+    u <- t^(q+1) - u^q of u + u^q = t^(q+1)."""
+    lvl, q = tw.q2, tw.q
+    tq1 = Series.t_power(lvl, q + 1, n)
+    u = Series.zero(lvl, n)
+    k = q + 1
+    while k < n:
+        u = tq1 - u.frobq()
+        u = Series.make(lvl, u.off, u.cs, min(u.prec, n))
+        k *= q
+    assert (u + u.frobq() - tq1).is_zero_to_prec()
+    return u
 
 
 def oracle_frame(tw, place, horizon):
@@ -69,15 +79,7 @@ def oracle_frame(tw, place, horizon):
         return x, y
     # padded so that inverting u (valuation q + 1) leaves horizon exact terms
     n = horizon + 2 * (q + 1) + 2
-    tq1 = Series.t_power(lvl, q + 1, n)
-    u = Series.zero(lvl, n)
-    k = q + 1
-    while k < n:
-        u = tq1 - u.frobq()
-        u = Series.make(lvl, u.off, u.cs, min(u.prec, n))
-        k *= q
-    assert (u + u.frobq() - tq1).is_zero_to_prec()
-    y = u.inverse()
+    y = oracle_pole(tw, n).inverse()
     return Series.t_power(lvl, 1, n) * y, y
 
 
@@ -233,12 +235,14 @@ def test_expand_infinity_valuations(towers):
 
 def test_frame_point_lies_on_the_curve(towers):
     # w = adj(T_P)(t, 1, u) is P at t = 0, solves the curve equation to the
-    # horizon, and its uniformizer l_0(w)/l_1(w) is t itself
-    for q in (2, 3, 4):
+    # horizon, and its uniformizer l_0(w)/l_1(w) is t itself: at the horizon
+    # frames start from and at the deepest one i_value escalates to
+    for q in (2, 3, 4, 5, 7, 8, 9):
         tw = towers[q]
         lvl = tw.q2
-        for pl in [P_INF] + rational_places(tw)[1:6]:
-            fr = expand_at(tw, pl, 12)
+        for pl, h in itertools.product([P_INF] + rational_places(tw)[1:6],
+                                       (q + 5, 8 * (q + 5))):
+            fr = expand_at(tw, pl, h)
             pt = (0, 1, 0) if pl == P_INF else (pl.alpha, pl.beta, 1)
             assert normalize_point(lvl, fr.w[0]) == normalize_point(lvl, pt)
             X, Y, Z = (Series.make(lvl, 0, [fr.w.get(e, (0, 0, 0))[i]
@@ -253,58 +257,66 @@ def test_frame_point_lies_on_the_curve(towers):
                     ).is_zero_to_prec()
 
 
+def test_frame_pole_terms_match_the_oracle(towers):
+    # the closed form of u in the frame at P_inf is the u the oracle
+    # iterates, term by term, as deep as i_value can look
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        tw = towers[q]
+        for h in (q + 5, 8 * (q + 5)):
+            fr = expand_at(tw, P_INF, h)
+            u = oracle_pole(tw, h)
+            assert {e: v[2] for e, v in fr.w.items() if v[2]} == {
+                n: u.coeff(n) for n in range(h) if u.coeff(n)}
+            assert fr.w[0] == (0, 1, 0) and fr.w[1] == (1, 0, 0)
+
+
 def test_i_value_epsilon_at_infinity(towers):
     # a diagonal automorphism fixes P_inf with i = 1 (tame)
     for q in (3, 4, 7):
         tw = towers[q]
-        cache = FrameCache(tw)
-        assert i_value(tw, P_INF, epsilon(tw, tw.a), cache) == 1
+        assert i_value(tw, P_INF, epsilon(tw, tw.a)) == 1
 
 
 def test_i_value_translations_at_infinity(towers):
     # tau(0, c) fixes P_inf to order q + 2; tau(b, c) with b != 0 to order 2
     for q in (2, 3, 4):
         tw = towers[q]
-        cache = FrameCache(tw)
         c = tw.solve_additive_raw(0)[1]  # nonzero c with c^q + c = 0
-        assert i_value(tw, P_INF, from_affine(tw, 1, 0, c), cache) == q + 2
+        assert i_value(tw, P_INF, from_affine(tw, 1, 0, c)) == q + 2
         b = tw.a
         cb = tw.solve_additive_raw(b)[0]
-        assert i_value(tw, P_INF, from_affine(tw, 1, b, cb), cache) == 2
+        assert i_value(tw, P_INF, from_affine(tw, 1, b, cb)) == 2
 
 
 def test_i_value_zero_when_not_fixed(tw3):
-    cache = FrameCache(tw3)
     w = omega(tw3)
     pl = next(p for p in rational_places(tw3)[1:] if apply_place(w, p) != p)
-    assert i_value(tw3, pl, w, cache) == 0
+    assert i_value(tw3, pl, w) == 0
 
 
 def test_i_value_zero_when_moved_within_a_fibre_of_x(towers):
     # tau(0, 1) keeps x and moves P(0, 0) to P(0, 1): sigma(t) - t vanishes
     # identically for t = x
     tw = towers[2]
-    assert i_value(tw, rational_place(0, 0), from_affine(tw, 1, 0, 1),
-                   FrameCache(tw)) == 0
+    assert i_value(tw, rational_place(0, 0), from_affine(tw, 1, 0, 1)) == 0
     # omega keeps x = 0 and moves P(0, b) to P(0, 1/b); v(sigma(x) - x) = 1
     tw = towers[3]
     pl = next(p for p in rational_places(tw)[1:]
               if p.alpha == 0 and p.beta != 0)
     assert apply_place(omega(tw), pl) != pl
-    assert i_value(tw, pl, omega(tw), FrameCache(tw)) == 0
+    assert i_value(tw, pl, omega(tw)) == 0
 
 
 def test_i_value_positive_exactly_on_the_stabiliser(towers):
     for q in (2, 3):
         tw = towers[q]
-        cache = FrameCache(tw)
         auts = [omega(tw), epsilon(tw, tw.a)]
         auts += [from_affine(tw, 1, b, c) for b in range(tw.q2.size)
                  for c in tw.solve_additive_raw(b) if (b, c) != (0, 0)]
         for f in auts:
             for pl in rational_places(tw):
                 fixed = apply_place(f, pl) == pl
-                assert (i_value(tw, pl, f, cache) > 0) == fixed
+                assert (i_value(tw, pl, f) > 0) == fixed
 
 
 def _grid_and_9c_groups(towers):
@@ -329,7 +341,6 @@ def test_i_value_matches_oracle(towers):
     # q <= 8 and of the first ten 9c groups at q = 4, 5
     seen = set()
     for tw, grp in _grid_and_9c_groups(towers):
-        cache = FrameCache(tw)
         for s in grp.elements:
             if s.is_identity():
                 continue
@@ -338,34 +349,71 @@ def test_i_value_matches_oracle(towers):
                 if key in seen:
                     continue
                 seen.add(key)
-                assert i_value(tw, pl, s, cache) == oracle_i_value(tw, pl, s)
+                assert i_value(tw, pl, s) == oracle_i_value(tw, pl, s)
     assert len(seen) > 1000
 
 
 def test_i_value_consistent_under_horizon(tw4):
     c = tw4.solve_additive_raw(0)[1]
     f = from_affine(tw4, 1, 0, c)
-    base = i_value(tw4, P_INF, f, FrameCache(tw4))
-    cache = FrameCache(tw4)
-    cache.get(P_INF, 25)  # a deeper frame than i_value starts from
-    assert i_value(tw4, P_INF, f, cache) == base
+    base = i_value(tw4, P_INF, f)
+    # a deeper frame than i_value starts from
+    assert i_value(tw4, P_INF, f, expand_at(tw4, P_INF, 25)) == base
+
+
+def test_i_value_escalates_from_a_shallow_frame(towers, monkeypatch):
+    # tau(0, c) fixes P_inf to order q + 2, beyond a frame of horizon 2:
+    # i_value rebuilds the frame at doubled horizons until it sees the term
+    import hermquot.localval as lv
+
+    built = []
+
+    def recording(tower, place, horizon):
+        built.append(horizon)
+        return expand_at(tower, place, horizon)
+
+    monkeypatch.setattr(lv, "expand_at", recording)
+    for q in (2, 3, 4, 5):
+        tw = towers[q]
+        c = tw.solve_additive_raw(0)[1]
+        built.clear()
+        assert i_value(tw, P_INF, from_affine(tw, 1, 0, c),
+                       expand_at(tw, P_INF, 2)) == q + 2
+        assert built == [2 ** k for k in range(2, 2 + len(built))]
+        assert built[-1] > q + 2 >= built[-1] // 2
+
+
+def test_i_value_above_the_frame_horizon_matches_default(towers):
+    # omega tau(0, c) omega fixes P(0, 0) with i = q + 2, above a frame of
+    # horizon 3; escalating from that frame gives the default frame's value
+    for q in (2, 3, 4, 8):
+        tw = towers[q]
+        pl = rational_place(0, 0)
+        w = omega(tw)
+        for c in tw.solve_additive_raw(0):
+            if c == 0:
+                continue
+            s = compose(compose(w, from_affine(tw, 1, 0, c)), w)
+            assert apply_place(s, pl) == pl
+            got = i_value(tw, pl, s, expand_at(tw, pl, 3))
+            assert got == i_value(tw, pl, s) == q + 2 > 3
 
 
 def test_ramification_data_tame(tw4):
     g = group_from_spec(tw4, "eps(a^5)")  # order 3, tame
-    dat = ramification_data(tw4, P_INF, g, FrameCache(tw4))
+    dat = ramification_data(tw4, P_INF, g)
     assert dat.e == 3 and dat.f == 1 and dat.d == 2
-    dat0 = ramification_data(tw4, rational_place(0, 0), g, FrameCache(tw4))
+    dat0 = ramification_data(tw4, rational_place(0, 0), g)
     assert dat0.e == 3 and dat0.d == 2
 
 
 def test_ramification_data_wild(tw2):
     # full group <eps, omega> at P_inf: e = 2 * |stab|... known d values
     g = group_from_spec(tw2, "eps(a), omega")
-    dat = ramification_data(tw2, P_INF, g, FrameCache(tw2))
+    dat = ramification_data(tw2, P_INF, g)
     assert dat.d == 2 * 2 - 2  # q^2 - 2 at q = 2
     beta = next(p.beta for p in rational_places(tw2)[1:] if p.alpha == 0 and p.beta != 0)
-    dat_b = ramification_data(tw2, rational_place(0, beta), g, FrameCache(tw2))
+    dat_b = ramification_data(tw2, rational_place(0, beta), g)
     assert dat_b.d == 3 * 2 + 2
 
 
@@ -381,7 +429,6 @@ def test_ramification_data_degree3(tw2):
             gens.append(from_affine(tw2, 1, b, c))
     full = close_group(tw2, gens, cap=300)
     d3 = degree3_places(tw2)
-    cache = FrameCache(tw2)
     hits = []
     for s in full.elements:
         if s.is_identity() or aut_order(s) != 3:
@@ -390,7 +437,7 @@ def test_ramification_data_degree3(tw2):
             continue
         g = close_group(tw2, [s])
         for pl in d3:
-            dat = ramification_data(tw2, pl, g, cache)
+            dat = ramification_data(tw2, pl, g)
             if dat.e > 1:
                 assert dat.e == 3
                 assert dat.d == dat.e - 1
@@ -405,5 +452,5 @@ def test_hilbert_formula_cross_check_runs(tw4):
     # ramification_data asserts the two different computations agree when
     # dual_check is set; exercising it on a wild place must not raise
     g = group_from_spec(tw4, "eps(a), omega")
-    dat = ramification_data(tw4, P_INF, g, FrameCache(tw4), dual_check=True)
+    dat = ramification_data(tw4, P_INF, g, dual_check=True)
     assert dat.d == 4 * 4 - 2
