@@ -152,6 +152,7 @@ def sigma5(tower: FieldTower, delta: int) -> Aut:
 class Group:
     tower: FieldTower
     elements: tuple
+    gens: tuple  # nontrivial generators; their words reach every element
 
     @property
     def order(self) -> int:
@@ -181,7 +182,7 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
     assert pgu_order(tower.q) % order == 0, "closure is not a subgroup"
     elements = tuple(sorted(seen.values(),
                             key=lambda a: tuple(tower.q2.key(c) for c in a.m)))
-    return Group(tower, elements)
+    return Group(tower, elements, gens)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\^|\*|,|\(|\)|=)|([A-Za-z_][A-Za-z_0-9]*)|(-?\d+))")

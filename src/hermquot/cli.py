@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 property or comparison failure, 2 usage/parse
 error, 3 internal hard error.
+
+All standard output goes through _write. A reader that closes the pipe
+early (`hermquot places --q 16 | head -1`) ends the output: no traceback,
+the rest is discarded, and the exit code is the one the command decided.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from math import gcd
@@ -91,15 +96,19 @@ def _report_dict(tower, group, rep, spec_strings, formula=None):
     return out
 
 
-def _write(text, out):
+def _write(text, out=None):
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as ex:
             raise UsageError(f"cannot write --out {out}: {ex.strerror}") from None
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: later output and the flush at exit go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _as_text(data) -> str:
@@ -144,7 +153,7 @@ def cmd_genus(args) -> int:
             expected = formulas.expected_genus(args.case, tower.q, args.m)
             spec = formulas.case_spec(args.case, tower.q, args.m)
         except HypothesisNotMet as ex:
-            print(f"skipped(hypothesis): {ex}")
+            _write(f"skipped(hypothesis): {ex}")
             return 0
         gens = [spec]
     elif args.spec is not None:
@@ -249,17 +258,16 @@ def cmd_places(args) -> int:
         except BudgetExceeded as ex:
             data["degree3"] = f"budget exceeded: {ex}"
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        _write(json.dumps(data, indent=2))
+        return 0
+    lines = [f"q = {data['q']}: {len(data['rational'])} rational places, "
+             f"{data['degree3_count']} places of degree 3"]
+    lines += ["  " + pl for pl in data["rational"]]
+    if isinstance(data.get("degree3"), str):
+        lines.append(data["degree3"])  # the budget-exceeded message
     else:
-        print(f"q = {data['q']}: {len(data['rational'])} rational places, "
-              f"{data['degree3_count']} places of degree 3")
-        for s in data["rational"]:
-            print(" ", s)
-        if isinstance(data.get("degree3"), str):
-            print(data["degree3"])  # the budget-exceeded message
-        else:
-            for s in data.get("degree3", []):
-                print(" ", s)
+        lines += ["  " + pl for pl in data.get("degree3", [])]
+    _write("\n".join(lines))
     return 0
 
 
@@ -359,7 +367,7 @@ def cmd_verify(args) -> int:
             line += f", {unknown} unknown"
         if first:
             line += f"  (first failure: {first})"
-        print(line)
+        _write(line)
         bad += fails
     return 1 if bad else 0
 

@@ -1,15 +1,25 @@
 """Exact quotient-genus computation for subgroups of the Hermitian curve's
 automorphism group.
 
-The strategy avoids scanning places. The group is walked once per cyclic
-subgroup <sigma>: the powers of sigma up to the identity give n = ord(sigma)
-and the phi(n) generators sigma^k, gcd(k, n) = 1, which fix the same places
-as sigma, as sigma is a power of each; all is found once, at sigma. The fixed
-rational places come out of an eigenvalue analysis of sigma's matrix over
-F_{q^2}, and a pointwise-fixed degree-3 place needs an irreducible cubic
-factor of its charpoly (every line of PG(2, q^2) meets the curve only in
-rational points). Only places fixed by some nontrivial element can ramify,
-so the different degree is a sum over a handful of orbits.
+The strategy avoids scanning places. The group is walked by powers: the
+powers of sigma up to the identity give n = ord(sigma), the phi(n)
+generators sigma^k, gcd(k, n) = 1, of <sigma>, and those of each subgroup
+<sigma^d>. The generators fix the same places as sigma, as sigma is a power
+of each; all is found once, at sigma. The fixed rational places come out of
+an eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
+degree-3 place needs an irreducible cubic factor of its charpoly (every
+line of PG(2, q^2) meets the curve only in rational points). That analysis runs once per G-conjugacy class of cyclic
+subgroups: conjugating by the group's generators finds each class, and
+fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
+
+Only places fixed by some nontrivial element can ramify, so the different
+degree is a sum over a handful of orbits. Each orbit comes from a
+breadth-first search over the generators, and a place's inertia group is
+read off the walk: the identity and the generators of the records that fix
+it. The setwise stabiliser has order |G| / |orbit|, so orbit-stabiliser is a
+check at rational places and gives the residue degree at degree-3 ones. The
+i-values are computed once per cyclic subgroup and weighted by phi(n), as
+i_P(sigma^k) = i_P(sigma): the ramification groups G_i(P) are subgroups.
 
 Curve points on a projective span over F_{q^2} are found one way, by
 _form_zeros: on the span of b_1..b_k the curve equation is the form
@@ -23,8 +33,10 @@ with every automorphism here (all matrices have F_{q^2} entries), so the
 Frobenius-stable G-orbits of points of the curve, which are the rational
 places of X/G, number (1/|G|) sum over sigma of N_sigma with
 N_sigma = #{x : Frob(x) = sigma(x)}, the same for every generator of <sigma>
-and weighted by phi(n) (_rational_count). Such an x lies over F_{q^(2n)},
-and N_sigma is counted from points on one of three paths:
+and for its conjugates; it is counted once per class of cyclic subgroups
+and weighted by the phi(n) generators of each member (_rational_count).
+Such an x lies over F_{q^(2n)}, and N_sigma is counted from points on one
+of three paths:
 
   * sigma diagonalisable over F_{q^2}: in eigen-coordinates twisted by a
     (q^2 - 1)-th root of a, the solutions are the zeros in P^2(F_{q^2}) of
@@ -40,7 +52,9 @@ they are sigma's fixed rational points (_twisted_count).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
@@ -50,7 +64,7 @@ from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
-from .localval import ramification_data, to_infinity
+from .localval import fixes_pointwise, inertia_data, to_infinity
 
 
 class EngineError(GFError):
@@ -442,28 +456,60 @@ class GenusReport:
         return None if self.expected is None else self.genus == self.expected
 
 
-def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
+def _orbit(group: Group, place: Place) -> dict:
+    """The G-orbit of a place by a breadth-first search over the group's
+    generators: each member with the (place, generator) it was reached
+    from, None at the start."""
+    found = {place: None}
+    frontier = [place]
+    for pl in frontier:
+        for g in group.gens:
+            im = apply_place(g, pl)
+            if im not in found:
+                found[im] = (pl, g)
+                frontier.append(im)
+    return found
+
+
+def _carrier(orbit: dict, place: Place) -> Aut:
+    """An element taking the orbit's start to place, read back along the
+    search."""
+    steps = []
+    while orbit[place] is not None:
+        place, g = orbit[place]
+        steps.append(g)
+    return reduce(compose, reversed(steps))
+
+
+def _orbit_rows(tower: FieldTower, group: Group, walk,
                 dual_check: bool) -> list[OrbitRow]:
-    rows = []
-    todo = set(ramified)
-    while todo:
-        rep = min(todo, key=lambda p: place_sort_key(tower, p))
-        images = [apply_place(s, rep) for s in group.elements]
-        orbit = set(images)
-        todo -= orbit
-        stab = tuple(s for s, im in zip(group.elements, images) if im == rep)
-        rd = ramification_data(tower, rep, Group(tower, stab),
-                               dual_check=dual_check)
-        assert group.order == len(orbit) * rd.e * rd.f
+    """One row per orbit of ramified places. A place's inertia group is the
+    identity and the generators of the walk records that fix it (pointwise,
+    at degree 3); its setwise stabiliser has order |G| / |orbit|."""
+    inertia = {}
+    for c in walk:
+        for pl in c.fixed + c.deg3:
+            inertia.setdefault(pl, []).append((c.gens[0], len(c.gens)))
+    rows, done = [], set()
+    for rep in sorted(inertia, key=lambda p: place_sort_key(tower, p)):
+        if rep in done:
+            continue
+        orbit = _orbit(group, rep)
+        done.update(orbit)
+        assert group.order % len(orbit) == 0
+        setwise = group.order // len(orbit)
+        # at a rational place this checks orbit-stabiliser against the walk
+        rd = inertia_data(tower, rep, inertia[rep], setwise, dual_check)
         if len(orbit) > 1:
             # ramification data is constant on an orbit; recompute it at
-            # g(rep) from g D g^-1 as a guard against a broken stabiliser D
+            # g(rep) from the conjugated cyclic subgroups as a guard against
+            # a broken inertia group
             other = max(orbit, key=lambda p: place_sort_key(tower, p))
-            g = group.elements[images.index(other)]
+            g = _carrier(orbit, other)
             g_inv = inverse(g)
-            conj = tuple(compose(compose(g_inv, s), g) for s in stab)
-            rd2 = ramification_data(tower, other, Group(tower, conj),
-                                    dual_check=False)
+            conj = [(compose(compose(g_inv, s), g), w) for s, w in inertia[rep]]
+            assert all(fixes_pointwise(tower, s, other) for s, _w in conj)
+            rd2 = inertia_data(tower, other, conj, setwise, dual_check=False)
             assert (rd2.e, rd2.f, rd2.d) == (rd.e, rd.f, rd.d)
         rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
     return rows
@@ -472,31 +518,61 @@ def _orbit_rows(tower: FieldTower, group: Group, ramified: set[Place],
 class _CyclicSubgroup(NamedTuple):
     gens: list   # the generators sigma^k, gcd(k, n) = 1, sigma first
     order: int   # n = ord(sigma)
-    eig: list    # sigma's [(eigenvalue, multiplicity, basis)]
     fixed: list  # fixed rational places
     deg3: list   # pointwise-fixed degree-3 places
+    rep: int     # walk index of its conjugacy class's representative
+    eig: list | None  # sigma's [(eigenvalue, multiplicity, basis)] on a
+                      # representative, None elsewhere
 
 
 def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     """One record per nontrivial cyclic subgroup <sigma> of the group, from
-    one power walk. Its generators fix the same places as sigma, since sigma
-    is in turn a power of each."""
+    the power walk of sigma or of an element that sigma is a power of. Its
+    generators fix the same places as sigma, since sigma is in turn a power
+    of each. The eigen analysis runs once per G-conjugacy class of cyclic
+    subgroups, found by conjugating with the group's generators:
+    fixed(g sigma g^-1) = g(fixed(sigma)), so the other members of a class
+    get the representative's places moved by g."""
     q = tower.q
-    seen, out = set(), []
+    subs, where = [], {}
     for s in group.elements:
-        if s.is_identity() or s.m in seen:
+        if s.is_identity() or s.m in where:
             continue
         powers = [s]
         while not powers[-1].is_identity():
             powers.append(compose(powers[-1], s))
         n = len(powers)
-        gens = [powers[k - 1] for k in range(1, n) if gcd(k, n) == 1]
-        seen.update(g.m for g in gens)
-        eigen = _eigen_data(tower, s)
-        fixed = fixed_rational_places(tower, s, eigen)
-        deg3 = (pointwise_fixed_degree3_places(tower, s, eigen)
+        # <s> and each subgroup <s^d> not met yet, generated by the s^(dk)
+        # with gcd(k, n/d) = 1
+        for d in range(1, n):
+            if n % d or powers[d - 1].m in where:
+                continue
+            gens = [powers[d * k - 1] for k in range(1, n // d)
+                    if gcd(k, n // d) == 1]
+            where.update((g.m, len(subs)) for g in gens)
+            subs.append((gens, n // d))
+    conj = [(g, inverse(g)) for g in group.gens]
+    out = [None] * len(subs)
+    for i, (gens, n) in enumerate(subs):
+        if out[i] is not None:
+            continue
+        eigen = _eigen_data(tower, gens[0])
+        fixed = fixed_rational_places(tower, gens[0], eigen)
+        deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
                 if (q * q - q + 1) % n == 0 else [])
-        out.append(_CyclicSubgroup(gens, n, eigen[0], fixed, deg3))
+        out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eigen[0])
+        # the class, each member with an element carrying i's places to its
+        frontier = [(i, None)]
+        for j, t in frontier:
+            s = subs[j][0][0]
+            for g, g_inv in conj:
+                k = where[compose(compose(g_inv, s), g).m]
+                if out[k] is None:
+                    tg = g if t is None else compose(t, g)
+                    out[k] = _CyclicSubgroup(
+                        subs[k][0], n, [apply_place(tg, p) for p in fixed],
+                        [apply_place(tg, p) for p in deg3], i, None)
+                    frontier.append((k, tg))
     return out
 
 
@@ -524,19 +600,24 @@ def _rational_count(tower: FieldTower, group_order: int, walk):
     top = q ** 3 + 1  # the identity: every rational point
     total = fixed = over_q6 = top
     uncounted = set()
-    for c in walk:
+    members = Counter(c.rep for c in walk)
+    for i, c in enumerate(walk):
+        if c.rep != i:
+            continue
         # sigma and its phi(n) generators sigma^k fix the same points, and
         # i_P(sigma^k) = i_P(sigma) as sigma is in G_i(P) iff <sigma> is; so
         # they share the Lefschetz number and the trace on H^1, which on the
-        # maximal curve gives N_sigma = N_(sigma^k), counted once from points
-        phi = len(c.gens)
+        # maximal curve gives N_sigma = N_(sigma^k). N_sigma is a class
+        # function, as Frobenius commutes with G, so it is counted once from
+        # points for each class of conjugate cyclic subgroups
+        weight = members[i] * len(c.gens)
         tc = _twisted_count(tower, c.gens[0], c.order, c.eig, c.fixed)
-        fixed += phi * len(c.fixed)
-        over_q6 += phi * tc.n6
+        fixed += weight * len(c.fixed)
+        over_q6 += weight * tc.n6
         if tc.n is None:
             uncounted.add(c.order)
         else:
-            total += phi * tc.n
+            total += weight * tc.n
     assert fixed % group_order == 0 and over_q6 % group_order == 0
     f3 = (over_q6 - fixed) // group_order
     if uncounted:
@@ -553,8 +634,7 @@ def genus_of_quotient(tower: FieldTower, group: Group,
                       dual_check: bool = True) -> GenusReport:
     q = tower.q
     walk = _cyclic_walk(tower, group)
-    ramified = {pl for c in walk for pl in c.fixed + c.deg3}
-    rows = _orbit_rows(tower, group, ramified, dual_check)
+    rows = _orbit_rows(tower, group, walk, dual_check)
     deg_diff = sum(r.d * r.size * r.degree for r in rows)
     genus = _hurwitz_genus(q, group.order, deg_diff)
     n_rational = f3 = maximal = sub = None

@@ -13,8 +13,10 @@ i_P(sigma) = v(l_0(M w) - t l_1(M w)) - v(l_1(M w)), scanned over the few
 exponents where w or t w has a nonzero coefficient; no series is multiplied.
 
 The different exponent of a place P in the quotient by a group G is
-d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma). The same
-number is the Hilbert sum sum_i (|G_i| - 1) over the ramification
+d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma). Each G_i
+is a subgroup, so the generators of a cyclic subgroup share one i-value,
+and inertia_data takes one generator per cyclic subgroup with a weight. The
+same number is the Hilbert sum sum_i (|G_i| - 1) over the ramification
 filtration, which we recompute as a consistency check whenever the i-values
 are on hand.
 """
@@ -146,55 +148,72 @@ def _is_prime_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
+def fixes_pointwise(tower: FieldTower, aut: Aut, place: Place) -> bool:
+    """Whether aut fixes every point of the place. Its matrix has F_{q^2}
+    entries and so commutes with Frobenius: at a degree-3 place, fixing one
+    point fixes its conjugates."""
+    if place.kind != "degree3":
+        return apply_place(aut, place) == place
+    pt = place.data[0]
+    return normalize_point(tower.q6, apply_point(aut, tower.q6, pt)) == pt
+
+
 def ramification_data(tower: FieldTower, place: Place, group: Group,
                       dual_check: bool = True) -> RamificationData:
-    p, q = tower.p, tower.q
-    if place.kind != "degree3":
-        stab = [s for s in group.elements
-                if not s.is_identity() and apply_place(s, place) == place]
-        e = len(stab) + 1
-        assert group.order % e == 0
-        wild = e % p == 0
-        if not wild and not dual_check:
-            return RamificationData(place, e, 1, e - 1, None)
-        frame = expand_at(tower, place, _start_horizon(q)) if stab else None
-        ivals = sorted(i_value(tower, place, s, frame) for s in stab)
-        assert all(v >= 1 for v in ivals), "stabilizer elements must fix P"
-        d_sum = sum(ivals)
-        # Hilbert form of the same sum, plus structural checks on the
-        # filtration sizes
-        imax = ivals[-1] if ivals else 0
-        d_hilbert = 0
-        for i in range(imax):
-            gi = 1 + sum(1 for v in ivals if v >= i + 1)
-            if i == 0:
-                assert gi == e
-            if i == 1:
-                assert _is_prime_power_of(gi, p)
-            d_hilbert += gi - 1
-        assert d_hilbert == d_sum
-        if not wild:
-            assert all(v == 1 for v in ivals)
-            assert d_sum == e - 1
-        else:
-            assert d_sum >= e, "wild ramification forces d >= e"
-        return RamificationData(place, e, 1, d_sum, tuple(ivals))
-    # degree-3 places are always tamely ramified with cyclic inertia of
-    # order dividing q^2 - q + 1
-    q6 = tower.q6
-    pt0 = place.data[0]
-    setwise = 1
-    pointwise = 1
+    """Ramification data at a place in the quotient by a whole group, from
+    its stabiliser found by applying every element."""
+    setwise, inertia = 1, []
     for s in group.elements:
-        if s.is_identity():
+        if s.is_identity() or apply_place(s, place) != place:
             continue
-        if apply_place(s, place) == place:
-            setwise += 1
-            if normalize_point(q6, apply_point(s, q6, pt0)) == pt0:
-                pointwise += 1
-    e = pointwise
+        setwise += 1
+        if place.kind != "degree3" or fixes_pointwise(tower, s, place):
+            inertia.append((s, 1))
+    assert group.order % setwise == 0
+    return inertia_data(tower, place, inertia, setwise, dual_check)
+
+
+def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
+                 dual_check: bool = True) -> RamificationData:
+    """Ramification data at a place from its inertia group, the elements
+    that fix it pointwise, given as pairs (sigma, weight): sigma generates
+    a cyclic subgroup, standing for weight elements that share its i-value.
+    The phi(n) generators of a cyclic subgroup of order n do, as every
+    G_i(P) is a subgroup. setwise is the order of the setwise stabiliser."""
+    p, q = tower.p, tower.q
+    e = 1 + sum(w for _s, w in inertia)
     assert setwise % e == 0
     f = setwise // e
-    assert f in (1, 3)
-    assert (q * q - q + 1) % e == 0 and e % p != 0
-    return RamificationData(place, e, f, e - 1, None)
+    if place.kind == "degree3":
+        # degree-3 places are always tamely ramified with cyclic inertia of
+        # order dividing q^2 - q + 1
+        assert f in (1, 3)
+        assert (q * q - q + 1) % e == 0 and e % p != 0
+        return RamificationData(place, e, f, e - 1, None)
+    assert f == 1, "a rational place has residue degree 1"
+    wild = e % p == 0
+    if not wild and not dual_check:
+        return RamificationData(place, e, 1, e - 1, None)
+    frame = expand_at(tower, place, _start_horizon(q)) if inertia else None
+    ivals = sorted((i_value(tower, place, s, frame), w) for s, w in inertia)
+    assert all(v >= 1 for v, _w in ivals), "stabilizer elements must fix P"
+    d_sum = sum(v * w for v, w in ivals)
+    # Hilbert form of the same sum, plus structural checks on the
+    # filtration sizes
+    imax = ivals[-1][0] if ivals else 0
+    d_hilbert = 0
+    for i in range(imax):
+        gi = 1 + sum(w for v, w in ivals if v >= i + 1)
+        if i == 0:
+            assert gi == e
+        if i == 1:
+            assert _is_prime_power_of(gi, p)
+        d_hilbert += gi - 1
+    assert d_hilbert == d_sum
+    if not wild:
+        assert all(v == 1 for v, _w in ivals)
+        assert d_sum == e - 1
+    else:
+        assert d_sum >= e, "wild ramification forces d >= e"
+    return RamificationData(place, e, 1, d_sum,
+                            tuple(v for v, w in ivals for _ in range(w)))

@@ -3,6 +3,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermquot.autgrp import (
     DSLError,
@@ -24,6 +26,7 @@ from hermquot.autgrp import (
 )
 from hermquot.curve import rational_places
 from hermquot.gf import GFError
+from test_acceptance import random_atom
 
 
 def test_pgu_order_values():
@@ -180,3 +183,23 @@ def test_dsl_errors(tw4):
     for bad in ("eps(", "omega omega", "sigma4(delta=)", "frob", "eps(a^)"):
         with pytest.raises(DSLError):
             parse_spec(tw4, bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rng=st.randoms(use_true_random=False), q=st.sampled_from([2, 3, 4, 5]))
+def test_close_group_is_a_subgroup(towers, rng, q):
+    # the closure of 1-3 random atoms, redrawn while it passes the cap
+    tw = towers[q]
+    while True:
+        atoms = [random_atom(tw, rng) for _ in range(rng.randrange(1, 4))]
+        try:
+            grp = close_group(tw, atoms, cap=600)
+            break
+        except GFError:
+            continue
+    elements = {f.m for f in grp.elements}
+    assert len(elements) == grp.order and pgu_order(q) % grp.order == 0
+    for _ in range(50):
+        f, g = rng.choice(grp.elements), rng.choice(grp.elements)
+        assert compose(f, g).m in elements
+    assert close_group(tw, grp.gens, cap=600).elements == grp.elements

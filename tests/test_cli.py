@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hermquot
 from hermquot.cli import main
 
 
@@ -237,3 +241,20 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     line = next(l for l in out.splitlines() if l.startswith("relations:"))
     assert " 0 failed" not in line
+
+
+def test_closed_pipe_ends_output_quietly():
+    # about 85 KB of output, more than a 64 KiB pipe buffer holds, so the
+    # command is still writing when the reader closes the pipe after one line
+    src = os.path.dirname(os.path.dirname(hermquot.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hermquot.cli", "places", "--q", "16",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert code == 0

@@ -22,10 +22,12 @@ from hermquot.autgrp import (
     inverse,
     omega,
     parse_spec,
+    pgu_order,
 )
 from hermquot.curve import (
     degree3_places,
     normalize_point,
+    place_sort_key,
     rational_places,
 )
 from hermquot.engine import (
@@ -33,6 +35,8 @@ from hermquot.engine import (
     _cyclic_walk,
     _eigen_data,
     _form_zeros,
+    _orbit_rows,
+    _rational_count,
     _twisted_count,
     fixed_rational_places,
     genus_of_quotient,
@@ -43,6 +47,11 @@ from hermquot.engine import (
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
 from hermquot.gf import GFError, poly_roots
+from _walk_oracle import (
+    orbit_rows_by_images,
+    rational_count_per_subgroup,
+    walk_per_subgroup,
+)
 from test_acceptance import GRID, random_atom, random_group
 
 
@@ -248,21 +257,29 @@ def test_expected_mismatch_reported(tw4):
 
 def _check_walk_per_element(tw, grp):
     # every nontrivial element generates exactly one record of the walk, and
-    # the record holds what the per-element route finds for it; sigma's
-    # twisted count stands for all its generators
+    # the record holds what the per-element route finds for it; a class
+    # representative's twisted count stands for every generator of every
+    # cyclic subgroup in its class
     walk = _cyclic_walk(tw, grp)
     assert sorted(f.m for c in walk for f in c.gens) == sorted(
         f.m for f in grp.elements if not f.is_identity())
-    for c in walk:
-        sigma = c.gens[0]
-        assert c.eig == _eigen_data(tw, sigma)[0]
-        count = _twisted_count(tw, sigma, c.order, c.eig, c.fixed)
-        assert count == twisted_counts(tw, sigma)
+    counts = {}
+    for i, c in enumerate(walk):
+        rep = walk[c.rep]
+        assert rep.rep == c.rep <= i and rep.order == c.order
+        if c.rep == i:
+            sigma = c.gens[0]
+            assert c.eig == _eigen_data(tw, sigma)[0]
+            counts[i] = _twisted_count(tw, sigma, c.order, c.eig, c.fixed)
+            assert counts[i] == twisted_counts(tw, sigma)
+        else:
+            assert c.eig is None
         for f in c.gens:
             assert aut_order(f) == c.order
-            assert c.fixed == fixed_rational_places(tw, f)
+            assert sorted(c.fixed, key=lambda p: place_sort_key(tw, p)) == (
+                fixed_rational_places(tw, f))
             assert c.deg3 == pointwise_fixed_degree3_places(tw, f)
-            assert twisted_counts(tw, f)[:2] == count[:2]
+            assert twisted_counts(tw, f)[:2] == counts[c.rep][:2]
 
 
 def _grid_specs(q):
@@ -369,3 +386,61 @@ def test_conjugation_leaves_reports_unchanged(towers, rng):
             conj = close_group(tw, [compose(compose(c_inv, g), c) for g in gens])
             assert _report_key(genus_of_quotient(tw, conj)) == _report_key(
                 genus_of_quotient(tw, close_group(tw, gens)))
+
+
+def _pgu(tw):
+    """PGU(3, q), generated by omega, eps(a) and one translation."""
+    c = tw.solve_additive_raw(1)[0]
+    return close_group(tw, [omega(tw), epsilon(tw, tw.a),
+                            from_affine(tw, 1, 1, c)],
+                       cap=pgu_order(tw.q) + 1)
+
+
+def _check_against_oracle(tw, grp):
+    # the walk per conjugacy class, the orbits from generators and the count
+    # per class against a walk per cyclic subgroup, |G| images per orbit and
+    # a count per cyclic subgroup
+    walk, old = _cyclic_walk(tw, grp), walk_per_subgroup(tw, grp)
+
+    def records(w):
+        return {frozenset(f.m for f in c.gens):
+                (c.order, sorted(c.fixed, key=lambda p: place_sort_key(tw, p)),
+                 c.deg3) for c in w}
+
+    assert records(walk) == records(old)
+    for dual in (False, True):
+        assert _orbit_rows(tw, grp, walk, dual) == orbit_rows_by_images(
+            tw, grp, old, dual)
+    assert _rational_count(tw, grp.order, walk) == (
+        rational_count_per_subgroup(tw, grp.order, old))
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
+def test_walk_per_class_vs_oracle_on_grid(towers, q):
+    for spec in _grid_specs(q):
+        _check_against_oracle(towers[q], group_from_spec(towers[q], spec))
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_walk_per_class_vs_oracle_on_9c_stream(towers, q):
+    tw = towers[q]
+    rng = random.Random(12345 + q)
+    for _ in range(10):
+        _check_against_oracle(tw, random_group(tw, rng))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_walk_per_class_vs_oracle_on_pgu(towers, q):
+    grp = _pgu(towers[q])
+    assert grp.order == pgu_order(q)
+    _check_against_oracle(towers[q], grp)
+
+
+def test_pgu33_quotient_rows(tw3):
+    # X/PGU(3, q) is rational: P_inf's orbit is every rational place, and
+    # one orbit of degree-3 places with a cyclic inertia group of order
+    # q^2 - q + 1 ramifies too
+    rep = genus_of_quotient(tw3, _pgu(tw3))
+    assert (rep.genus, rep.deg_diff) == (0, 12100)
+    assert [(r.rep.kind, r.size, r.e, r.d) for r in rep.orbits] == [
+        ("infinity", 28, 216, 247), ("degree3", 288, 7, 6)]
