@@ -5,14 +5,31 @@ IDENTITY3 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def mat_mul3(lvl, A, B):
-    """Product of two 3x3 matrices given as row-major 9-tuples."""
-    m, ad = lvl.mul, lvl.add
-    out = []
-    for i in (0, 3, 6):
-        for j in (0, 1, 2):
-            out.append(ad(ad(m(A[i], B[j]), m(A[i + 1], B[j + 3])),
-                          m(A[i + 2], B[j + 6])))
-    return tuple(out)
+    """Product of 3x3 matrices over F_{q^2} (row-major 9-tuples): x y is
+    E[L[x] + L[y]], and x + y is x ^ y in characteristic 2, else T[x |F| + y]."""
+    E, L = lvl._E, lvl._L
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(L.__getitem__, A)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(L.__getitem__, B)
+    if lvl.p == 2:
+        return (E[a0 + b0] ^ E[a1 + b3] ^ E[a2 + b6],
+                E[a0 + b1] ^ E[a1 + b4] ^ E[a2 + b7],
+                E[a0 + b2] ^ E[a1 + b5] ^ E[a2 + b8],
+                E[a3 + b0] ^ E[a4 + b3] ^ E[a5 + b6],
+                E[a3 + b1] ^ E[a4 + b4] ^ E[a5 + b7],
+                E[a3 + b2] ^ E[a4 + b5] ^ E[a5 + b8],
+                E[a6 + b0] ^ E[a7 + b3] ^ E[a8 + b6],
+                E[a6 + b1] ^ E[a7 + b4] ^ E[a8 + b7],
+                E[a6 + b2] ^ E[a7 + b5] ^ E[a8 + b8])
+    T, s = lvl._addt, lvl.size
+    return (T[T[E[a0 + b0] * s + E[a1 + b3]] * s + E[a2 + b6]],
+            T[T[E[a0 + b1] * s + E[a1 + b4]] * s + E[a2 + b7]],
+            T[T[E[a0 + b2] * s + E[a1 + b5]] * s + E[a2 + b8]],
+            T[T[E[a3 + b0] * s + E[a4 + b3]] * s + E[a5 + b6]],
+            T[T[E[a3 + b1] * s + E[a4 + b4]] * s + E[a5 + b7]],
+            T[T[E[a3 + b2] * s + E[a4 + b5]] * s + E[a5 + b8]],
+            T[T[E[a6 + b0] * s + E[a7 + b3]] * s + E[a8 + b6]],
+            T[T[E[a6 + b1] * s + E[a7 + b4]] * s + E[a8 + b7]],
+            T[T[E[a6 + b2] * s + E[a7 + b5]] * s + E[a8 + b8]])
 
 
 def mat_vec3(lvl, A, v):

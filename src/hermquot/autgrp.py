@@ -76,9 +76,18 @@ def from_affine(tower: FieldTower, a: int, b: int, c: int) -> Aut:
 
 
 def compose(f: Aut, g: Aut) -> Aut:
-    """f o g as maps of functions (g applied first); point matrix M_g M_f."""
+    """f o g as maps of functions (g applied first); point matrix M_g M_f,
+    scaled in the log domain so that its first nonzero entry is 1."""
     lvl = f.tower.q2
-    return Aut(f.tower, normalize_point(lvl, mat_mul3(lvl, g.m, f.m)))
+    m = mat_mul3(lvl, g.m, f.m)
+    c = next(filter(None, m), 0)
+    if c != 1:
+        if not c:
+            raise GFError("zero vector is not a projective point")
+        E, L = lvl._E, lvl._L
+        s = lvl.size - 1 - L[c]
+        m = tuple([E[L[x] + s] for x in m])
+    return Aut(f.tower, m)
 
 
 def inverse(f: Aut) -> Aut:
@@ -180,8 +189,9 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
         frontier = nxt
     order = len(seen)
     assert pgu_order(tower.q) % order == 0, "closure is not a subgroup"
+    rank = tower.q2.rank.__getitem__
     elements = tuple(sorted(seen.values(),
-                            key=lambda a: tuple(tower.q2.key(c) for c in a.m)))
+                            key=lambda a: tuple(map(rank, a.m))))
     return Group(tower, elements, gens)
 
 

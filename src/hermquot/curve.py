@@ -54,8 +54,8 @@ def place_sort_key(tower: FieldTower, place: Place):
     if place.kind == "infinity":
         return (0, ())
     if place.kind == "rational":
-        k = tower.q2.key
-        return (1, (k(place.alpha), k(place.beta)))
+        rank = tower.q2.rank
+        return (1, (rank[place.alpha], rank[place.beta]))
     k6 = tower.q6.key
     return (2, tuple(tuple(k6(c) for c in pt) for pt in place.data))
 
@@ -119,8 +119,9 @@ def rational_places(tower: FieldTower) -> list[Place]:
     """All q^3 + 1 rational places, infinity first, then sorted (alpha, beta)."""
     q2 = tower.q2
     out = [P_INF]
-    for alpha in sorted(range(q2.size), key=q2.key):
-        for beta in sorted(tower.solve_additive_raw(alpha, "q2"), key=q2.key):
+    rank = q2.rank.__getitem__
+    for alpha in q2.elements_by_key():
+        for beta in sorted(tower.solve_additive_raw(alpha, "q2"), key=rank):
             out.append(rational_place(alpha, beta))
     assert len(out) == tower.q ** 3 + 1
     return out

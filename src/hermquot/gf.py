@@ -8,16 +8,20 @@ this packing the embedding F_{q^2} -> F_{q^6} is the identity on integers.
 
 Both moduli and the canonical primitive are picked by a fixed deterministic
 rule (least coefficient tuple, compared from the constant term upward), so
-two towers built for the same (p, e) are bit-identical.
+two towers built for the same (p, e) are bit-identical.  The F_{q^2} tables
+come from one linear walk: the powers of each candidate in key order, until
+one candidate's powers fill F_{q^2}^*.
 
 There is one polynomial arithmetic: the generic p_* helpers, which run over
 any level (F_p, F_{q^2} or F_{q^6}).  They test the base modulus for
-irreducibility, make the products that fill the F_{q^2} tables, and find
-roots; only the F_{q^6} product is written out by hand, as the hot path.
+irreducibility and find roots.  Two hot paths are written out by hand: the
+F_{q^6} product, and the 3x3 matrix product over F_{q^2} (_linalg.mat_mul3),
+which reads the F_{q^2} log/exp and addition tables directly.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 
@@ -102,8 +106,26 @@ def _is_irreducible(fp: _PrimeLevel, f) -> bool:
         len(p_gcd(fp, f, frob_minus_x(d // r))) == 1 for r in factorize(d))
 
 
+class _DigitSums:
+    """The addition table, entry x |F| + y = x + y, computed on demand."""
+
+    def __init__(self, lvl):
+        self.lvl = lvl
+
+    def __getitem__(self, i):
+        lvl = self.lvl
+        x, y = divmod(i, lvl.size)
+        return lvl.pack([(u + v) % lvl.p for u, v in
+                         zip(lvl.digits(x), lvl.digits(y))])
+
+
 class BaseLevel:
-    """F_{q^2} with exp/log tables generated by the canonical primitive."""
+    """F_{q^2} with exp/log tables generated by the canonical primitive.
+
+    With n = q^2 - 1, _L is the log table with log 0 = 2n and _E the exp
+    table twice and then 2n + 1 zeros, so x y = _E[_L[x] + _L[y]] with no
+    branch; _addt[x |F| + y] = x + y for odd p.  rank[x] is x's place in
+    key order."""
 
     name = "q2"
 
@@ -117,7 +139,6 @@ class BaseLevel:
         if self.size > TABLE_LIMIT:
             raise GFError(f"|F_q^2| = {self.size} exceeds the desk-scale table limit")
         self.mod = self._find_modulus()
-        self.a = self._find_primitive()
         self._build_tables()
 
     # -- packing -----------------------------------------------------------
@@ -145,69 +166,84 @@ class BaseLevel:
         for coeffs in itertools.product(range(self.p), repeat=self.deg):
             if coeffs[0] == 0:
                 continue  # constant term zero is always reducible
-            if _is_irreducible(fp, [*coeffs, 1]):
+            f = [*coeffs, 1]
+            # so is f with a root in F_p, a test far cheaper than Rabin's
+            rootless = all(p_eval(fp, f, r) for r in range(1, self.p))
+            if rootless and _is_irreducible(fp, f):
                 return coeffs
         raise GFError("no irreducible modulus found")  # pragma: no cover
 
-    def _find_primitive(self) -> int:
-        fp, m, n = _PrimeLevel(self.p), [*self.mod, 1], self.size - 1
-        fac = factorize(n)
-        for x in sorted(range(1, self.size), key=self.key):
-            if all(p_powmod(fp, self.digits(x), n // r, m) != [1] for r in fac):
-                return x
-        raise GFError("no primitive element")  # pragma: no cover
-
     def _build_tables(self):
-        fp, m = _PrimeLevel(self.p), [*self.mod, 1]
-        a = p_trim(list(self.digits(self.a)))
-        n = self.size - 1
-        exp = [0] * n
-        log = [-1] * self.size
-        cur = [1]
-        for i in range(n):
-            x = self.pack(cur)
-            exp[i] = x
-            log[x] = i
-            cur = p_mod(fp, p_mul(fp, a, cur), m)
-        assert cur == [1]
-        self.exp, self.log = exp, log
-        if self.p == 2:
+        p, deg, size, n = self.p, self.deg, self.size, self.size - 1
+        # key order is the order of the digit-reversed integers, so the
+        # reversal is the rank, and, being an involution, its inverse too
+        rank = [0]
+        for _ in range(deg):
+            rank = [r * p + d for d in range(p) for r in rank]
+        self.rank = rank
+        if p == 2:
             self.negt = None
-            self.add = lambda x, y: x ^ y
+            self.add = add = operator.xor
             self.neg = lambda x: x
         else:
-            p = self.p
-            self.negt = [self.pack(tuple((-d) % p for d in self.digits(x)))
-                         for x in range(self.size)]
-            if self.size <= ADD_TABLE_LIMIT:
-                sz = self.size
+            self.negt = [self.pack([(-d) % p for d in self.digits(x)])
+                         for x in range(size)]
+            self.neg = self.negt.__getitem__
+            if size <= ADD_TABLE_LIMIT:
                 # digit by digit: with x = x0 + p x' and y = y0 + p y', x + y
-                # is (x0 + y0) mod p + p (x' + y'), x' + y' one digit shorter
+                # is (x0 + y0) mod p + p (x' + y'), so row x0 + p x' is row
+                # p x' with its digit blocks rotated by x0
                 addt, s = [0], 1
-                for _ in range(self.deg):
-                    addt = [p * v + (x0 + y0) % p
-                            for x1 in range(s) for x0 in range(p)
-                            for v in addt[x1 * s:(x1 + 1) * s]
-                            for y0 in range(p)]
-                    s *= p
-                self.add = lambda x, y: addt[x * sz + y]
+                for _ in range(deg):
+                    S = s * p
+                    rows = [0] * (S * S)
+                    for x1 in range(s):
+                        pv = addt[x1 * s:(x1 + 1) * s]
+                        cols = [[p * v + d for v in pv] for d in range(p)]
+                        for x0 in range(p):
+                            o = (x1 * p + x0) * S
+                            for y0 in range(p):
+                                rows[o + y0:o + S:p] = cols[(x0 + y0) % p]
+                    addt, s = rows, S
             else:  # pragma: no cover - beyond desk scale
-                self.add = lambda x, y: self.pack(
-                    tuple((u + v) % p for u, v in
-                          zip(self.digits(x), self.digits(y))))
-            self.neg = lambda x: self.negt[x]
-        self.frobt = [0] * self.size
-        for x in range(1, self.size):
-            self.frobt[x] = exp[(log[x] * self.q) % n]
+                addt = _DigitSums(self)
+            self._addt = addt
+            self.add = add = lambda x, y: addt[x * size + y]
+        # The canonical primitive is the first candidate in key order whose
+        # powers walk through all of F^*; that walk is the exp table.  With
+        # y = y0 + X y', the table of y -> x y is y0 x + X (x y'), where X z
+        # shifts z's digits up one place and reduces the top one by the modulus.
+        top = p ** (deg - 1)
+        red = [self.pack([(-t * c) % p for c in self.mod]) for t in range(p)]
+        for x in rank[1:]:
+            xs, tab = [0], [0] * size
+            for _ in range(p - 1):
+                xs.append(add(xs[-1], x))
+            for y in range(1, size):
+                z = tab[y // p]
+                tab[y] = add(xs[y % p], add(z % top * p, red[z // top]))
+            exp, cur = [1], tab[1]
+            while cur != 1:
+                exp.append(cur)
+                cur = tab[cur]
+            if len(exp) == n:
+                break
+        else:  # pragma: no cover
+            raise GFError("no primitive element")
+        log = [-1] * size
+        for i, v in enumerate(exp):
+            log[v] = i
+        self.a, self.exp, self.log = x, exp, log
+        self._E = exp + exp + [0] * (2 * n + 1)
+        self._L = [2 * n] + log[1:]
+        self.frobt = [0] + [exp[l * self.q % n] for l in log[1:]]
 
     # -- arithmetic ---------------------------------------------------------
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.size - 1)]
+        return self._E[self._L[x] + self._L[y]]
 
     def inv(self, x):
         if x == 0:
@@ -236,7 +272,7 @@ class BaseLevel:
         return self.log[x]
 
     def elements_by_key(self):
-        return sorted(range(self.size), key=self.key)
+        return list(self.rank)
 
 
 class ExtLevel:
@@ -289,9 +325,10 @@ class ExtLevel:
         return c0 + c1 * self._Q + c2 * self._Q2
 
     def key(self, x):
+        """Ordering key: the base keys' order, coefficient by coefficient."""
         c0, c1, c2 = self.unpack(x)
-        k = self.base.key
-        return (k(c0), k(c1), k(c2))
+        rank = self.base.rank
+        return (rank[c0], rank[c1], rank[c2])
 
     def add(self, x, y):
         a0, a1, a2 = self.unpack(x)
@@ -505,7 +542,8 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
         rng = random.Random(0xC0FFEE ^ seed ^ len(cs))
         roots = _split_linears(lvl, g, rng) if len(g) > 1 else []
     out = []
-    for r in sorted(roots, key=lvl.key):
+    key = lvl.rank.__getitem__ if lvl.name == "q2" else lvl.key
+    for r in sorted(roots, key=key):
         mult = 0
         rest = cs
         while True:

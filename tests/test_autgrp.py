@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermquot._linalg import mat_mul3
 from hermquot.autgrp import (
+    Aut,
     DSLError,
     apply_place,
     aut_order,
@@ -24,8 +26,8 @@ from hermquot.autgrp import (
     sigma4,
     sigma5,
 )
-from hermquot.curve import rational_places
-from hermquot.gf import GFError
+from hermquot.curve import normalize_point, rational_places
+from hermquot.gf import GFError, build_tower, factorize
 from test_acceptance import random_atom
 
 
@@ -203,3 +205,64 @@ def test_close_group_is_a_subgroup(towers, rng, q):
         f, g = rng.choice(grp.elements), rng.choice(grp.elements)
         assert compose(f, g).m in elements
     assert close_group(tw, grp.gens, cap=600).elements == grp.elements
+
+
+COMPOSE_QS = [2, 3, 4, 5, 8, 9, 16, 25]
+
+
+@pytest.fixture(scope="module")
+def compose_towers(towers):
+    out = {}
+    for q in COMPOSE_QS:
+        (p, e), = factorize(q).items()
+        out[q] = towers[q] if q in towers else build_tower(p, e)
+    return out
+
+
+def _schoolbook(lvl, A, B):
+    """Test-only oracle for A B: each entry product is a product of digit
+    polynomials reduced mod the modulus over F_p, and sums go digit by
+    digit."""
+    from hermquot.gf import _PrimeLevel, p_mod, p_mul, p_trim
+
+    p, fp, m = lvl.p, _PrimeLevel(lvl.p), [*lvl.mod, 1]
+
+    def mul(x, y):
+        xs, ys = (p_trim(list(lvl.digits(v))) for v in (x, y))
+        return lvl.digits(lvl.pack(p_mod(fp, p_mul(fp, xs, ys), m)))
+
+    def entry(i, j):
+        terms = [mul(A[3 * i + k], B[3 * k + j]) for k in range(3)]
+        return lvl.pack([sum(ds) % p for ds in zip(*terms)])
+
+    return tuple(entry(i, j) for i in range(3) for j in range(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), q=st.sampled_from(COMPOSE_QS))
+def test_compose_matches_schoolbook_product(compose_towers, data, q):
+    # zero entries and zero rows are drawn often, and so are singular and
+    # zero products; compose(f, g) has the point matrix M_g M_f
+    tw = compose_towers[q]
+    lvl = tw.q2
+    entry = st.one_of(st.just(0), st.integers(1, lvl.size - 1))
+    row = st.one_of(st.just((0, 0, 0)), st.tuples(entry, entry, entry))
+    mat = st.tuples(row, row, row).map(lambda rs: rs[0] + rs[1] + rs[2])
+    A, B = data.draw(mat), data.draw(mat)
+    prod = _schoolbook(lvl, A, B)
+    assert mat_mul3(lvl, A, B) == prod
+    if any(prod):
+        assert compose(Aut(tw, B), Aut(tw, A)).m == normalize_point(lvl, prod)
+    else:
+        with pytest.raises(GFError):
+            compose(Aut(tw, B), Aut(tw, A))
+
+
+@pytest.mark.parametrize("q", COMPOSE_QS)
+def test_compose_zero_product_raises(compose_towers, q):
+    # A keeps only B's zero first row, so the product is the zero matrix
+    tw = compose_towers[q]
+    A, B = (1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0, 0, 1)
+    assert mat_mul3(tw.q2, A, B) == (0,) * 9
+    with pytest.raises(GFError):
+        compose(Aut(tw, B), Aut(tw, A))

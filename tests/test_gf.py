@@ -67,6 +67,56 @@ def test_canonical_tower_pinned(q):
     assert (tw.q2.mod, tw.a, tw.q6.mod) == CANONICAL_TOWERS[q]
 
 
+# The rank and table tests run at every pinned q and at the largest desk
+# sizes of each kind: odd with the addition table (25, 27) and even (32).
+TABLE_QS = sorted(CANONICAL_TOWERS) + [25, 27, 32]
+
+
+def _q2_level(towers, q):
+    (p, e), = factorize(q).items()
+    return towers[q].q2 if q in towers else build_tower(p, e).q2
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_rank_is_key_order(towers, q):
+    # rank is built by digit reversal, not by a sort; it must be each
+    # element's position in the order of its key
+    lvl = _q2_level(towers, q)
+    by_key = sorted(range(lvl.size), key=lvl.key)
+    assert [lvl.rank[x] for x in by_key] == list(range(lvl.size))
+    assert lvl.elements_by_key() == by_key
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_tables_match_the_generic_walk(towers, q):
+    # exp, log, frobt, negt and the product against the walk
+    # exp[i+1] = a exp[i] mod m made by the generic helpers over F_p
+    from hermquot.gf import _PrimeLevel, p_mod, p_mul, p_trim
+
+    lvl = _q2_level(towers, q)
+    p, n = lvl.p, lvl.size - 1
+    fp, m = _PrimeLevel(p), [*lvl.mod, 1]
+    a = p_trim(list(lvl.digits(lvl.a)))
+    exp, cur = [], [1]
+    for _ in range(n):
+        exp.append(lvl.pack(cur))
+        cur = p_mod(fp, p_mul(fp, a, cur), m)
+    assert cur == [1] and sorted(exp) == list(range(1, lvl.size))
+    log = [-1] * lvl.size
+    for i, x in enumerate(exp):
+        log[x] = i
+    assert lvl.exp == exp
+    assert lvl.log == log
+    assert lvl.frobt == [0] + [exp[log[x] * q % n] for x in range(1, lvl.size)]
+    neg = [lvl.pack([(-d) % p for d in lvl.digits(x)]) for x in range(lvl.size)]
+    assert lvl.negt == (None if p == 2 else neg)
+    rng = random.Random(q)
+    for x in range(lvl.size):
+        y = rng.randrange(lvl.size)
+        want = exp[(log[x] + log[y]) % n] if x and y else 0
+        assert lvl.mul(x, y) == want
+
+
 def _mobius(n):
     fac = factorize(n)
     return 0 if any(k > 1 for k in fac.values()) else (-1) ** len(fac)
