@@ -33,9 +33,23 @@ def mat_mul3(lvl, A, B):
 
 
 def mat_vec3(lvl, A, v):
-    m, ad = lvl.mul, lvl.add
-    return tuple(ad(ad(m(A[i], v[0]), m(A[i + 1], v[1])), m(A[i + 2], v[2]))
-                 for i in (0, 3, 6))
+    """A v for a 3x3 matrix over F_{q^2}; v at F_{q^2} goes through the
+    tables as in mat_mul3, v at F_{q^6} through the level's own arithmetic."""
+    if lvl.name != "q2":
+        m, ad = lvl.mul, lvl.add
+        return tuple(ad(ad(m(A[i], v[0]), m(A[i + 1], v[1])), m(A[i + 2], v[2]))
+                     for i in (0, 3, 6))
+    E, L = lvl._E, lvl._L
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(L.__getitem__, A)
+    v0, v1, v2 = map(L.__getitem__, v)
+    if lvl.p == 2:
+        return (E[a0 + v0] ^ E[a1 + v1] ^ E[a2 + v2],
+                E[a3 + v0] ^ E[a4 + v1] ^ E[a5 + v2],
+                E[a6 + v0] ^ E[a7 + v1] ^ E[a8 + v2])
+    T, s = lvl._addt, lvl.size
+    return (T[T[E[a0 + v0] * s + E[a1 + v1]] * s + E[a2 + v2]],
+            T[T[E[a3 + v0] * s + E[a4 + v1]] * s + E[a5 + v2]],
+            T[T[E[a6 + v0] * s + E[a7 + v1]] * s + E[a8 + v2]])
 
 
 def mat_det3(lvl, A):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -372,7 +373,10 @@ def cmd_verify(args) -> int:
     return 1 if bad else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace, so main calls can share it."""
     ap = argparse.ArgumentParser(prog="hermquot",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

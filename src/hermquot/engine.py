@@ -24,8 +24,9 @@ i_P(sigma^k) = i_P(sigma): the ramification groups G_i(P) are subgroups.
 Curve points on a projective span over F_{q^2} are found one way, by
 _form_zeros: on the span of b_1..b_k the curve equation is the form
 sum c_i^q c_j h(b_i, b_j), h the sesquilinear Hermitian form of the curve,
-and its zeros in P^(k-1)(F_{q^2}) are listed line by line with the log
-tables. The spans are the eigenspaces (fixed rational places) and the
+and its zeros in P^(k-1)(F_{q^2}) are listed line by line, each line in
+one scan of the log tables (BaseLevel.zeros, which also gives poly_roots its
+eigenvalues). The spans are the eigenspaces (fixed rational places) and the
 twisted kernels of twisted_fix_count.
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
@@ -73,18 +74,12 @@ class EngineError(GFError):
 
 def _eigen_data(tower: FieldTower, aut: Aut):
     """[(eigenvalue over F_{q^2}, multiplicity, kernel basis)] plus the
-    charpoly factor left after removing roots in F_{q^2}."""
+    charpoly when it has no root in F_{q^2}, None otherwise."""
     lvl = tower.q2
-    m = aut.m
-    cp = charpoly3(lvl, m)
-    roots = poly_roots(lvl, cp)
-    out = []
-    rem = list(cp)
-    for lam, mult in roots:
-        out.append((lam, mult, _eigenspace(lvl, m, lam)))
-        for _ in range(mult):
-            rem = _deflate(lvl, rem, lam)
-    return out, rem
+    cp = charpoly3(lvl, aut.m)
+    out = [(lam, mult, _eigenspace(lvl, aut.m, lam))
+           for lam, mult in poly_roots(lvl, cp)]
+    return out, None if out else cp
 
 
 def _eigenspace(lvl, m, lam):
@@ -93,18 +88,6 @@ def _eigenspace(lvl, m, lam):
     for i in range(3):
         flat[4 * i] = lvl.sub(flat[4 * i], lam)
     return kernel(lvl, [flat[0:3], flat[3:6], flat[6:9]])
-
-
-def _deflate(lvl, cs, root):
-    """Divide a monic polynomial by (X - root); remainder must vanish."""
-    n = len(cs) - 1
-    out = [0] * n
-    carry = cs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = lvl.add(cs[i], lvl.mul(root, carry))
-    assert carry == 0
-    return out
 
 
 def _herm(lvl, u, v):
@@ -147,13 +130,13 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     cubic factor of the charpoly can fix a degree-3 place."""
     assert not aut.is_identity()
     q6 = tower.q6
-    _eig, rem = eigen or _eigen_data(tower, aut)
-    if len(rem) != 4:
+    _eig, cubic = eigen or _eigen_data(tower, aut)
+    if cubic is None:
         return []
     # irreducible cubic factor: eigenvalues form one Frobenius orbit in
     # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
     # single root already determines the whole candidate place
-    roots = poly_roots(q6, rem)
+    roots = poly_roots(q6, cubic)
     assert roots
     basis = _eigenspace(q6, aut.m, roots[0][0])
     assert len(basis) == 1
@@ -172,24 +155,9 @@ def _q2_matrix(q6, f):
     return tuple(cols[j][i] for i in range(3) for j in range(3))
 
 
-def _line_values(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
-    """Values of c0 + c1 s + cq s^q + cq1 s^(q+1) at s = a^l, l = 0..q^2-2,
-    by exponent arithmetic on the log tables."""
-    n = lvl.size - 1
-    exp, log, add = lvl.exp, lvl.log, lvl.add
-    vals = [c0] * n
-    for c, e in ((c1, 1), (cq, q), (cq1, q + 1)):
-        if c:
-            lc = log[c]
-            vals = list(map(add, vals, [exp[(lc + e * l) % n] for l in range(n)]))
-    return vals
-
-
 def _line_zeros(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
     """The s in F_{q^2} where c0 + c1 s + cq s^q + cq1 s^(q+1) vanishes."""
-    vals = _line_values(lvl, q, c0, c1, cq, cq1)
-    zeros = [lvl.exp[l] for l, v in enumerate(vals) if v == 0]
-    return [0] + zeros if c0 == 0 else zeros
+    return lvl.zeros(c0, ((c1, 1), (cq, q), (cq1, q + 1)))
 
 
 def _form_zeros(lvl, q: int, g) -> list[tuple]:
@@ -331,7 +299,8 @@ def _diagonal_counts(tower: FieldTower, eig):
     # is beta, support {i}, {j} and {i, j} plus k when t_k != 0
     total = total6 = 0
     for vals, support in (([d[0][0]], (i,)), ([d[1][1]], (j,)),
-                          (_line_values(lvl, q, d[0][0], d[0][1], d[1][0], d[1][1]),
+                          (lvl.values(((d[0][0], 0), (d[0][1], 1),
+                                       (d[1][0], q), (d[1][1], q + 1))),
                            (i, j))):
         zeros = vals.count(0)
         norms = sum(1 for v in vals if frobt[v] == v) - zeros

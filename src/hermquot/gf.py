@@ -14,9 +14,12 @@ one candidate's powers fill F_{q^2}^*.
 
 There is one polynomial arithmetic: the generic p_* helpers, which run over
 any level (F_p, F_{q^2} or F_{q^6}).  They test the base modulus for
-irreducibility and find roots.  Two hot paths are written out by hand: the
-F_{q^6} product, and the 3x3 matrix product over F_{q^2} (_linalg.mat_mul3),
-which reads the F_{q^2} log/exp and addition tables directly.
+irreducibility and find roots.  The hot paths are written out by hand: the
+F_{q^6} product, the 3x3 matrix products over F_{q^2} (_linalg.mat_mul3
+and mat_vec3), which read the F_{q^2} log/exp and addition tables directly,
+and BaseLevel.values, which evaluates a sparse polynomial on all of
+F_{q^2}^* in one scan of those tables; poly_roots and the curve-point
+search take their F_{q^2} zeros from it.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ class BudgetExceeded(GFError):
 DESK_CAP = 1 << 16          # largest p^e accepted at all
 TABLE_LIMIT = 1 << 20       # largest field size for exp/log tables
 ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
-SCAN_ROOT_LIMIT = 128       # root scan up to this size (crossover 121-169)
+SCAN_ROOT_LIMIT = 512       # root scan up to this size (crossover near 529)
 
 
 def is_prime(n: int) -> bool:
@@ -65,7 +68,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Levels.  Every polynomial operation but the F_{q^6} product goes through
+# Levels.  Every polynomial operation but the hot paths goes through
 # the p_* helpers below, which need only add, sub, mul and inv from a level
 # (zero and one are the ints 0 and 1); F_p is such a minimal level.
 # poly_roots also needs size, char, neg and key (deterministic ordering
@@ -237,6 +240,7 @@ class BaseLevel:
         self._E = exp + exp + [0] * (2 * n + 1)
         self._L = [2 * n] + log[1:]
         self.frobt = [0] + [exp[l * self.q % n] for l in log[1:]]
+        self._strides = {}  # e -> getter of the e l mod n, l < n, for values
 
     # -- arithmetic ---------------------------------------------------------
     def sub(self, x, y):
@@ -273,6 +277,43 @@ class BaseLevel:
 
     def elements_by_key(self):
         return list(self.rank)
+
+    def values(self, terms):
+        """Values of sum c s^e over the (c, e) in terms at s = a^l for
+        l = 0..n-1, n = |F| - 1, as a sequence: c s^e is exp[log c + e l],
+        the exp table rotated by log c and read at the indices e l mod n,
+        whose getter is kept per e."""
+        n, E, L, size = self.size - 1, self._E, self._L, self.size
+        vals = None
+        for c, e in terms:
+            if not c:
+                continue
+            col = E[L[c]:L[c] + n]
+            if e != 1:
+                get = self._strides.get(e)
+                if get is None:
+                    get = self._strides[e] = operator.itemgetter(
+                        *[e * l % n for l in range(n)])
+                col = get(col)
+            if vals is None:
+                vals = col
+            elif self.p == 2:
+                vals = list(map(operator.xor, vals, col))
+            else:
+                vals = list(map(self._addt.__getitem__, map(
+                    operator.add, map(size.__mul__, vals), col)))
+        return [0] * n if vals is None else vals
+
+    def zeros(self, c0, terms) -> list[int]:
+        """The s in F at which c0 + sum c s^e vanishes, every e >= 1: 0 when
+        c0 = 0, and the a^l at which values(terms) is -c0."""
+        vals, x = self.values(terms), self.neg(c0)
+        out = [0] if c0 == 0 else []
+        l = -1
+        for _ in range(vals.count(x)):
+            l = vals.index(x, l + 1)
+            out.append(self.exp[l])
+        return out
 
 
 class ExtLevel:
@@ -522,18 +563,17 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
     """Roots of a nonzero polynomial in the level, with multiplicities.
 
     Fields up to SCAN_ROOT_LIMIT, the crossover measured on cubics, are
-    scanned exhaustively; larger ones use a gcd with the Frobenius power of
-    X followed by seeded equal-degree splitting, so the result is
-    deterministic.
+    scanned exhaustively, F_{q^2} by one pass over its log tables
+    (BaseLevel.zeros) and F_{q^6} element by element; larger ones use a
+    gcd with the Frobenius power of X followed by seeded equal-degree
+    splitting, so the result is deterministic.
     """
     cs = p_trim(list(cs))
     if not cs:
         raise GFError("zero polynomial")
     if len(cs) == 1:
         return []
-    if lvl.size <= SCAN_ROOT_LIMIT:
-        roots = [x for x in range(lvl.size) if p_eval(lvl, cs, x) == 0]
-    else:
+    if lvl.size > SCAN_ROOT_LIMIT:
         f = p_monic(lvl, cs)
         h = p_powmod(lvl, [0, 1], lvl.size, f)
         h = list(h) + [0] * (2 - len(h))
@@ -541,17 +581,26 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
         g = p_gcd(lvl, p_trim(h), f)
         rng = random.Random(0xC0FFEE ^ seed ^ len(cs))
         roots = _split_linears(lvl, g, rng) if len(g) > 1 else []
+    elif lvl.name == "q2":
+        roots = lvl.zeros(cs[0], zip(cs[1:], itertools.count(1)))
+    else:
+        roots = [x for x in range(lvl.size) if p_eval(lvl, cs, x) == 0]
     out = []
     key = lvl.rank.__getitem__ if lvl.name == "q2" else lvl.key
+    add, mul = lvl.add, lvl.mul
     for r in sorted(roots, key=key):
-        mult = 0
-        rest = cs
+        # synthetic division by X - r: Horner's partial sums are the
+        # quotient's coefficients, the last one the remainder
+        mult, rest = 0, cs
         while True:
-            quo, rem = p_divmod(lvl, rest, [lvl.neg(r), 1])
-            if rem:
+            acc, sums = 0, []
+            for c in reversed(rest):
+                acc = add(mul(acc, r), c)
+                sums.append(acc)
+            if acc:
                 break
             mult += 1
-            rest = quo
+            rest = sums[-2::-1]
         out.append((r, mult))
     return out
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquot._linalg import mat_mul3
+from hermquot._linalg import mat_mul3, mat_vec3
 from hermquot.autgrp import (
     Aut,
     DSLError,
@@ -256,6 +256,31 @@ def test_compose_matches_schoolbook_product(compose_towers, data, q):
     else:
         with pytest.raises(GFError):
             compose(Aut(tw, B), Aut(tw, A))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), q=st.sampled_from(COMPOSE_QS),
+       name=st.sampled_from(["q2", "q6"]))
+def test_mat_vec3_matches_schoolbook_product(compose_towers, data, q, name):
+    # A v is the first column of A (v 0 0); at F_{q^6} the matrix entries
+    # lie in F_{q^2} and act on each coordinate of v's entries separately
+    tw = compose_towers[q]
+    lvl = tw.q2
+    entry = st.one_of(st.just(0), st.integers(1, lvl.size - 1))
+    A = data.draw(st.tuples(*[entry] * 9))
+
+    def product(v):
+        return _schoolbook(lvl, A, (v[0], 0, 0, v[1], 0, 0, v[2], 0, 0))[0::3]
+
+    if name == "q2":
+        v = data.draw(st.tuples(entry, entry, entry))
+        assert mat_vec3(lvl, A, v) == product(v)
+    else:
+        q6 = tw.q6
+        v = data.draw(st.tuples(*[st.one_of(st.just(0), st.integers(
+            1, q6.size - 1))] * 3))
+        parts = [product([q6.unpack(x)[k] for x in v]) for k in range(3)]
+        assert mat_vec3(q6, A, v) == tuple(q6.pack(*cs) for cs in zip(*parts))
 
 
 @pytest.mark.parametrize("q", COMPOSE_QS)

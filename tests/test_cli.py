@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import hermquot
-from hermquot.cli import main
+from hermquot.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +34,18 @@ def test_genus_json_output(capsys):
     assert doc["q"] == 4
     assert doc["group"]["order"] == 30
     assert doc["orbits"]
+
+
+def test_back_to_back_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; a flag or an error of one call
+    # must not carry over to the next
+    assert build_parser() is build_parser()
+    argv = ("genus", "--q", "4", "--spec", "eps(a), omega")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["genus"] == 0
+    assert run_cli(capsys, *argv, "--format", "csv")[0] == 2
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("q = 4  |G| = 30")
 
 
 def test_genus_json_counts_every_rational_place(capsys):

@@ -16,6 +16,7 @@ from hermquot.gf import (
     GFError,
     build_tower,
     factorize,
+    p_eval,
     poly_roots,
 )
 
@@ -294,7 +295,7 @@ def test_poly_roots_in_extension(towers):
     # x^{q^6-1} - 1 vanishes on all of F_{q^6}^*, so a polynomial with
     # known roots must come back exactly, with multiplicities. F_{2^6} is
     # scanned; F_{7^6} and F_{8^6}, like every F_{q^6} with q >= 3 and every
-    # F_{q^2} with q >= 13, lie above SCAN_ROOT_LIMIT and take the Frobenius
+    # F_{q^2} with q >= 23, lie above SCAN_ROOT_LIMIT and take the Frobenius
     # gcd and equal-degree splitting, in odd characteristic and by trace
     # splitting in characteristic 2.
     for q, trials in ((2, 10), (7, 4), (8, 4)):
@@ -348,6 +349,52 @@ def test_poly_roots_scan_and_gcd_paths_agree(towers, monkeypatch, q, name):
         found.append([poly_roots(lvl, cs, seed=i) for i, cs in enumerate(polys)])
     assert found[0] == found[1]
     assert all(sum(m for _r, m in rts) == 3 for rts in found[0][3:])
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_values_and_zeros_match_horner(towers, q):
+    # BaseLevel.values against Horner's rule (p_eval) on the dense
+    # polynomial at every s = a^l: the empty and constant-only term lists,
+    # zero coefficients, repeated exponents, the line shape c0 + c1 s +
+    # cq s^q + cq1 s^(q+1), and exponents >= n where n is small (at q = 2,
+    # q + 1 = n); zeros must be the s in F where the sum vanishes
+    lvl = _q2_level(towers, q)
+    n = lvl.size - 1
+    rng = random.Random(q)
+    exps = [1, 2, q, q + 1] + ([n, n + 1, 2 * n + 3] if n < 100 else [])
+
+    def coeff():
+        return rng.choice([0, 1, rng.randrange(1, lvl.size)])
+
+    lists = [[], [(0, 1)], [(coeff() or 1, 0)], [(0, 0), (0, q), (0, q + 1)],
+             [(coeff(), 0), (coeff(), 1), (coeff(), q), (coeff(), q + 1)]]
+    lists += [[(coeff(), rng.choice([0] + exps)) for _ in range(rng.randrange(1, 6))]
+              for _ in range(6)]
+    for terms in lists:
+        dense = [0] * (max((e for _c, e in terms), default=0) + 1)
+        for c, e in terms:
+            dense[e] = lvl.add(dense[e], c)
+        horner = [p_eval(lvl, dense, x) for x in lvl.exp]
+        assert list(lvl.values(terms)) == horner
+        rest = [(c, e) for c, e in terms if e]
+        c0 = dense[0]
+        assert sorted(lvl.zeros(c0, rest)) == sorted(
+            x for x in range(lvl.size) if p_eval(lvl, dense, x) == 0)
+
+
+@pytest.mark.parametrize("q", [4, 16, 32, 9, 27, 5, 25])
+def test_poly_roots_repeated_roots(towers, q):
+    # triple and double roots, 0 among them, in characteristics 2, 3 and
+    # 5, on both sides of SCAN_ROOT_LIMIT; multiplicities come from
+    # synthetic division
+    lvl = _q2_level(towers, q)
+    rng = random.Random(q)
+    for r, s, t in [(0, 1, lvl.a)] + [tuple(rng.sample(range(lvl.size), 3))
+                                      for _ in range(3)]:
+        for mults in ({r: 3}, {r: 2, s: 1}, {s: 3, t: 2}, {r: 2, s: 2, t: 1}):
+            cs = _from_roots(lvl, [x for x, m in mults.items() for _ in range(m)])
+            assert poly_roots(lvl, cs) == sorted(mults.items(),
+                                                 key=lambda xm: lvl.key(xm[0]))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
