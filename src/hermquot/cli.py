@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt
 
 from . import autgrp, formulas
 from .autgrp import DSLError
@@ -31,8 +31,12 @@ from .curve import (DEFAULT_DEG3_BUDGET, degree3_count, degree3_places,
                     rational_places)
 from .engine import EngineError, genus_of_quotient, tame_diff_crosscheck
 from .formulas import HypothesisNotMet
-from .gf import BudgetExceeded, GFError, build_tower, factorize, is_prime
+from .gf import (TABLE_LIMIT, BudgetExceeded, GFError, build_tower, factorize,
+                 is_prime)
 
+# the largest q whose F_(q^2) gets log tables; a q above it is rejected
+# before factoring or primality testing, which trial-divide
+Q_MAX = isqrt(TABLE_LIMIT)
 CSV_COLUMNS = ["case", "q", "m", "expected", "computed", "status",
                "deg_diff", "group_order", "runtime_ms"]
 
@@ -42,6 +46,8 @@ class UsageError(Exception):
 
 
 def _factor_q(q: int):
+    if not 2 <= q <= Q_MAX:
+        raise UsageError(f"q = {q} outside 2..{Q_MAX}")
     fac = factorize(q)
     if len(fac) != 1:
         raise UsageError(f"q = {q} is not a prime power")
@@ -58,12 +64,21 @@ def _tower_from_args(args):
             raise UsageError(f"--e {args.e} contradicts --q {args.q}")
     elif args.p is not None:
         p, e = args.p, 1 if args.e is None else args.e
-        if not is_prime(p):
-            raise UsageError(f"--p {p} is not prime")
         if e < 1:
             raise UsageError(f"--e {e} is below 1")
+        # p >= 2 and e past Q_MAX's bit length give p^e > Q_MAX
+        if p < 2 or e > Q_MAX.bit_length() or p ** e > Q_MAX:
+            raise UsageError(f"--p {p} --e {e}: q = p^e outside 2..{Q_MAX}")
+        if not is_prime(p):
+            raise UsageError(f"--p {p} is not prime")
     else:
         raise UsageError("one of --q or --p is required")
+    return _tower(p, e)
+
+
+@functools.cache
+def _tower(p: int, e: int):
+    """One tower per (p, e) per process, shared by every main call."""
     return build_tower(p, e)
 
 
@@ -229,7 +244,7 @@ def cmd_table(args) -> int:
         raise UsageError("table needs --q or --q-list")
     rows = []
     for q in sorted(qs):
-        rows.extend(_table_rows(build_tower(*_factor_q(q)), cases))
+        rows.extend(_table_rows(_tower(*_factor_q(q)), cases))
     rows.sort(key=lambda r: (r["case"], r["q"], r["m"]))
     failed = any(r["status"] == "FAILED" for r in rows)
     if args.format == "json":

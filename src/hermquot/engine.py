@@ -59,13 +59,13 @@ from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_adj3, mat_mul3
+from ._linalg import charpoly3, kernel, mat_mul3
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
                      inverse)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
-from .localval import fixes_pointwise, inertia_data, to_infinity
+from .localval import conjugate, fixes_pointwise, inertia_data, to_infinity
 
 
 class EngineError(GFError):
@@ -315,7 +315,7 @@ def _diagonal_counts(tower: FieldTower, eig):
 def _affine_conjugate(lvl, t, m):
     """T M T^-1 (M when T is None) for T M T^-1 fixing P_inf, scaled to the
     affine shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1)."""
-    out = m if t is None else mat_mul3(lvl, mat_mul3(lvl, t, m), mat_adj3(lvl, t))
+    out = conjugate(lvl, t, m)
     if out[1] or out[6] or out[7]:
         raise EngineError("conjugate does not fix P_inf")
     iz = lvl.inv(out[8])

@@ -36,10 +36,9 @@ class BudgetExceeded(GFError):
     pass
 
 
-DESK_CAP = 1 << 16          # largest p^e accepted at all
 TABLE_LIMIT = 1 << 20       # largest field size for exp/log tables
 ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
-SCAN_ROOT_LIMIT = 512       # root scan up to this size (crossover near 529)
+SCAN_ROOT_LIMIT = 1024      # F_(q^2) root scan up to this size (q <= 32)
 
 
 def is_prime(n: int) -> bool:
@@ -136,11 +135,13 @@ class BaseLevel:
         self.p = p
         self.char = p
         self.e = e
+        # p^(2e) with the exponent capped where 2^(2e) passes the limit, so
+        # a huge e is rejected without being raised to
+        if p ** min(2 * e, TABLE_LIMIT.bit_length()) > TABLE_LIMIT:
+            raise GFError(f"|F_q^2| = {p}^{2 * e} exceeds the desk-scale table limit")
         self.q = p ** e
         self.deg = 2 * e
         self.size = p ** self.deg
-        if self.size > TABLE_LIMIT:
-            raise GFError(f"|F_q^2| = {self.size} exceeds the desk-scale table limit")
         self.mod = self._find_modulus()
         self._build_tables()
 
@@ -562,10 +563,10 @@ def _split_linears(lvl, g, rng):
 def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
     """Roots of a nonzero polynomial in the level, with multiplicities.
 
-    Fields up to SCAN_ROOT_LIMIT, the crossover measured on cubics, are
-    scanned exhaustively, F_{q^2} by one pass over its log tables
-    (BaseLevel.zeros) and F_{q^6} element by element; larger ones use a
-    gcd with the Frobenius power of X followed by seeded equal-degree
+    F_{q^2} up to SCAN_ROOT_LIMIT elements, the crossover measured on the
+    characteristic polynomials of `hermquot table`, is scanned in one pass
+    over its log tables (BaseLevel.zeros). Larger F_{q^2} and every F_{q^6}
+    use a gcd with the Frobenius power of X followed by seeded equal-degree
     splitting, so the result is deterministic.
     """
     cs = p_trim(list(cs))
@@ -573,7 +574,9 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
         raise GFError("zero polynomial")
     if len(cs) == 1:
         return []
-    if lvl.size > SCAN_ROOT_LIMIT:
+    if lvl.name == "q2" and lvl.size <= SCAN_ROOT_LIMIT:
+        roots = lvl.zeros(cs[0], zip(cs[1:], itertools.count(1)))
+    else:
         f = p_monic(lvl, cs)
         h = p_powmod(lvl, [0, 1], lvl.size, f)
         h = list(h) + [0] * (2 - len(h))
@@ -581,10 +584,6 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
         g = p_gcd(lvl, p_trim(h), f)
         rng = random.Random(0xC0FFEE ^ seed ^ len(cs))
         roots = _split_linears(lvl, g, rng) if len(g) > 1 else []
-    elif lvl.name == "q2":
-        roots = lvl.zeros(cs[0], zip(cs[1:], itertools.count(1)))
-    else:
-        roots = [x for x in range(lvl.size) if p_eval(lvl, cs, x) == 0]
     out = []
     key = lvl.rank.__getitem__ if lvl.name == "q2" else lvl.key
     add, mul = lvl.add, lvl.mul
@@ -614,8 +613,8 @@ class FieldTower:
     def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise GFError(f"p = {p} is not prime")
-        if e < 1 or p ** e > DESK_CAP:
-            raise GFError(f"p^e = {p ** e} outside the supported range")
+        if e < 1:
+            raise GFError(f"e = {e} is below 1")
         self.p = p
         self.e = e
         self.q = p ** e

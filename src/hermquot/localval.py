@@ -1,16 +1,20 @@
-"""Ramification data at places of the Hermitian curve, from one expansion.
+"""Ramification data at places of the Hermitian curve, read off the affine
+form of sigma at P_inf.
 
-All wild ramification happens at rational places, and every i-value is read
-off one expansion at P_inf: there t = x/y = X/Y is a uniformizer and
-u = 1/y = Z/Y solves u + u^q = t^(q+1), so the curve point is (t : 1 : u).
-That u has the closed form u = sum over k >= 0 of (-1)^k t^((q+1) q^k),
-since u^q is the same sum shifted by one term.
-A map T_P of PGU(3, q) takes a rational place P to P_inf (i-values are
-invariant under this conjugation), the point near P is w = adj(T_P)(t, 1, u)
-and its uniformizer is l_0/l_1 for the first two rows of T_P, x - alpha at
-an affine place (alpha, beta). For sigma fixing P with point matrix M,
-i_P(sigma) = v(l_0(M w) - t l_1(M w)) - v(l_1(M w)), scanned over the few
-exponents where w or t w has a nonzero coefficient; no series is multiplied.
+All wild ramification happens at rational places. A map T_P of PGU(3, q)
+takes a rational place P to P_inf, and i-values are invariant under this
+conjugation. At P_inf the stabiliser is the affine group
+x -> a x + b, y -> a^(q+1) y + a b^q x + c, whose lower ramification
+filtration is known (Garcia, Stichtenoth and Xing 2000): G_1 = {a = 1},
+G_2 = ... = G_(q+1) = {tau(0, c)} and G_(q+2) = 1. So for sigma fixing P,
+with T_P sigma T_P^-1 in that affine form, i_P(sigma) is 1 when a != 1,
+2 when a = 1 and b != 0, and q + 2 when only c is left.
+
+expand_at writes the curve point near P as a power series in the
+uniformizer: at P_inf, t = x/y = X/Y and u = 1/y = Z/Y solves
+u + u^q = t^(q+1), with the closed form u = sum over k >= 0 of
+(-1)^k t^((q+1) q^k), so the point is (t : 1 : u); near P it is
+w = adj(T_P)(t, 1, u).
 
 The different exponent of a place P in the quotient by a group G is
 d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma). Each G_i
@@ -31,10 +35,6 @@ from .curve import P_INF, Place, normalize_point
 from .gf import FieldTower, GFError
 
 
-class PrecisionError(GFError):
-    pass
-
-
 def to_infinity(tower: FieldTower, place: Place):
     """Point matrix T_P of an automorphism taking a rational place to P_inf
     (None for P_inf itself)."""
@@ -45,6 +45,12 @@ def to_infinity(tower: FieldTower, place: Place):
     # the translation taking (al, be) to (0, 0), then omega swapping Y and Z
     tr = from_affine(tower, 1, lvl.neg(al), lvl.sub(lvl.mul(lvl.frobq(al), al), be))
     return mat_mul3(lvl, omega(tower).m, tr.m)
+
+
+def conjugate(lvl, t, m):
+    """T M T^-1, up to a scalar, for point matrices T and M (M when T is
+    None)."""
+    return m if t is None else mat_mul3(lvl, mat_mul3(lvl, t, m), mat_adj3(lvl, t))
 
 
 @dataclass(frozen=True)
@@ -76,57 +82,23 @@ def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
     return LocalFrame(place, t, v, horizon)
 
 
-def _start_horizon(q: int) -> int:
-    """The horizon a frame is first built to; i_value escalates at most to
-    8 times it."""
-    return q + 5
+def i_value(tower: FieldTower, place: Place, aut: Aut) -> int:
+    """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t, 0 when
+    sigma does not fix the place.
 
-
-def _dot(lvl, r, v):
-    m, ad = lvl.mul, lvl.add
-    return ad(ad(m(r[0], v[0]), m(r[1], v[1])), m(r[2], v[2]))
-
-
-def _order(lvl, frame: LocalFrame, r0, r1=None) -> int:
-    """v(r0.w - t r1.w), or v(r0.w) without r1, from the exponents where
-    w[e] or t w[e] is nonzero."""
-    w = frame.w
-    exps = set(w) if r1 is None else set(w) | {e + 1 for e in w}
-    for n in sorted(e for e in exps if e < frame.horizon):
-        c = _dot(lvl, r0, w[n]) if n in w else 0
-        if r1 is not None and n - 1 in w:
-            c = lvl.sub(c, _dot(lvl, r1, w[n - 1]))
-        if c:
-            return n
-    raise PrecisionError(f"no nonzero term below t^{frame.horizon}")
-
-
-def i_value(tower: FieldTower, place: Place, aut: Aut,
-            frame: LocalFrame | None = None) -> int:
-    """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t.
-
-    Returns 0 when sigma does not fix the place. The frame at the place is
-    built when none is given; its horizon escalates internally while the
-    difference still vanishes to the known precision."""
+    Read off M = T_P sigma T_P^-1, which fixes P_inf = (0 : 1 : 0) exactly
+    when its entries 1 and 7 vanish and then has the affine shape
+    (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1) up to a scalar."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
-    lvl = tower.q2
-    limit = 8 * _start_horizon(tower.q)
-    if frame is None:
-        frame = expand_at(tower, place, _start_horizon(tower.q))
-    tm = aut.m if frame.to_inf is None else mat_mul3(lvl, frame.to_inf, aut.m)
-    # w[0] is P, and sigma fixes P when T_P M w[0] is (0 : 1 : 0)
-    image = mat_vec3(lvl, tm, frame.w[0])
-    if image[0] or image[2]:
+    if place.kind == "degree3":
+        raise GFError("i-values are only computed at rational places")
+    m = conjugate(tower.q2, to_infinity(tower, place), aut.m)
+    if m[1] or m[7]:
         return 0
-    r0, r1 = tm[0:3], tm[3:6]
-    while True:
-        try:
-            return _order(lvl, frame, r0, r1) - _order(lvl, frame, r1)
-        except PrecisionError:
-            if frame.horizon >= limit:
-                raise
-            frame = expand_at(tower, place, min(2 * frame.horizon, limit))
+    if m[0] != m[8]:
+        return 1
+    return 2 if m[2] else tower.q + 2
 
 
 @dataclass(frozen=True)
@@ -194,8 +166,7 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
     wild = e % p == 0
     if not wild and not dual_check:
         return RamificationData(place, e, 1, e - 1, None)
-    frame = expand_at(tower, place, _start_horizon(q)) if inertia else None
-    ivals = sorted((i_value(tower, place, s, frame), w) for s, w in inertia)
+    ivals = sorted((i_value(tower, place, s), w) for s, w in inertia)
     assert all(v >= 1 for v, _w in ivals), "stabilizer elements must fix P"
     d_sum = sum(v * w for v, w in ivals)
     # Hilbert form of the same sum, plus structural checks on the

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hermquot.localval import PrecisionError
+from hermquot.gf import GFError
+
+
+class PrecisionError(GFError):
+    """A coefficient or valuation asked for beyond a series' precision."""
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hermquot
+from hermquot import cli
 from hermquot.cli import build_parser, main
 
 
@@ -46,6 +48,16 @@ def test_back_to_back_calls_share_no_parsed_state(capsys):
     assert run_cli(capsys, *argv, "--format", "csv")[0] == 2
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out.startswith("q = 4  |G| = 30")
+
+
+def test_towers_are_shared_across_calls(capsys):
+    # one tower per q per process: a call at q = 4 after one at q = 5
+    # prints what the first call at q = 4 printed
+    argv = ("--spec", "eps(a), omega", "--format", "json")
+    outs = [run_cli(capsys, "genus", "--q", q, *argv) for q in ("4", "5", "4")]
+    assert [code for code, _o, _e in outs] == [0, 0, 0]
+    assert outs[2][1] == outs[0][1] != outs[1][1]
+    assert cli._tower(2, 2) is cli._tower(2, 2)
 
 
 def test_genus_json_counts_every_rational_place(capsys):
@@ -128,10 +140,19 @@ def test_usage_error_exit_code(capsys):
     ("genus", "--q", "4", "--case", "t3", "--m", "0"),
     ("genus", "--q", "4", "--case", "t3", "--m", "-1"),
     ("genus", "--q", "4", "--case", "t3", "--m", "7"),  # 7 does not divide 15
+    # q above 1024 (q^2 above TABLE_LIMIT), rejected before any trial
+    # division or p ** e runs on it
+    ("genus", "--q", "1000000000000000003", "--spec", "omega"),
+    ("verify", "--p", "1000000000000000003"),
+    ("table", "--q-list", "1000000000000000003"),
+    ("genus", "--p", "2", "--e", "1000000000", "--spec", "omega"),
+    ("genus", "--q", "2048", "--spec", "omega"),
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
+    t0 = time.monotonic()
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+    assert time.monotonic() - t0 < 1
 
 
 def test_table_q5_hypothesis_skips(capsys):

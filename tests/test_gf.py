@@ -293,11 +293,10 @@ def test_poly_roots_against_scan(towers):
 
 def test_poly_roots_in_extension(towers):
     # x^{q^6-1} - 1 vanishes on all of F_{q^6}^*, so a polynomial with
-    # known roots must come back exactly, with multiplicities. F_{2^6} is
-    # scanned; F_{7^6} and F_{8^6}, like every F_{q^6} with q >= 3 and every
-    # F_{q^2} with q >= 23, lie above SCAN_ROOT_LIMIT and take the Frobenius
-    # gcd and equal-degree splitting, in odd characteristic and by trace
-    # splitting in characteristic 2.
+    # known roots must come back exactly, with multiplicities. Every
+    # F_{q^6}, like every F_{q^2} with q > 32, takes the Frobenius gcd and
+    # equal-degree splitting, in odd characteristic and by trace splitting
+    # in characteristic 2.
     for q, trials in ((2, 10), (7, 4), (8, 4)):
         q6 = towers[q].q6
         rng = random.Random(5)
@@ -382,11 +381,11 @@ def test_values_and_zeros_match_horner(towers, q):
             x for x in range(lvl.size) if p_eval(lvl, dense, x) == 0)
 
 
-@pytest.mark.parametrize("q", [4, 16, 32, 9, 27, 5, 25])
+@pytest.mark.parametrize("q", [4, 16, 32, 64, 9, 27, 5, 25])
 def test_poly_roots_repeated_roots(towers, q):
     # triple and double roots, 0 among them, in characteristics 2, 3 and
-    # 5, on both sides of SCAN_ROOT_LIMIT; multiplicities come from
-    # synthetic division
+    # 5, and in characteristic 2 on both sides of SCAN_ROOT_LIMIT;
+    # multiplicities come from synthetic division
     lvl = _q2_level(towers, q)
     rng = random.Random(q)
     for r, s, t in [(0, 1, lvl.a)] + [tuple(rng.sample(range(lvl.size), 3))

@@ -1,6 +1,7 @@
 """Local expansions and higher ramification invariants.
 
-The i-values of localval come from one expansion at P_inf. The oracle below
+The i-values of localval come from the affine form of sigma at P_inf, and
+its frames expand the curve point near a place. The oracle below
 computes them the way a textbook would: it expands x and y as Laurent series
 in a uniformizer at each place on its own, and forms sigma(t) - t with series
 products and inverses."""
@@ -25,9 +26,9 @@ from hermquot.curve import P_INF, normalize_point, rational_place, rational_plac
 from hermquot.engine import fixed_rational_places
 from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import GFError
-from hermquot.localval import PrecisionError, expand_at, i_value, ramification_data
+from hermquot.localval import expand_at, i_value, ramification_data
 
-from _series import Series
+from _series import PrecisionError, Series
 from test_acceptance import GRID, divisors, random_group
 
 
@@ -235,8 +236,8 @@ def test_expand_infinity_valuations(towers):
 
 def test_frame_point_lies_on_the_curve(towers):
     # w = adj(T_P)(t, 1, u) is P at t = 0, solves the curve equation to the
-    # horizon, and its uniformizer l_0(w)/l_1(w) is t itself: at the horizon
-    # frames start from and at the deepest one i_value escalates to
+    # horizon, and its uniformizer l_0(w)/l_1(w) is t itself, at horizons
+    # q + 5 and 8(q + 5)
     for q in (2, 3, 4, 5, 7, 8, 9):
         tw = towers[q]
         lvl = tw.q2
@@ -259,7 +260,7 @@ def test_frame_point_lies_on_the_curve(towers):
 
 def test_frame_pole_terms_match_the_oracle(towers):
     # the closed form of u in the frame at P_inf is the u the oracle
-    # iterates, term by term, as deep as i_value can look
+    # iterates, term by term, to 8(q + 5)
     for q in (2, 3, 4, 5, 7, 8, 9):
         tw = towers[q]
         for h in (q + 5, 8 * (q + 5)):
@@ -279,7 +280,7 @@ def test_i_value_epsilon_at_infinity(towers):
 
 def test_i_value_translations_at_infinity(towers):
     # tau(0, c) fixes P_inf to order q + 2; tau(b, c) with b != 0 to order 2
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5):
         tw = towers[q]
         c = tw.solve_additive_raw(0)[1]  # nonzero c with c^q + c = 0
         assert i_value(tw, P_INF, from_affine(tw, 1, 0, c)) == q + 2
@@ -308,15 +309,22 @@ def test_i_value_zero_when_moved_within_a_fibre_of_x(towers):
 
 
 def test_i_value_positive_exactly_on_the_stabiliser(towers):
+    # omega and the whole stabiliser of P_inf, every x -> a x + b: each
+    # branch of the affine form (a != 1, b != 0, only c) at P_inf and at
+    # the places it is conjugated to, against the oracle at every fixed place
     for q in (2, 3):
         tw = towers[q]
-        auts = [omega(tw), epsilon(tw, tw.a)]
-        auts += [from_affine(tw, 1, b, c) for b in range(tw.q2.size)
-                 for c in tw.solve_additive_raw(b) if (b, c) != (0, 0)]
+        auts = [omega(tw)]
+        auts += [from_affine(tw, a, b, c) for a in range(1, tw.q2.size)
+                 for b in range(tw.q2.size) for c in tw.solve_additive_raw(b)
+                 if (a, b, c) != (1, 0, 0)]
         for f in auts:
             for pl in rational_places(tw):
                 fixed = apply_place(f, pl) == pl
-                assert (i_value(tw, pl, f) > 0) == fixed
+                got = i_value(tw, pl, f)
+                assert (got > 0) == fixed
+                if fixed:
+                    assert got == oracle_i_value(tw, pl, f)
 
 
 def _grid_and_9c_groups(towers):
@@ -353,39 +361,8 @@ def test_i_value_matches_oracle(towers):
     assert len(seen) > 1000
 
 
-def test_i_value_consistent_under_horizon(tw4):
-    c = tw4.solve_additive_raw(0)[1]
-    f = from_affine(tw4, 1, 0, c)
-    base = i_value(tw4, P_INF, f)
-    # a deeper frame than i_value starts from
-    assert i_value(tw4, P_INF, f, expand_at(tw4, P_INF, 25)) == base
-
-
-def test_i_value_escalates_from_a_shallow_frame(towers, monkeypatch):
-    # tau(0, c) fixes P_inf to order q + 2, beyond a frame of horizon 2:
-    # i_value rebuilds the frame at doubled horizons until it sees the term
-    import hermquot.localval as lv
-
-    built = []
-
-    def recording(tower, place, horizon):
-        built.append(horizon)
-        return expand_at(tower, place, horizon)
-
-    monkeypatch.setattr(lv, "expand_at", recording)
-    for q in (2, 3, 4, 5):
-        tw = towers[q]
-        c = tw.solve_additive_raw(0)[1]
-        built.clear()
-        assert i_value(tw, P_INF, from_affine(tw, 1, 0, c),
-                       expand_at(tw, P_INF, 2)) == q + 2
-        assert built == [2 ** k for k in range(2, 2 + len(built))]
-        assert built[-1] > q + 2 >= built[-1] // 2
-
-
 def test_i_value_above_the_frame_horizon_matches_default(towers):
-    # omega tau(0, c) omega fixes P(0, 0) with i = q + 2, above a frame of
-    # horizon 3; escalating from that frame gives the default frame's value
+    # omega tau(0, c) omega fixes P(0, 0) with i = q + 2
     for q in (2, 3, 4, 8):
         tw = towers[q]
         pl = rational_place(0, 0)
@@ -395,8 +372,7 @@ def test_i_value_above_the_frame_horizon_matches_default(towers):
                 continue
             s = compose(compose(w, from_affine(tw, 1, 0, c)), w)
             assert apply_place(s, pl) == pl
-            got = i_value(tw, pl, s, expand_at(tw, pl, 3))
-            assert got == i_value(tw, pl, s) == q + 2 > 3
+            assert i_value(tw, pl, s) == q + 2
 
 
 def test_ramification_data_tame(tw4):
