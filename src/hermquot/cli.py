@@ -78,7 +78,7 @@ def _tower_from_args(args):
 
 @functools.cache
 def _tower(p: int, e: int):
-    """One tower per (p, e) per process, shared by every main call."""
+    """One tower per (p, e) per process, for every --q/--p/--e call."""
     return build_tower(p, e)
 
 
@@ -244,7 +244,7 @@ def cmd_table(args) -> int:
         raise UsageError("table needs --q or --q-list")
     rows = []
     for q in sorted(qs):
-        rows.extend(_table_rows(_tower(*_factor_q(q)), cases))
+        rows.extend(_table_rows(build_tower(*_factor_q(q)), cases))
     rows.sort(key=lambda r: (r["case"], r["q"], r["m"]))
     failed = any(r["status"] == "FAILED" for r in rows)
     if args.format == "json":

@@ -617,8 +617,8 @@ class FieldTower:
             raise GFError(f"e = {e} is below 1")
         self.p = p
         self.e = e
-        self.q = p ** e
-        self.q2 = BaseLevel(p, e)
+        self.q2 = BaseLevel(p, e)  # rejects a huge e before p ** e runs
+        self.q = self.q2.q
         self.a = self.q2.a
         self._q6: ExtLevel | None = None
         self._preimage: dict[str, dict[int, list[int]]] = {}

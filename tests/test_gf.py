@@ -16,6 +16,7 @@ from hermquot.gf import (
     GFError,
     build_tower,
     factorize,
+    p_divmod,
     p_eval,
     poly_roots,
 )
@@ -332,22 +333,39 @@ ROOT_LEVELS = ([(q, "q2") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
                + [(q, "q6") for q in (2, 3, 4, 5)])
 
 
+def _brute_roots(lvl, cs):
+    """(root, multiplicity) pairs by evaluating at every element of the
+    level, multiplicities by repeated long division by X - r."""
+    out = {}
+    for x in range(lvl.size):
+        if p_eval(lvl, cs, x) == 0:
+            mult, rest = 0, cs
+            while True:
+                quo, rem = p_divmod(lvl, rest, [lvl.sub(0, x), 1])
+                if rem:
+                    break
+                mult, rest = mult + 1, quo
+            out[x] = mult
+    return out
+
+
 @pytest.mark.parametrize("q,name", ROOT_LEVELS)
 def test_poly_roots_scan_and_gcd_paths_agree(towers, monkeypatch, q, name):
-    # SCAN_ROOT_LIMIT only picks the faster path: the exhaustive scan and
-    # the Frobenius gcd give the same (root, multiplicity) lists
+    # SCAN_ROOT_LIMIT only picks the faster path: at either limit the
+    # (root, multiplicity) lists match an element-by-element p_eval scan,
+    # on random cubics (no, some or all roots) and on ones with a double root
     lvl = towers[q].level(name)
     rng = random.Random(q)
     polys = [[rng.randrange(lvl.size) for _ in range(3)] + [1] for _ in range(3)]
     for _ in range(2):
         r, s = rng.randrange(lvl.size), rng.randrange(lvl.size)
         polys.append(_from_roots(lvl, [r, r, s]))  # a repeated root
-    found = []
+    expected = [_brute_roots(lvl, cs) for cs in polys]
     for limit in (0, 1 << 62):
         monkeypatch.setattr(gf, "SCAN_ROOT_LIMIT", limit)
-        found.append([poly_roots(lvl, cs, seed=i) for i, cs in enumerate(polys)])
-    assert found[0] == found[1]
-    assert all(sum(m for _r, m in rts) == 3 for rts in found[0][3:])
+        found = [poly_roots(lvl, cs, seed=i) for i, cs in enumerate(polys)]
+        assert [dict(rts) for rts in found] == expected
+    assert all(sum(exp.values()) == 3 for exp in expected[3:])
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
