@@ -147,14 +147,6 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     return [degree3_place(tower, pt)]
 
 
-def _q2_matrix(q6, f):
-    """3x3 matrix over F_{q^2} of an F_{q^2}-linear map f on F_{q^6} in the
-    basis 1, t, t^2, row-major."""
-    cols = [q6.unpack(f(q6.pack(*(1 if j == k else 0 for j in range(3)))))
-            for k in range(3)]
-    return tuple(cols[j][i] for i in range(3) for j in range(3))
-
-
 def _line_zeros(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
     """The s in F_{q^2} where c0 + c1 s + cq s^q + cq1 s^(q+1) vanishes."""
     return lvl.zeros(c0, ((c1, 1), (cq, q), (cq1, q + 1)))
@@ -217,7 +209,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     lvl = tower.q2
     q6 = tower.q6
     n = lvl.size - 1
-    f2 = _q2_matrix(q6, q6.frobq2)
+    f2 = q6.frobq2_matrix
     w = q6.primitive()
     # N(w) = w^((q^6 - 1)/(q^2 - 1)) generates F_{q^2}^*, and N(w^j) = N(w)^j
     nw = q6.pow(w, (q6.size - 1) // n)
@@ -228,7 +220,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     total = 0
     for eta, _mult in poly_roots(lvl, charpoly3(lvl, m3)):
         lam = q6.pow(w, (-lvl.dlog(eta) * inv_log_nw) % n)
-        ll = _q2_matrix(q6, lambda x: q6.mul(lam, x))
+        ll = q6.matrix(lambda x: q6.mul(lam, x))
         rows = []
         for k in range(3):
             for i in range(3):

@@ -6,26 +6,33 @@ coefficient in the lowest digit.  An element of F_{q^6}, built as a cubic
 extension of F_{q^2}, packs three F_{q^2} values in base |F_{q^2}|.  With
 this packing the embedding F_{q^2} -> F_{q^6} is the identity on integers.
 
-Both moduli and the canonical primitive are picked by a fixed deterministic
-rule (least coefficient tuple, compared from the constant term upward), so
-two towers built for the same (p, e) are bit-identical.  The F_{q^2} tables
-come from one linear walk: the powers of each candidate in key order, until
-one candidate's powers fill F_{q^2}^*.
+Both moduli come from one search, _first_irreducible: the first monic
+irreducible polynomial in key order (least coefficient tuple, compared from
+the constant term upward), of degree 2e over F_p and of degree 3 over
+F_{q^2}.  The primitives are fixed too, so two towers built for the same
+(p, e) are bit-identical.  The F_{q^2} tables come from one linear walk:
+the powers of each candidate in key order, until one candidate's powers
+fill F_{q^2}^*.  F_{q^6}'s generator is the first in packed order.  In
+F_{q^6}, x -> x^q and x -> x^(q^2) are 3x3 matrices over F_{q^2},
+precomputed per level.
 
 There is one polynomial arithmetic: the generic p_* helpers, which run over
-any level (F_p, F_{q^2} or F_{q^6}).  They test the base modulus for
+any level (F_p, F_{q^2} or F_{q^6}).  They test a modulus candidate for
 irreducibility and find roots.  The hot paths are written out by hand: the
 F_{q^6} product, the 3x3 matrix products over F_{q^2} (_linalg.mat_mul3
-and mat_vec3), which read the F_{q^2} log/exp and addition tables directly,
-and BaseLevel.values, which evaluates a sparse polynomial on all of
-F_{q^2}^* in one scan of those tables; poly_roots and the curve-point
-search take their F_{q^2} zeros from it.
+and mat_vec3, which also apply the F_{q^6} Frobenius matrices), which read
+the F_{q^2} log/exp and addition tables directly, and BaseLevel.values,
+which evaluates a sparse polynomial on all of F_{q^2}^* in one scan of
+those tables; poly_roots and the curve-point search take their F_{q^2}
+zeros from it.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 import random
+
+from ._linalg import mat_vec3
 
 
 class GFError(Exception):
@@ -69,15 +76,15 @@ def factorize(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Levels.  Every polynomial operation but the hot paths goes through
 # the p_* helpers below, which need only add, sub, mul and inv from a level
-# (zero and one are the ints 0 and 1); F_p is such a minimal level.
-# poly_roots also needs size, char, neg and key (deterministic ordering
-# tuple).  F_{q^2} and F_{q^6} also expose pow and frobq (the q-power map).
+# (zero and one are the ints 0 and 1), and Rabin's test also size; F_p is
+# such a minimal level.  poly_roots also needs char, neg and key
+# (deterministic ordering tuple).  F_{q^2} and F_{q^6} also expose pow and frobq (the q-power map).
 
 class _PrimeLevel:
     """F_p with plain modular arithmetic; only used while building F_{q^2}."""
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = self.size = p
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -94,18 +101,33 @@ class _PrimeLevel:
         return pow(x, self.p - 2, self.p)
 
 
-def _is_irreducible(fp: _PrimeLevel, f) -> bool:
-    """Rabin's test for a monic f of degree d >= 1 over F_p: X^(p^d) = X
-    mod f, and gcd(f, X^(p^(d/r)) - X) = 1 for every prime r | d."""
+def _is_irreducible(lvl, f) -> bool:
+    """Rabin's test for a monic f of degree d >= 1 over a level of Q
+    elements: X^(Q^d) = X mod f, and gcd(f, X^(Q^(d/r)) - X) = 1 for every
+    prime r | d."""
     d = len(f) - 1
 
-    def frob_minus_x(k):  # X^(p^k) - X mod f
-        h = p_powmod(fp, [0, 1], fp.p ** k, f) + [0, 0]
-        h[1] = fp.sub(h[1], 1)
-        return p_mod(fp, p_trim(h), f)
+    def frob_minus_x(k):  # X^(Q^k) - X mod f
+        h = p_powmod(lvl, [0, 1], lvl.size ** k, f) + [0, 0]
+        h[1] = lvl.sub(h[1], 1)
+        return p_mod(lvl, p_trim(h), f)
 
     return not frob_minus_x(d) and all(
-        len(p_gcd(fp, f, frob_minus_x(d // r))) == 1 for r in factorize(d))
+        len(p_gcd(lvl, f, frob_minus_x(d // r))) == 1 for r in factorize(d))
+
+
+def _first_irreducible(lvl, elems, d) -> tuple:
+    """The first monic irreducible polynomial of degree d over lvl, without
+    its leading 1, in key order: elems are lvl's elements in key order and
+    the constant term is compared first.  A root in lvl rules a candidate
+    out; for d <= 3 having none is enough, above that Rabin's test decides."""
+    nonzero = [c for c in elems if c]  # constant term zero is always reducible
+    for coeffs in itertools.product(nonzero, *[elems] * (d - 1)):
+        f = [*coeffs, 1]
+        if all(p_eval(lvl, f, x) for x in nonzero) and (
+                d <= 3 or _is_irreducible(lvl, f)):
+            return coeffs
+    raise GFError("no irreducible modulus found")  # pragma: no cover
 
 
 class _DigitSums:
@@ -142,7 +164,7 @@ class BaseLevel:
         self.q = p ** e
         self.deg = 2 * e
         self.size = p ** self.deg
-        self.mod = self._find_modulus()
+        self.mod = _first_irreducible(_PrimeLevel(p), range(p), self.deg)
         self._build_tables()
 
     # -- packing -----------------------------------------------------------
@@ -165,18 +187,6 @@ class BaseLevel:
         return self.digits(x)
 
     # -- construction ------------------------------------------------------
-    def _find_modulus(self) -> tuple[int, ...]:
-        fp = _PrimeLevel(self.p)
-        for coeffs in itertools.product(range(self.p), repeat=self.deg):
-            if coeffs[0] == 0:
-                continue  # constant term zero is always reducible
-            f = [*coeffs, 1]
-            # so is f with a root in F_p, a test far cheaper than Rabin's
-            rootless = all(p_eval(fp, f, r) for r in range(1, self.p))
-            if rootless and _is_irreducible(fp, f):
-                return coeffs
-        raise GFError("no irreducible modulus found")  # pragma: no cover
-
     def _build_tables(self):
         p, deg, size, n = self.p, self.deg, self.size, self.size - 1
         # key order is the order of the digit-reversed integers, so the
@@ -330,7 +340,7 @@ class ExtLevel:
         self._Q = Q
         self._Q2 = Q * Q
         self.size = Q ** 3
-        self.mod = self._find_modulus()
+        self.mod = _first_irreducible(base, base.elements_by_key(), 3)
         g0, g1, g2 = self.mod
         nb = base.neg
         self._red3 = (nb(g0), nb(g1), nb(g2))          # t^3
@@ -339,25 +349,16 @@ class ExtLevel:
         self._red4 = (m(r2, self._red3[0]),            # t^4 = t * t^3 reduced
                       ad(r0, m(r2, self._red3[1])),
                       ad(r1, m(r2, self._red3[2])))
-        t = Q  # the generator t packs as (0, 1, 0)
-        tq = self.pow(t, base.q)
-        self._tq = (1, tq, self.mul(tq, tq))
-        tq2 = self.pow(t, base.size)
-        self._tq2 = (1, tq2, self.mul(tq2, tq2))
+        self.frobq_matrix = self.matrix(lambda x: self.pow(x, base.q))
+        self.frobq2_matrix = self.matrix(lambda x: self.pow(x, Q))
         self._primitive = None
 
-    def _find_modulus(self) -> tuple[int, int, int]:
-        b = self.base
-        elems = b.elements_by_key()
-        for g0 in elems:
-            if g0 == 0:
-                continue  # constant term zero is always reducible
-            for g1 in elems:
-                for g2 in elems:
-                    f = (g0, g1, g2, 1)
-                    if all(p_eval(b, f, x) for x in range(b.size)):
-                        return (g0, g1, g2)
-        raise GFError("no irreducible cubic")  # pragma: no cover
+    def matrix(self, f):
+        """The row-major 3x3 matrix over F_{q^2} whose column j is f(t^j):
+        that of f in the basis 1, t, t^2 when f is F_{q^2}-linear.  For
+        x -> x^q it maps the q-th powers of x's coefficients to x^q's."""
+        cols = [self.unpack(f(t)) for t in (1, self._Q, self._Q2)]
+        return tuple(cols[j][i] for i in range(3) for j in range(3))
 
     def unpack(self, x):
         Q = self._Q
@@ -430,19 +431,15 @@ class ExtLevel:
             n >>= 1
         return r
 
-    def _semilinear(self, x, powers, basefrob):
-        c0, c1, c2 = self.unpack(x)
-        r = basefrob(c0)
-        r = self.add(r, self.scalar_mul(basefrob(c1), powers[1]))
-        return self.add(r, self.scalar_mul(basefrob(c2), powers[2]))
-
     def frobq(self, x):
         """x -> x^q."""
-        return self._semilinear(x, self._tq, self.base.frobq)
+        frobt = self.base.frobt
+        return self.pack(*mat_vec3(self.base, self.frobq_matrix,
+                                   [frobt[c] for c in self.unpack(x)]))
 
     def frobq2(self, x):
         """x -> x^(q^2)."""
-        return self._semilinear(x, self._tq2, lambda c: c)
+        return self.pack(*mat_vec3(self.base, self.frobq2_matrix, self.unpack(x)))
 
     def in_base(self, x) -> bool:
         return x < self._Q
@@ -451,7 +448,8 @@ class ExtLevel:
         """A deterministic generator of the multiplicative group."""
         if self._primitive is None:
             fac = factorize(self.size - 1)
-            x = 2
+            # every x below |F_{q^2}| lies in F_{q^2}, whose orders divide q^2 - 1
+            x = self._Q
             while True:
                 if all(self.pow(x, (self.size - 1) // r) != 1 for r in fac):
                     self._primitive = x
@@ -646,9 +644,8 @@ class FieldTower:
             return "0"
         return f"a^{self.q2.dlog(v)}"
 
-    def elt_str_any(self, v: int, level: str) -> str:
-        if level == "q2":
-            return self.elt_str(v)
+    def elt_str_any(self, v: int) -> str:
+        """Print a q6 value as its coefficients '[c0,c1,c2]' over F_{q^2}."""
         c0, c1, c2 = self.q6.unpack(v)
         return "[" + ",".join(self.elt_str(c) for c in (c0, c1, c2)) + "]"
 

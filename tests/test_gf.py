@@ -69,6 +69,22 @@ def test_canonical_tower_pinned(q):
     assert (tw.q2.mod, tw.a, tw.q6.mod) == CANONICAL_TOWERS[q]
 
 
+# q6.primitive() of the canonical tower: the first generator of F_{q^6}^*
+# in packed order, which the search starts at |F_{q^2}| (every element
+# below it lies in F_{q^2}).
+Q6_PRIMITIVES = {2: 5, 3: 10, 4: 19, 5: 27, 7: 50, 8: 73, 9: 87, 11: 122,
+                 13: 171, 16: 259, 19: 370}
+
+
+@pytest.mark.parametrize("q", sorted(Q6_PRIMITIVES))
+def test_q6_primitive_pinned(towers, q):
+    (p, e), = factorize(q).items()
+    q6 = (towers[q] if q in towers else build_tower(p, e)).q6
+    w = q6.primitive()
+    assert w == Q6_PRIMITIVES[q] and is_generator(q6, w)
+    assert not any(is_generator(q6, x) for x in range(q6.base.size, w))
+
+
 # The rank and table tests run at every pinned q and at the largest desk
 # sizes of each kind: odd with the addition table (25, 27) and even (32).
 TABLE_QS = sorted(CANONICAL_TOWERS) + [25, 27, 32]
@@ -136,6 +152,20 @@ def test_is_irreducible_matches_gauss_count(p, d):
     found = sum(_is_irreducible(fp, [*cs, 1])
                 for cs in itertools.product(range(p), repeat=d))
     gauss = sum(_mobius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0)
+    assert found * d == gauss
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_is_irreducible_over_f_q2_matches_gauss_count(towers, p, d):
+    # the same count over F_Q = F_{p^2}, Q = 4 and 9: Rabin's test runs over
+    # any level, as in the search for the F_{q^6} modulus
+    from hermquot.gf import _is_irreducible
+
+    lvl = towers[p].q2
+    Q = lvl.size
+    found = sum(_is_irreducible(lvl, [*cs, 1])
+                for cs in itertools.product(range(Q), repeat=d))
+    gauss = sum(_mobius(k) * Q ** (d // k) for k in range(1, d + 1) if d % k == 0)
     assert found * d == gauss
 
 

@@ -12,9 +12,10 @@ from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import BaseLevel, GFError, build_tower
 
 # elements with an irreducible cubic characteristic polynomial, which no
-# eigenvector of F_(q^2) describes: order 3 at q = 2, order 7 at q = 3
+# eigenvector of F_(q^2) describes: order 3 at q = 2 and 5, order 7 at q = 3
 SINGER3_Q2 = "tau(a^0, a^1) * omega * eps(a^1)"
 SINGER7_Q3 = "tau(a^1, a^0) * omega * eps(a^7)"
+SINGER3_Q5 = "tau(a^0, a^4) * omega * eps(a^16)"
 
 
 def brute_twisted_counts(tw, auts, n):
@@ -96,6 +97,15 @@ def test_counts_vs_brute_q3(tw3):
     counts = [twisted_counts(tw3, f) for f in auts]
     assert {c.path for c in counts} == {"wild"}
     assert [c.n for c in counts] == brute_twisted_counts(tw3, auts, 3)
+
+
+def test_f6_path_vs_brute_q5(tw5):
+    # odd characteristic on the F_(q^6) path: an order-3 element with an
+    # irreducible cubic characteristic polynomial, enumerated over F_(5^6)
+    f = parse_spec(tw5, SINGER3_Q5)[0]
+    tc = twisted_counts(tw5, f)
+    assert aut_order(f) == 3 and tc.path == "F_q^6"
+    assert [tc.n] == brute_twisted_counts(tw5, [f], 3) == [21]
 
 
 def test_translation_counts_vs_f6_count(tw3, tw9):
