@@ -75,19 +75,23 @@ def from_affine(tower: FieldTower, a: int, b: int, c: int) -> Aut:
     return Aut(tower, normalize_point(lvl, m))
 
 
-def compose(f: Aut, g: Aut) -> Aut:
-    """f o g as maps of functions (g applied first); point matrix M_g M_f,
+def proj_mul(lvl, a: tuple, b: tuple) -> tuple:
+    """The product a b of point matrices over F_{q^2} (row-major 9-tuples),
     scaled in the log domain so that its first nonzero entry is 1."""
-    lvl = f.tower.q2
-    m = mat_mul3(lvl, g.m, f.m)
-    c = next(filter(None, m), 0)
+    m = mat_mul3(lvl, a, b)
+    c = m[0] or next(filter(None, m), 0)
     if c != 1:
         if not c:
             raise GFError("zero vector is not a projective point")
         E, L = lvl._E, lvl._L
         s = lvl.size - 1 - L[c]
         m = tuple([E[L[x] + s] for x in m])
-    return Aut(f.tower, m)
+    return m
+
+
+def compose(f: Aut, g: Aut) -> Aut:
+    """f o g as maps of functions (g applied first); point matrix M_g M_f."""
+    return Aut(f.tower, proj_mul(f.tower.q2, g.m, f.m))
 
 
 def inverse(f: Aut) -> Aut:
@@ -169,30 +173,45 @@ class Group:
 
 
 def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
-    """BFS closure of the generated subgroup, capped to guard runaway input."""
+    """The subgroup that gens generate, closed by cosets (Dimino's algorithm;
+    Butler, Fundamental Algorithms for Permutation Groups, 1991).
+
+    The generators join one at a time. One not yet in the subgroup H closed
+    so far adds each right coset H x that a coset representative times a
+    generator so far reaches, at |H| products a coset: about |G| products
+    in all, not |G| |gens|. The cap guards runaway input: the closure
+    raises before adding a coset that would pass it, so exactly when
+    |G| > cap."""
     if cap is None:
         cap = 4 * tower.q ** 3
     gens = tuple(g for g in gens if not g.is_identity())
-    seen = {IDENTITY3: identity(tower)}
-    frontier = [identity(tower)]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = compose(f, g)
-                if h.m not in seen:
-                    if len(seen) >= cap:
+    lvl = tower.q2
+    elements, seen, used = [IDENTITY3], {IDENTITY3}, []
+    for g in gens:
+        if g.m in seen:
+            continue
+        used.append(g.m)
+        sub, n = elements[1:], len(elements)
+        # every coset of H is n consecutive elements, its representative
+        # first; H itself, at 0, reaches g's coset
+        pos = 0
+        while pos < len(elements):
+            r = elements[pos]
+            for t in used:
+                x = proj_mul(lvl, r, t)
+                if x not in seen:
+                    if len(elements) + n > cap:
                         raise GFError(
                             f"subgroup closure exceeded the cap {cap}")
-                    seen[h.m] = h
-                    nxt.append(h)
-        frontier = nxt
-    order = len(seen)
+                    coset = [x] + [proj_mul(lvl, h, x) for h in sub]
+                    elements += coset
+                    seen.update(coset)
+            pos += n
+    order = len(elements)
     assert pgu_order(tower.q) % order == 0, "closure is not a subgroup"
     rank = tower.q2.rank.__getitem__
-    elements = tuple(sorted(seen.values(),
-                            key=lambda a: tuple(map(rank, a.m))))
-    return Group(tower, elements, gens)
+    elements.sort(key=lambda m: tuple(map(rank, m)))
+    return Group(tower, tuple([Aut(tower, m) for m in elements]), gens)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\^|\*|,|\(|\)|=)|([A-Za-z_][A-Za-z_0-9]*)|(-?\d+))")
@@ -239,7 +258,8 @@ class _Parser:
     def take(self, kind=None, value=None):
         tok = self.toks[self.i]
         if kind and tok[0] != kind or value is not None and tok[1] != value:
-            raise DSLError(f"unexpected {tok[1]!r} at position {tok[2]}")
+            what = "end of spec" if tok[0] == "end" else repr(tok[1])
+            raise DSLError(f"unexpected {what} at position {tok[2]}")
         self.i += 1
         return tok
 

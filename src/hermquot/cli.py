@@ -236,6 +236,8 @@ def cmd_table(args) -> int:
     for c in cases:
         if c not in formulas.CASES:
             raise UsageError(f"unknown case {c!r}")
+    if args.q is not None and args.q_list is not None:
+        raise UsageError("--q and --q-list exclude each other")
     try:
         qs = [int(s) for s in args.q_list.split(",")] if args.q_list else [args.q]
     except ValueError:
@@ -243,7 +245,7 @@ def cmd_table(args) -> int:
     if qs == [None]:
         raise UsageError("table needs --q or --q-list")
     rows = []
-    for q in sorted(qs):
+    for q in sorted(set(qs)):
         rows.extend(_table_rows(build_tower(*_factor_q(q)), cases))
     rows.sort(key=lambda r: (r["case"], r["q"], r["m"]))
     failed = any(r["status"] == "FAILED" for r in rows)

@@ -59,9 +59,9 @@ from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_mul3
+from ._linalg import IDENTITY3, charpoly3, kernel, mat_adj3, mat_mul3
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
-                     inverse)
+                     proj_mul)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, poly_roots
@@ -466,9 +466,10 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
             # g(rep) from the conjugated cyclic subgroups as a guard against
             # a broken inertia group
             other = max(orbit, key=lambda p: place_sort_key(tower, p))
-            g = _carrier(orbit, other)
-            g_inv = inverse(g)
-            conj = [(compose(compose(g_inv, s), g), w) for s, w in inertia[rep]]
+            g = _carrier(orbit, other).m
+            g_adj = mat_adj3(tower.q2, g)
+            conj = [(Aut(tower, _conjugated(tower.q2, g, g_adj, s.m)), w)
+                    for s, w in inertia[rep]]
             assert all(fixes_pointwise(tower, s, other) for s, _w in conj)
             rd2 = inertia_data(tower, other, conj, setwise, dual_check=False)
             assert (rd2.e, rd2.f, rd2.d) == (rd.e, rd.f, rd.d)
@@ -486,6 +487,12 @@ class _CyclicSubgroup(NamedTuple):
                       # representative, None elsewhere
 
 
+def _conjugated(lvl, g: tuple, g_adj: tuple, s: tuple) -> tuple:
+    """The point matrix M_g M_s M_g^-1 of g^-1 o s o g, normalised, from
+    M_g, its adjugate and M_s."""
+    return proj_mul(lvl, g, mat_mul3(lvl, s, g_adj))
+
+
 def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     """One record per nontrivial cyclic subgroup <sigma> of the group, from
     the power walk of sigma or of an element that sigma is a power of. Its
@@ -494,29 +501,32 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     subgroups, found by conjugating with the group's generators:
     fixed(g sigma g^-1) = g(fixed(sigma)), so the other members of a class
     get the representative's places moved by g."""
-    q = tower.q
+    q, lvl = tower.q, tower.q2
     subs, where = [], {}
     for s in group.elements:
-        if s.is_identity() or s.m in where:
+        m = s.m
+        if m == IDENTITY3 or m in where:
             continue
-        powers = [s]
-        while not powers[-1].is_identity():
-            powers.append(compose(powers[-1], s))
+        powers = [m]
+        while powers[-1] != IDENTITY3:
+            powers.append(proj_mul(lvl, m, powers[-1]))
         n = len(powers)
         # <s> and each subgroup <s^d> not met yet, generated by the s^(dk)
         # with gcd(k, n/d) = 1
         for d in range(1, n):
-            if n % d or powers[d - 1].m in where:
+            if n % d or powers[d - 1] in where:
                 continue
             gens = [powers[d * k - 1] for k in range(1, n // d)
                     if gcd(k, n // d) == 1]
-            where.update((g.m, len(subs)) for g in gens)
+            where.update((g, len(subs)) for g in gens)
             subs.append((gens, n // d))
-    conj = [(g, inverse(g)) for g in group.gens]
+    aut = {s.m: s for s in group.elements}
+    conj = [(g, mat_adj3(lvl, g.m)) for g in group.gens]
     out = [None] * len(subs)
     for i, (gens, n) in enumerate(subs):
         if out[i] is not None:
             continue
+        gens = [aut[x] for x in gens]
         eigen = _eigen_data(tower, gens[0])
         fixed = fixed_rational_places(tower, gens[0], eigen)
         deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
@@ -526,12 +536,13 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         frontier = [(i, None)]
         for j, t in frontier:
             s = subs[j][0][0]
-            for g, g_inv in conj:
-                k = where[compose(compose(g_inv, s), g).m]
+            for g, g_adj in conj:
+                k = where[_conjugated(lvl, g.m, g_adj, s)]
                 if out[k] is None:
                     tg = g if t is None else compose(t, g)
                     out[k] = _CyclicSubgroup(
-                        subs[k][0], n, [apply_place(tg, p) for p in fixed],
+                        [aut[x] for x in subs[k][0]], n,
+                        [apply_place(tg, p) for p in fixed],
                         [apply_place(tg, p) for p in deg3], i, None)
                     frontier.append((k, tg))
     return out

@@ -1,5 +1,6 @@
 """Automorphisms: generators, composition, group closure, and the spec DSL."""
 
+import random
 from math import gcd
 
 import pytest
@@ -28,7 +29,9 @@ from hermquot.autgrp import (
 )
 from hermquot.curve import normalize_point, rational_places
 from hermquot.gf import GFError, build_tower, factorize
-from test_acceptance import random_atom
+from test_acceptance import random_atom, random_group
+
+from _closure_oracle import close_group_bfs
 
 
 def test_pgu_order_values():
@@ -185,6 +188,71 @@ def test_dsl_errors(tw4):
     for bad in ("eps(", "omega omega", "sigma4(delta=)", "frob", "eps(a^)"):
         with pytest.raises(DSLError):
             parse_spec(tw4, bad)
+
+
+def _pgu_gens(tw):
+    """omega, eps(a) and one translation, which generate PGU(3, q)."""
+    c = tw.solve_additive_raw(1)[0]
+    return [omega(tw), epsilon(tw, tw.a), from_affine(tw, 1, 1, c)]
+
+
+def _assert_closures_agree(tw, gens, cap=None):
+    grp = close_group(tw, gens, cap=cap)
+    bfs = close_group_bfs(tw, gens, cap=cap)
+    assert grp.elements == bfs.elements and grp.gens == bfs.gens
+    return grp
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_close_group_vs_bfs_on_9c_stream(towers, q):
+    tw = towers[q]
+    rng = random.Random(12345 + q)
+    for _ in range(200):
+        grp = random_group(tw, rng)
+        bfs = close_group_bfs(tw, grp.gens, cap=600)
+        assert grp.elements == bfs.elements and grp.gens == bfs.gens
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_close_group_vs_bfs_on_translation_groups(compose_towers, q):
+    # 1-3 random translations tau(b, c), conjugated by a torus element
+    tw = compose_towers[q]
+    rng = random.Random(q)
+    for _ in range(20):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            b = rng.randrange(tw.q2.size)
+            cs = tw.solve_additive_raw(b)
+            gens.append(from_affine(tw, 1, b, cs[rng.randrange(len(cs))]))
+        t = epsilon(tw, tw.a_pow(rng.randrange(1, tw.q2.size)))
+        t_inv = inverse(t)
+        gens = [compose(compose(t_inv, g), t) for g in gens]
+        assert q ** 3 % _assert_closures_agree(tw, gens).order == 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_close_group_vs_bfs_on_pgu(towers, q, order):
+    gens = _pgu_gens(towers[q])
+    grp = _assert_closures_agree(towers[q], [gens[i] for i in order],
+                                 cap=pgu_order(q))
+    assert grp.order == pgu_order(q)
+
+
+@pytest.mark.parametrize("q, make", [
+    (4, lambda tw: [epsilon(tw, tw.a), omega(tw)]),  # omega adds a 15-coset
+    (2, _pgu_gens),
+])
+def test_close_group_cap_is_exact(towers, q, make):
+    # cap = |G| closes and cap = |G| - 1 raises, although the last step
+    # adds a whole coset of more than one element
+    tw = towers[q]
+    gens = make(tw)
+    n = close_group(tw, gens, cap=pgu_order(q)).order
+    assert _assert_closures_agree(tw, gens, cap=n).order == n
+    for close in (close_group, close_group_bfs):
+        with pytest.raises(GFError, match="exceeded the cap"):
+            close(tw, gens, cap=n - 1)
 
 
 @settings(max_examples=20, deadline=None)

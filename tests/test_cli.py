@@ -147,6 +147,7 @@ def test_usage_error_exit_code(capsys):
     ("table", "--q-list", "1000000000000000003"),
     ("genus", "--p", "2", "--e", "1000000000", "--spec", "omega"),
     ("genus", "--q", "2048", "--spec", "omega"),
+    ("table", "--q", "4", "--q-list", "8"),  # exclude each other
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
     t0 = time.monotonic()
@@ -181,6 +182,15 @@ def test_table_t511_skipped_at_q2(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["m"] for r in rows] == ["1", "3"]
     assert all(r["status"] == "skipped(hypothesis)" for r in rows)
+
+
+def test_table_repeated_q_gives_each_row_once(capsys):
+    code, out, _ = run_cli(capsys, "table", "--q-list", "4,4", "--case", "t3",
+                           "--format", "csv")
+    assert code == 0
+    keys = [(r["case"], r["q"], r["m"])
+            for r in csv.DictReader(io.StringIO(out))]
+    assert keys == [("t3", "4", m) for m in ("1", "3", "5", "15")]
 
 
 def test_table_json(capsys):
@@ -234,6 +244,7 @@ def test_genus_flag_error_exit_code(capsys, argv, message):
     ("eps(0)", "needs a != 0"),
     ("sigma4(delta=0)", "needs delta != 0"),
     ("tau(a, 0)", "affine constraint"),
+    ("omega,", "unexpected end of spec at position 6"),
 ])
 def test_spec_parameter_error_exit_code(capsys, spec, message):
     code, _, err = run_cli(capsys, "genus", "--q", "4", "--spec", spec)
