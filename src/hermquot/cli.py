@@ -158,6 +158,8 @@ def cmd_genus(args) -> int:
     formula = None
     if args.case and args.spec is not None:
         raise UsageError("--spec and --case exclude each other")
+    if args.m is not None and not args.case:
+        raise UsageError("--m requires --case")
     if args.case:
         if args.m is None:
             raise UsageError("--case requires --m")

@@ -8,9 +8,15 @@ generators sigma^k, gcd(k, n) = 1, of <sigma>, and those of each subgroup
 of each; all is found once, at sigma. The fixed rational places come out of
 an eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
-line of PG(2, q^2) meets the curve only in rational points). That analysis runs once per G-conjugacy class of cyclic
-subgroups: conjugating by the group's generators finds each class, and
+line of PG(2, q^2) meets the curve only in rational points). That analysis
+runs once per G-conjugacy class of cyclic subgroups of order p or prime to
+p: conjugating by the group's generators finds each class, and
 fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
+A wild subgroup, of order n = p m with m > 1, takes its places from its
+order-p subgroup <sigma^m>: a Sylow p-subgroup of PGU(3, q) fixes one
+rational place and acts regularly on the q^3 others
+(Hirschfeld-Korchmaros-Torres 2008), so sigma fixes exactly the place
+sigma^m fixes, and no degree-3 place, as n does not divide q^2 - q + 1.
 
 Only places fixed by some nontrivial element can ramify, so the different
 degree is a sum over a handful of orbits. Each orbit comes from a
@@ -39,11 +45,12 @@ and weighted by the phi(n) generators of each member (_rational_count).
 Such an x lies over F_{q^(2n)}, and N_sigma is counted from points on one
 of three paths:
 
+  * p | ord(sigma): conjugated to fix P_inf, sigma gives an additive or a
+    Kummer equation in x and the curve equation in y; this needs only
+    sigma's fixed place, not its eigenvalues;
   * sigma diagonalisable over F_{q^2}: in eigen-coordinates twisted by a
     (q^2 - 1)-th root of a, the solutions are the zeros in P^2(F_{q^2}) of
     one form over F_{q^2}, counted as norm fibres over P^1;
-  * p | ord(sigma): conjugated to fix P_inf, sigma gives an additive or a
-    Kummer equation in x and the curve equation in y;
   * ord(sigma) = 3: the count over F_{q^6} (twisted_fix_count).
 
 An element on none of these paths leaves the count unknown (maximal is None)
@@ -361,10 +368,10 @@ class TwistedCount(NamedTuple):
 
 def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
                    fixed) -> TwistedCount:
-    if sum(len(b) for _l, _m, b in eig) == 3:
-        return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
     if order % tower.p == 0:
         return TwistedCount(*_wild_counts(tower, aut, fixed, order), "wild")
+    if sum(len(b) for _l, _m, b in eig) == 3:
+        return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
     if order == 3:
         n6 = twisted_fix_count(tower, aut)
         return TwistedCount(n6, n6, "F_q^6")
@@ -484,7 +491,8 @@ class _CyclicSubgroup(NamedTuple):
     deg3: list   # pointwise-fixed degree-3 places
     rep: int     # walk index of its conjugacy class's representative
     eig: list | None  # sigma's [(eigenvalue, multiplicity, basis)] on a
-                      # representative, None elsewhere
+                      # representative of order p or prime to p, None
+                      # elsewhere
 
 
 def _conjugated(lvl, g: tuple, g_adj: tuple, s: tuple) -> tuple:
@@ -498,10 +506,13 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     the power walk of sigma or of an element that sigma is a power of. Its
     generators fix the same places as sigma, since sigma is in turn a power
     of each. The eigen analysis runs once per G-conjugacy class of cyclic
-    subgroups, found by conjugating with the group's generators:
-    fixed(g sigma g^-1) = g(fixed(sigma)), so the other members of a class
-    get the representative's places moved by g."""
-    q, lvl = tower.q, tower.q2
+    subgroups of order p or prime to p, found by conjugating with the
+    group's generators: fixed(g sigma g^-1) = g(fixed(sigma)), so the other
+    members of a class get the representative's places moved by g. A wild
+    class of order n = p m, m > 1, takes its representative's one fixed
+    place from the record of <sigma^m>, which the walk by increasing order
+    has met before."""
+    q, p, lvl = tower.q, tower.p, tower.q2
     subs, where = [], {}
     for s in group.elements:
         m = s.m
@@ -519,19 +530,29 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
             gens = [powers[d * k - 1] for k in range(1, n // d)
                     if gcd(k, n // d) == 1]
             where.update((g, len(subs)) for g in gens)
-            subs.append((gens, n // d))
+            # a wild <s^d> of order > p fixes what <s^(n/p)> fixes
+            wild = n // d % p == 0 and n // d > p
+            subs.append((gens, n // d, powers[n // p - 1] if wild else None))
     aut = {s.m: s for s in group.elements}
     conj = [(g, mat_adj3(lvl, g.m)) for g in group.gens]
     out = [None] * len(subs)
-    for i, (gens, n) in enumerate(subs):
+    # by increasing order, so the order-p subgroup of a wild one comes
+    # first; the sort is stable, so a class's lowest index stays its
+    # representative
+    for i in sorted(range(len(subs)), key=lambda i: subs[i][1]):
         if out[i] is not None:
             continue
+        gens, n, below = subs[i]
         gens = [aut[x] for x in gens]
-        eigen = _eigen_data(tower, gens[0])
-        fixed = fixed_rational_places(tower, gens[0], eigen)
-        deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
-                if (q * q - q + 1) % n == 0 else [])
-        out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eigen[0])
+        if below is None:
+            eigen = _eigen_data(tower, gens[0])
+            fixed = fixed_rational_places(tower, gens[0], eigen)
+            deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
+                    if (q * q - q + 1) % n == 0 else [])
+            eig = eigen[0]
+        else:
+            fixed, deg3, eig = out[where[below]].fixed, [], None
+        out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eig)
         # the class, each member with an element carrying i's places to its
         frontier = [(i, None)]
         for j, t in frontier:

@@ -232,6 +232,7 @@ def test_places_negative_budget_exit_code(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--spec", "omega", "--out", "/nonexistent-dir/x"), "cannot write --out"),
     (("--spec", "omega", "--case", "t3", "--m", "3"), "exclude each other"),
+    (("--spec", "omega", "--m", "3"), "--m requires --case"),
 ])
 def test_genus_flag_error_exit_code(capsys, argv, message):
     code, _, err = run_cli(capsys, "genus", "--q", "2", *argv)

@@ -46,7 +46,7 @@ from hermquot.engine import (
     twisted_fix_count,
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
-from hermquot.gf import GFError, poly_roots
+from hermquot.gf import GFError, build_tower, poly_roots
 from _walk_oracle import (
     orbit_rows_by_images,
     rational_count_per_subgroup,
@@ -255,6 +255,10 @@ def test_expected_mismatch_reported(tw4):
     assert rep.matches is False
 
 
+def _wild_above_p(tw, order):
+    return order % tw.p == 0 and order > tw.p
+
+
 def _check_walk_per_element(tw, grp):
     # every nontrivial element generates exactly one record of the walk, and
     # the record holds what the per-element route finds for it; a class
@@ -269,7 +273,10 @@ def _check_walk_per_element(tw, grp):
         assert rep.rep == c.rep <= i and rep.order == c.order
         if c.rep == i:
             sigma = c.gens[0]
-            assert c.eig == _eigen_data(tw, sigma)[0]
+            # a wild representative of order > p takes its places from its
+            # order-p subgroup and has no eigen analysis
+            assert c.eig == (None if _wild_above_p(tw, c.order)
+                             else _eigen_data(tw, sigma)[0])
             counts[i] = _twisted_count(tw, sigma, c.order, c.eig, c.fixed)
             assert counts[i] == twisted_counts(tw, sigma)
         else:
@@ -413,6 +420,9 @@ def _check_against_oracle(tw, grp):
             tw, grp, old, dual)
     assert _rational_count(tw, grp.order, walk) == (
         rational_count_per_subgroup(tw, grp.order, old))
+    # the wild records of order > p met, whose places the walk takes from
+    # their order-p subgroups
+    return sum(1 for c in walk if _wild_above_p(tw, c.order))
 
 
 @pytest.mark.parametrize("q", [2, 4, 5, 7, 8])
@@ -434,6 +444,43 @@ def test_walk_per_class_vs_oracle_on_pgu(towers, q):
     grp = _pgu(towers[q])
     assert grp.order == pgu_order(q)
     _check_against_oracle(towers[q], grp)
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_walk_per_class_vs_oracle_on_translation_groups(q):
+    # 1-3 random translations tau(b, c), as in the wild_cli workload, each
+    # group conjugated by a random atom; tau(b, c) has order 4 when b != 0
+    tw = build_tower(2, q.bit_length() - 1)
+    rng = random.Random(q)
+    wild = nonabelian = 0
+    for _ in range(10):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            b = rng.randrange(tw.q2.size)
+            cs = tw.solve_additive_raw(b)
+            gens.append(from_affine(tw, 1, b, cs[rng.randrange(len(cs))]))
+        nonabelian += any(compose(g, h).m != compose(h, g).m
+                          for g, h in itertools.combinations(gens, 2))
+        t = random_atom(tw, rng)
+        t_inv = inverse(t)
+        grp = close_group(tw, [compose(compose(t_inv, g), t) for g in gens])
+        wild += _check_against_oracle(tw, grp)
+    assert wild and nonabelian
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_walk_per_class_vs_oracle_on_p_inf_stabiliser(towers, q):
+    # the stabiliser of P_inf, <eps(a), tau(1, c)> of order q^3 (q^2 - 1):
+    # in odd characteristic (x, y) -> (-x, y + c), c^q + c = 0, c != 0, is
+    # wild of order 2p, and its p-th power is an involution fixing q + 1
+    # rational places, not the one its order-p subgroup fixes
+    tw = towers[q]
+    c = tw.solve_additive_raw(1)[0]
+    order = q ** 3 * (q * q - 1)
+    grp = close_group(tw, [epsilon(tw, tw.a), from_affine(tw, 1, 1, c)],
+                      cap=order)
+    assert grp.order == order
+    assert _check_against_oracle(tw, grp)
 
 
 def test_pgu33_quotient_rows(tw3):
