@@ -5,18 +5,20 @@ The strategy avoids scanning places. The group is walked by powers: the
 powers of sigma up to the identity give n = ord(sigma), the phi(n)
 generators sigma^k, gcd(k, n) = 1, of <sigma>, and those of each subgroup
 <sigma^d>. The generators fix the same places as sigma, as sigma is a power
-of each; all is found once, at sigma. The fixed rational places come out of
-an eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
-degree-3 place needs an irreducible cubic factor of its charpoly (every
-line of PG(2, q^2) meets the curve only in rational points). That analysis
-runs once per G-conjugacy class of cyclic subgroups of order p or prime to
-p: conjugating by the group's generators finds each class, and
+of each; so all is found at sigma, once per G-conjugacy class of cyclic
+subgroups: conjugating by the group's generators finds each class, and
 fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
-A wild subgroup, of order n = p m with m > 1, takes its places from its
-order-p subgroup <sigma^m>: a Sylow p-subgroup of PGU(3, q) fixes one
-rational place and acts regularly on the q^3 others
-(Hirschfeld-Korchmaros-Torres 2008), so sigma fixes exactly the place
-sigma^m fixes, and no degree-3 place, as n does not divide q^2 - q + 1.
+For ord(sigma) prime to p the fixed rational places come out of an
+eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
+degree-3 place needs an irreducible cubic factor of its charpoly (every
+line of PG(2, q^2) meets the curve only in rational points). A wild sigma
+needs no eigenvalues: a Sylow p-subgroup of PGU(3, q) fixes one rational
+place and acts regularly on the q^3 others (Hirschfeld-Korchmaros-Torres
+2008), so sigma fixes one rational place and no degree-3 one, as p does not
+divide q^2 - q + 1. Of order p, sigma's matrix is lam (I + N) with N
+nilpotent, and the place is read off the highest nonzero power of N
+(_wild_place); of order n = p m, m > 1, sigma fixes the place of its
+order-p subgroup <sigma^m>.
 
 Only places fixed by some nontrivial element can ramify, so the different
 degree is a sum over a handful of orbits. Each orbit comes from a
@@ -66,7 +68,8 @@ from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import IDENTITY3, charpoly3, kernel, mat_adj3, mat_mul3
+from ._linalg import (IDENTITY3, charpoly3, kernel, mat_adj3, mat_det3,
+                      mat_mul3, mat_vec3)
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
                      proj_mul)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
@@ -124,6 +127,33 @@ def fixed_rational_places(tower: FieldTower, aut: Aut,
                 pt = [lvl.add(x, lvl.mul(c, y)) for x, y in zip(pt, b)]
             places.append(place_of_point(tower, pt))
     return sorted(places, key=lambda p: place_sort_key(tower, p))
+
+
+def _wild_place(tower: FieldTower, m: tuple) -> Place:
+    """The one rational place fixed by a point matrix m of order p. M^p is
+    scalar and p-th roots are unique in characteristic p, so M = lam (I + N)
+    with N nilpotent: lam = tr M / 3, or for p = 3 the cube root
+    det(M)^(q^2/3), cubing being a bijection of F_{q^2}. The fixed points
+    are ker N. If N^2 != 0, N is one Jordan block and ker N = im N^2, a
+    point; if N^2 = 0, M is an elation, whose axis is the tangent line at
+    its centre im N and meets the curve only there. Either way the place is
+    a nonzero column of the highest nonzero power of N."""
+    lvl = tower.q2
+    if tower.p == 3:
+        lam = lvl.pow(mat_det3(lvl, m), lvl.size // 3)
+    else:
+        lam = lvl.div(lvl.add(lvl.add(m[0], m[4]), m[8]), 3 % tower.p)
+    nil = list(m)
+    for i in (0, 4, 8):
+        nil[i] = lvl.sub(nil[i], lam)
+    nil2 = mat_mul3(lvl, nil, nil)
+    top = nil2 if any(nil2) else nil
+    pt = next((top[j::3] for j in range(3) if any(top[j::3])), None)
+    # on the curve, and M pt = lam pt
+    if pt is None or _herm(lvl, pt, pt) or any(mat_vec3(lvl, nil, pt)):
+        raise EngineError("an element of order p fixes no rational place "
+                          "through its nilpotent part")
+    return place_of_point(tower, pt)
 
 
 def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
@@ -491,8 +521,7 @@ class _CyclicSubgroup(NamedTuple):
     deg3: list   # pointwise-fixed degree-3 places
     rep: int     # walk index of its conjugacy class's representative
     eig: list | None  # sigma's [(eigenvalue, multiplicity, basis)] on a
-                      # representative of order p or prime to p, None
-                      # elsewhere
+                      # representative of order prime to p, None elsewhere
 
 
 def _conjugated(lvl, g: tuple, g_adj: tuple, s: tuple) -> tuple:
@@ -505,13 +534,14 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     """One record per nontrivial cyclic subgroup <sigma> of the group, from
     the power walk of sigma or of an element that sigma is a power of. Its
     generators fix the same places as sigma, since sigma is in turn a power
-    of each. The eigen analysis runs once per G-conjugacy class of cyclic
-    subgroups of order p or prime to p, found by conjugating with the
-    group's generators: fixed(g sigma g^-1) = g(fixed(sigma)), so the other
-    members of a class get the representative's places moved by g. A wild
-    class of order n = p m, m > 1, takes its representative's one fixed
-    place from the record of <sigma^m>, which the walk by increasing order
-    has met before."""
+    of each. The places are found once per G-conjugacy class of cyclic
+    subgroups, each class by conjugating with the group's generators:
+    fixed(g sigma g^-1) = g(fixed(sigma)), so the other members of a class
+    get the representative's places moved by g. The eigen analysis runs only
+    on classes of order prime to p. A class of order p takes its
+    representative's one fixed place from the nilpotent part of its matrix
+    (_wild_place), one of order n = p m, m > 1, from the record of
+    <sigma^m>, which the walk by increasing order has met before."""
     q, p, lvl = tower.q, tower.p, tower.q2
     subs, where = [], {}
     for s in group.elements:
@@ -544,7 +574,9 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
             continue
         gens, n, below = subs[i]
         gens = [aut[x] for x in gens]
-        if below is None:
+        if n == p:
+            fixed, deg3, eig = [_wild_place(tower, gens[0].m)], [], None
+        elif below is None:
             eigen = _eigen_data(tower, gens[0])
             fixed = fixed_rational_places(tower, gens[0], eigen)
             deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hermquot._linalg import charpoly3
@@ -13,6 +13,7 @@ from hermquot.autgrp import (
     apply_place,
     apply_point,
     aut_order,
+    aut_pow,
     close_group,
     compose,
     epsilon,
@@ -38,6 +39,7 @@ from hermquot.engine import (
     _orbit_rows,
     _rational_count,
     _twisted_count,
+    _wild_place,
     fixed_rational_places,
     genus_of_quotient,
     pointwise_fixed_degree3_places,
@@ -273,9 +275,10 @@ def _check_walk_per_element(tw, grp):
         assert rep.rep == c.rep <= i and rep.order == c.order
         if c.rep == i:
             sigma = c.gens[0]
-            # a wild representative of order > p takes its places from its
-            # order-p subgroup and has no eigen analysis
-            assert c.eig == (None if _wild_above_p(tw, c.order)
+            # a wild representative has no eigen analysis: of order p it
+            # takes its place from its nilpotent part, of order > p from its
+            # order-p subgroup
+            assert c.eig == (None if c.order % tw.p == 0
                              else _eigen_data(tw, sigma)[0])
             counts[i] = _twisted_count(tw, sigma, c.order, c.eig, c.fixed)
             assert counts[i] == twisted_counts(tw, sigma)
@@ -377,7 +380,10 @@ def test_genus_grows_down_to_cyclic_subgroups(towers):
     assert pairs > 100
 
 
-@settings(max_examples=10, deadline=None)
+# no shrinking: a failing example is a sweep over the whole grid, and
+# shrinking reruns such sweeps, many of them, before reporting the failure
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(rng=st.randoms(use_true_random=False))
 def test_conjugation_leaves_reports_unchanged(towers, rng):
     # conjugate each grid group at q <= 8 by a product of 1-3 random atoms;
@@ -481,6 +487,93 @@ def test_walk_per_class_vs_oracle_on_p_inf_stabiliser(towers, q):
                       cap=order)
     assert grp.order == order
     assert _check_against_oracle(tw, grp)
+
+
+def _order_p_elements(tw, rng, count):
+    """count elements of order p: tau(b, c) with b = 0 (elations) and with
+    b != 0, at p = 2 squared down to order 2, each conjugated by a random
+    word in omega and affine maps."""
+    lvl, out = tw.q2, []
+    for k in range(count):
+        b = 0 if k % 2 else rng.randrange(1, lvl.size)
+        cs = [c for c in tw.solve_additive_raw(b) if b or c]
+        s = from_affine(tw, 1, b, rng.choice(cs))
+        s = aut_pow(s, aut_order(s) // tw.p)
+        for _ in range(rng.randrange(4)):
+            b = rng.randrange(lvl.size)
+            t = from_affine(tw, rng.randrange(1, lvl.size), b,
+                            rng.choice(tw.solve_additive_raw(b)))
+            if rng.randrange(2):
+                t = compose(omega(tw), t)
+            s = compose(compose(inverse(t), s), t)
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_wild_place_vs_fixed_rational_places(towers, q):
+    # q = 3 and 9 take lambda as a cube root of det M, the others as tr M / 3
+    tw = towers[q]
+    for s in _order_p_elements(tw, random.Random(q), 60):
+        assert aut_order(s) == tw.p
+        assert [_wild_place(tw, s.m)] == fixed_rational_places(tw, s)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_wild_place_rejects_an_element_of_order_prime_to_p(towers, q):
+    tw = towers[q]
+    for s in (omega(tw), epsilon(tw, tw.a)):
+        with pytest.raises(EngineError):
+            _wild_place(tw, s.m)
+
+
+def _translation_groups(tw, rng):
+    """Ten groups of 1-3 random translations tau(b, c), each conjugated by a
+    torus element eps(a^k), as in the wild_cli benchmark stream."""
+    out = []
+    for _ in range(10):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            b = rng.randrange(tw.q2.size)
+            gens.append(from_affine(tw, 1, b,
+                                    rng.choice(tw.solve_additive_raw(b))))
+        t = epsilon(tw, tw.a_pow(rng.randrange(tw.q * tw.q - 1)))
+        t_inv = inverse(t)
+        out.append(close_group(tw, [compose(compose(t_inv, g), t)
+                                    for g in gens]))
+    return out
+
+
+def _sylow_p_subgroup(tw):
+    """The translations tau(b, c), of order q^3, from b over the F_p-basis
+    1, a, ..., a^(2e - 1) of F_{q^2}, moved by omega to fix (0 : 0 : 1)."""
+    w = omega(tw)
+    gens = [compose(compose(w, from_affine(
+        tw, 1, b, tw.solve_additive_raw(b)[0])), w)
+        for b in map(tw.a_pow, range(tw.q2.deg))]
+    return close_group(tw, gens, cap=tw.q ** 3)
+
+
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_p_groups_need_no_eigen_analysis(q, monkeypatch):
+    # every cyclic subgroup of a p-group is wild: of order p it takes its
+    # place from its nilpotent part, of order p m from its order-p subgroup
+    p, e = {8: (2, 3), 9: (3, 2), 16: (2, 4)}[q]
+    tw = build_tower(p, e)
+    groups = (_translation_groups(tw, random.Random(q)) if p == 2
+              else [_sylow_p_subgroup(tw)])
+    for grp in groups:
+        _check_against_oracle(tw, grp)
+
+    def no_eigen(*_args):
+        raise AssertionError("eigen analysis on a p-group")
+
+    monkeypatch.setattr("hermquot.engine._eigen_data", no_eigen)
+    for grp in groups:
+        rep = genus_of_quotient(tw, grp)
+        assert rep.maximal
+    # the quotient by a Sylow p-subgroup is rational
+    assert p == 2 or (grp.order, rep.genus) == (q ** 3, 0)
 
 
 def test_pgu33_quotient_rows(tw3):
