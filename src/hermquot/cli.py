@@ -105,7 +105,6 @@ def _report_dict(tower, group, rep, spec_strings, formula=None):
         "n_rational_quotient": rep.n_rational,
         "n_rational_deg1_deg3": rep.n_rational_deg13,
         "maximal": rep.maximal,
-        "uncounted_orders": list(rep.uncounted_orders),
     }
     if formula is not None:
         out["formula"] = formula
@@ -136,14 +135,9 @@ def _as_text(data) -> str:
     lines.append(f"deg Diff = {data['deg_diff']}")
     lines.append(f"genus = {data['genus']}")
     if data.get("n_rational_deg1_deg3") is not None:
-        if data["n_rational_quotient"] is None:
-            orders = ", ".join(map(str, data["uncounted_orders"]))
-            lines.append(f"quotient rational places = unknown (elements of "
-                         f"order {orders} not counted)  maximal = unknown")
-        else:
-            lines.append(f"quotient rational places = "
-                         f"{data['n_rational_quotient']}  "
-                         f"maximal = {data['maximal']}")
+        lines.append(f"quotient rational places = "
+                     f"{data['n_rational_quotient']}  "
+                     f"maximal = {data['maximal']}")
         lines.append(f"  under places of degree 1 and 3 = "
                      f"{data['n_rational_deg1_deg3']}")
     if "formula" in data:
@@ -292,8 +286,7 @@ def cmd_places(args) -> int:
 
 
 def _verify_suites(tower):
-    """Yield (suite name, passes, failures, first failing instance,
-    unknowns), the last None for suites where every check decides."""
+    """Yield (suite name, passes, failures, first failing instance)."""
     q = tower.q
     passes, fails, first = 0, 0, None
     # group relation suite: omega is an involution, eps conjugation rule,
@@ -312,7 +305,7 @@ def _verify_suites(tower):
         fails += not ok
         if not ok and first is None:
             first = name
-    yield ("relations", passes, fails, first, None)
+    yield ("relations", passes, fails, first)
     # v-sequence suite
     passes, fails, first = 0, 0, None
     for kind, delta in (("sigma4", tower.a_pow(q - 1)),
@@ -331,7 +324,7 @@ def _verify_suites(tower):
             fails += not ok
             if not ok and first is None:
                 first = f"{kind} delta={tower.elt_str(delta)} i={i}"
-    yield ("v-sequence", passes, fails, first, None)
+    yield ("v-sequence", passes, fails, first)
     # Hurwitz integrality + filtration suite on a few standard groups
     passes, fails, first = 0, 0, None
     specs = ["omega", "eps(a), omega", f"sigma4(delta=a^{q - 1})",
@@ -348,21 +341,18 @@ def _verify_suites(tower):
             fails += 1
             if first is None:
                 first = f"{sp}: {ex}"
-    yield ("hurwitz", passes, fails, first, None)
-    # maximality suite: a quotient of a maximal curve is maximal; unknown
-    # when some element's twisted point count is out of reach
-    passes, fails, unknown, first = 0, 0, 0, None
+    yield ("hurwitz", passes, fails, first)
+    # maximality suite: a quotient of a maximal curve is maximal
+    passes, fails, first = 0, 0, None
     for sp, grp, rep in reports:
-        if rep.maximal is None:
-            unknown += 1
-        elif rep.maximal:
+        if rep.maximal:
             passes += 1
         else:
             fails += 1
             if first is None:
                 first = (f"{sp}: n={rep.n_rational} vs "
                          f"{q * q + 1 + 2 * rep.genus * q}")
-    yield ("maximality", passes, fails, first, unknown)
+    yield ("maximality", passes, fails, first)
     # tame crosscheck suite
     passes, fails, first = 0, 0, None
     for sp, grp, rep in reports:
@@ -373,16 +363,14 @@ def _verify_suites(tower):
         fails += not ok
         if not ok and first is None:
             first = sp
-    yield ("tame-crosscheck", passes, fails, first, None)
+    yield ("tame-crosscheck", passes, fails, first)
 
 
 def cmd_verify(args) -> int:
     tower = _tower_from_args(args)
     bad = 0
-    for name, passes, fails, first, unknown in _verify_suites(tower):
+    for name, passes, fails, first in _verify_suites(tower):
         line = f"{name}: {passes} passed, {fails} failed"
-        if unknown is not None:
-            line += f", {unknown} unknown"
         if first:
             line += f"  (first failure: {first})"
         _write(line)

@@ -34,8 +34,8 @@ _form_zeros: on the span of b_1..b_k the curve equation is the form
 sum c_i^q c_j h(b_i, b_j), h the sesquilinear Hermitian form of the curve,
 and its zeros in P^(k-1)(F_{q^2}) are listed line by line, each line in
 one scan of the log tables (BaseLevel.zeros, which also gives poly_roots its
-eigenvalues). The spans are the eigenspaces (fixed rational places) and the
-twisted kernels of twisted_fix_count.
+eigenvalues). The spans are the eigenspaces, and their zeros the fixed
+rational places.
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
@@ -53,12 +53,17 @@ of three paths:
   * sigma diagonalisable over F_{q^2}: in eigen-coordinates twisted by a
     (q^2 - 1)-th root of a, the solutions are the zeros in P^2(F_{q^2}) of
     one form over F_{q^2}, counted as norm fibres over P^1;
-  * ord(sigma) = 3: the count over F_{q^6} (twisted_fix_count).
+  * no root of sigma's charpoly in F_{q^2} (a Singer-type element): in
+    eigen-coordinates over F_{q^6} the solutions are the common roots of
+    two polynomials, counted by one gcd (twisted_fix_count).
 
-An element on none of these paths leaves the count unknown (maximal is None)
-and its order is reported. The points over F_{q^6} alone give the subcount
-of quotient places under places of degree 1 and 3; unless ord(sigma) = 3
-they are sigma's fixed rational points (_twisted_count).
+These cover PGU(3, q) (Carter, Finite Groups of Lie Type, 1985): an element
+of order prime to p lies in a maximal torus of type (q + 1)^3 or
+(q^2 - 1)(q + 1), split over F_{q^2}, or q^3 + 1, whose elements with no
+eigenvalue in F_{q^2} have an irreducible charpoly; any other element is an
+EngineError. The points over F_{q^6} alone give the subcount of quotient
+places under places of degree 1 and 3; unless ord(sigma) = 3 they are
+sigma's fixed rational points (_twisted_count).
 """
 from __future__ import annotations
 
@@ -74,7 +79,7 @@ from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
                      proj_mul)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
-from .gf import FieldTower, GFError, poly_roots
+from .gf import FieldTower, GFError, p_gcd, p_powmod, p_trim, poly_roots
 from .localval import conjugate, fixes_pointwise, inertia_data, to_infinity
 
 
@@ -211,71 +216,40 @@ def _form_zeros(lvl, q: int, g) -> list[tuple]:
     return out
 
 
-def _span_curve_points(tower: FieldTower, basis) -> int:
-    """Points of the curve in the projective span over F_{q^2} of F_{q^6}
-    vectors b_1..b_k on which Frob(v) = lam M v. The curve equation at
-    sum c_i b_i is sum c_i^q c_j h(b_i, b_j); Frobenius multiplies every
-    h(b_i, b_j) by the same factor lam^(q+1) kappa (M scales the form by
-    kappa), so after division by one nonzero entry the Gram matrix lies in
-    F_{q^2} and the candidates are tested with F_{q^2} tables."""
-    lvl, q6 = tower.q2, tower.q6
-    gram = [[_herm(q6, u, v) for v in basis] for u in basis]
-    g0 = next((x for row in gram for x in row if x), 0)
-    if not g0:
-        assert len(basis) == 1, "the curve is irreducible and contains no line"
-        return 1
-    ig = q6.inv(g0)
-    gram = [[q6.mul(x, ig) for x in row] for row in gram]
-    if not all(q6.in_base(x) for row in gram for x in row):
-        raise EngineError("Gram matrix of a twisted kernel is not F_q^2-proportional")
-    return len(_form_zeros(lvl, tower.q, gram))
-
-
 def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
-    """#{x on the curve over F_{q^6} : Frob(x) = aut(x)} projectively.
+    """#{x on the curve : Frob(x) = aut(x)} projectively, for aut whose
+    charpoly has no root in F_{q^2} (a Singer-type element).
 
-    Frob(v) = lambda M v is F_{q^2}-linear in v for each scalar lambda, and
-    scaling v by mu moves lambda by mu^(q^2 - 1), so lambda only needs to run
-    over coset representatives w^j of the (q^2 - 1)-th powers; no point is
-    counted in two classes. Applying Frob three times gives v = N(lambda)
-    M^3 v with N the norm to F_{q^2}, which is constant on a class, so only
-    the classes whose norm inverts an eigenvalue of M^3 in F_{q^2} (at most
-    three) have solutions. Each contributes the curve points of the
-    projective F_{q^2}-kernel of a 9x9 system.
+    With mu a root of the charpoly in F_{q^6}, p_1 an eigenvector,
+    p_2 = Frob(p_1), p_3 = Frob(p_2) (so Frob(p_3) = p_1) and M p_i = mu_i p_i,
+    mu_i = mu^(q^(2(i - 1))), a solution x = p_1 + t_2 p_2 + t_3 p_3 of
+    Frob(x) = lam M x has t_2 = (lam mu_2)^-1, t_3 = (lam mu_2)^(-q^2)
+    (lam mu_3)^-1 and lam^(q^4 + q^2 + 1) = mu^-3, one x per lam. sigma
+    scales the Hermitian form, so the Gram matrix h_ij = h(p_i, p_j) has the
+    one cyclic family h13, h21, h32, and the curve equation h13 t_3 +
+    h21 t_2^q + h32 t_3^q t_2 is lam^-q P(X), P = C X^(q+1) + A X + B, in
+    X = lam^-T, T = q^2 - q + 1, with X^(q^2 + q + 1) = mu^3; lam -> X is
+    T-to-1. So N = T deg gcd(P, X^(q^2 + q + 1) - mu^3), the gcd squarefree
+    as q^2 + q + 1 is prime to p.
     """
-    lvl = tower.q2
-    q6 = tower.q6
-    n = lvl.size - 1
-    f2 = q6.frobq2_matrix
-    w = q6.primitive()
-    # N(w) = w^((q^6 - 1)/(q^2 - 1)) generates F_{q^2}^*, and N(w^j) = N(w)^j
-    nw = q6.pow(w, (q6.size - 1) // n)
-    assert q6.in_base(nw)
-    inv_log_nw = pow(lvl.dlog(nw), -1, n)
-    m = aut.m
-    m3 = mat_mul3(lvl, mat_mul3(lvl, m, m), m)
-    total = 0
-    for eta, _mult in poly_roots(lvl, charpoly3(lvl, m3)):
-        lam = q6.pow(w, (-lvl.dlog(eta) * inv_log_nw) % n)
-        ll = q6.matrix(lambda x: q6.mul(lam, x))
-        rows = []
-        for k in range(3):
-            for i in range(3):
-                row = []
-                for l in range(3):
-                    for jj in range(3):
-                        val = f2[3 * i + jj] if k == l else 0
-                        if m[3 * k + l]:
-                            val = lvl.sub(val, lvl.mul(m[3 * k + l],
-                                                       ll[3 * i + jj]))
-                        row.append(val)
-                rows.append(row)
-        basis = kernel(lvl, rows)
-        if basis:
-            total += _span_curve_points(
-                tower, [tuple(q6.pack(*v9[3 * l:3 * l + 3]) for l in range(3))
-                        for v9 in basis])
-    return total
+    q, q6 = tower.q, tower.q6
+    mu = poly_roots(q6, charpoly3(tower.q2, aut.m))[0][0]
+    p1 = _eigenspace(q6, aut.m, mu)[0]
+    p2 = tuple(map(q6.frobq2, p1))
+    ps = (p1, p2, tuple(map(q6.frobq2, p2)))
+    h = [[_herm(q6, u, v) for v in ps] for u in ps]
+    if any(bool(h[i][j]) != (j == (i + 2) % 3)
+           for i in range(3) for j in range(3)):
+        raise EngineError("eigenvalues over F_q^6 do not respect the "
+                          "Hermitian form")
+    # A = h13 / (mu_2^(q^2) mu_3), B = h21 / mu_2^q and
+    # C = h32 / (mu_2^(q^3 + 1) mu_3^q), as powers of mu
+    pw, mul = q6.pow, q6.mul
+    poly = ([mul(h[1][0], pw(mu, -q ** 3)), mul(h[0][2], pw(mu, -2 * q ** 4))]
+            + [0] * (q - 1) + [mul(h[2][1], pw(mu, -q * q - 2 * q ** 5))])
+    r = p_powmod(q6, [0, 1], q * q + q + 1, poly) or [0]
+    r[0] = q6.sub(r[0], pw(mu, 3))
+    return (q * q - q + 1) * (len(p_gcd(q6, poly, p_trim(r))) - 1)
 
 
 def _diagonal_counts(tower: FieldTower, eig):
@@ -388,10 +362,10 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
 
 
 class TwistedCount(NamedTuple):
-    """N_sigma = #{x : Frob(x) = sigma(x)} (None when no path counts it),
-    its part n6 over F_{q^6}, and the path that counted it."""
+    """N_sigma = #{x : Frob(x) = sigma(x)}, its part n6 over F_{q^6}, and
+    the path that counted it."""
 
-    n: int | None
+    n: int
     n6: int
     path: str
 
@@ -402,15 +376,16 @@ def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
         return TwistedCount(*_wild_counts(tower, aut, fixed, order), "wild")
     if sum(len(b) for _l, _m, b in eig) == 3:
         return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
-    if order == 3:
-        n6 = twisted_fix_count(tower, aut)
-        return TwistedCount(n6, n6, "F_q^6")
-    # other orders: over F_{q^6} only the fixed rational points solve
-    # Frob(x) = sigma(x). sigma would cycle the points of a non-rational
-    # solution's degree-3 place as Frobenius does; a line through all three
-    # would be defined over F_{q^2} and meet the curve only in rational
-    # points, so in their basis sigma is diagonal times a 3-cycle, of order 3
-    return TwistedCount(None, len(fixed), "none")
+    if not eig:
+        n = twisted_fix_count(tower, aut)
+        # other orders: over F_{q^6} only the fixed rational points solve
+        # Frob(x) = sigma(x), and an irreducible charpoly fixes none. sigma
+        # would cycle the points of a non-rational solution's degree-3 place
+        # as Frobenius does; a line through all three would be defined over
+        # F_{q^2} and meet the curve only in rational points, so in their
+        # basis sigma is diagonal times a 3-cycle, of order 3
+        return TwistedCount(n, n if order == 3 else 0, "F_q^6")
+    raise EngineError(f"an element of order {order} is on no count path")
 
 
 def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
@@ -444,10 +419,9 @@ class GenusReport:
     orbits: tuple
     n_rational: int | None  # rational places of the quotient
     f3_orbits: int | None   # those under degree-3 places of the curve
-    maximal: bool | None    # None: some N_sigma was not counted
+    maximal: bool | None    # None only under with_count=False
     expected: int | None
     n_rational_deg13: int | None = None  # those under places of degree 1, 3
-    uncounted_orders: tuple = ()  # orders of the elements left uncounted
 
     @property
     def matches(self) -> bool | None:
@@ -616,15 +590,15 @@ def _hurwitz_genus(q: int, order: int, deg_diff: int) -> int:
 
 
 def _rational_count(tower: FieldTower, group_order: int, walk):
-    """(n_rational, f3_orbits, n_rational_deg13, uncounted orders) by
-    Burnside: the rational places of X/G are the Frobenius-stable G-orbits
-    of points of X, (1/|G|) sum over sigma of N_sigma. The same sum over the
-    points over F_{q^6} alone gives the places under places of degree 1
-    and 3."""
+    """(n_rational, f3_orbits, n_rational_deg13) by Burnside: the rational
+    places of X/G are the Frobenius-stable G-orbits of points of X,
+    (1/|G|) sum over sigma of N_sigma. The same sum over the points over
+    F_{q^6} alone gives the places under places of degree 1 and 3, and
+    over the fixed rational points the rational places under rational
+    ones."""
     q = tower.q
     top = q ** 3 + 1  # the identity: every rational point
     total = fixed = over_q6 = top
-    uncounted = set()
     members = Counter(c.rep for c in walk)
     for i, c in enumerate(walk):
         if c.rep != i:
@@ -639,18 +613,15 @@ def _rational_count(tower: FieldTower, group_order: int, walk):
         tc = _twisted_count(tower, c.gens[0], c.order, c.eig, c.fixed)
         fixed += weight * len(c.fixed)
         over_q6 += weight * tc.n6
-        if tc.n is None:
-            uncounted.add(c.order)
-        else:
-            total += weight * tc.n
-    assert fixed % group_order == 0 and over_q6 % group_order == 0
-    f3 = (over_q6 - fixed) // group_order
-    if uncounted:
-        return None, f3, over_q6 // group_order, tuple(sorted(uncounted))
-    if total % group_order != 0:
-        raise EngineError(f"twisted point counts sum to {total}, "
-                          f"not a multiple of |G| = {group_order}")
-    return total // group_order, f3, over_q6 // group_order, ()
+        total += weight * tc.n
+    for what, x in (("fixed rational points", fixed),
+                    ("twisted points over F_q^6", over_q6),
+                    ("twisted point counts", total)):
+        if x % group_order != 0:
+            raise EngineError(f"{what} sum to {x}, not a multiple of "
+                              f"|G| = {group_order}")
+    return (total // group_order, (over_q6 - fixed) // group_order,
+            over_q6 // group_order)
 
 
 def genus_of_quotient(tower: FieldTower, group: Group,
@@ -663,16 +634,13 @@ def genus_of_quotient(tower: FieldTower, group: Group,
     deg_diff = sum(r.d * r.size * r.degree for r in rows)
     genus = _hurwitz_genus(q, group.order, deg_diff)
     n_rational = f3 = maximal = sub = None
-    uncounted = ()
     if with_count:
-        n_rational, f3, sub, uncounted = _rational_count(tower, group.order,
-                                                         walk)
+        n_rational, f3, sub = _rational_count(tower, group.order, walk)
         # the quotient of a maximal curve is maximal (Lachaud 1987), so
-        # False here would expose a wrong count; None when one was missing
-        if n_rational is not None:
-            maximal = n_rational == q * q + 1 + 2 * genus * q
+        # False here would expose a wrong count
+        maximal = n_rational == q * q + 1 + 2 * genus * q
     return GenusReport(q, group.order, genus, deg_diff, tuple(rows),
-                       n_rational, f3, maximal, expected, sub, uncounted)
+                       n_rational, f3, maximal, expected, sub)
 
 
 def tame_diff_crosscheck(tower: FieldTower, group: Group) -> int:

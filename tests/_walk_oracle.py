@@ -74,19 +74,13 @@ def orbit_rows_by_images(tower, group, walk, dual_check) -> list[OrbitRow]:
 
 
 def rational_count_per_subgroup(tower, group_order, walk):
-    """(n_rational, f3_orbits, n_rational_deg13, uncounted orders)."""
+    """(n_rational, f3_orbits, n_rational_deg13)."""
     total = fixed = over_q6 = tower.q ** 3 + 1
-    uncounted = set()
     for c in walk:
         phi = len(c.gens)
         tc = _twisted_count(tower, c.gens[0], c.order, c.eig, c.fixed)
         fixed += phi * len(c.fixed)
         over_q6 += phi * tc.n6
-        if tc.n is None:
-            uncounted.add(c.order)
-        else:
-            total += phi * tc.n
+        total += phi * tc.n
     f3 = (over_q6 - fixed) // group_order
-    if uncounted:
-        return None, f3, over_q6 // group_order, tuple(sorted(uncounted))
-    return total // group_order, f3, over_q6 // group_order, ()
+    return total // group_order, f3, over_q6 // group_order

@@ -68,23 +68,22 @@ def test_genus_json_counts_every_rational_place(capsys):
     assert doc["n_rational_quotient"] == 4 * 4 + 1 == 17
     assert doc["n_rational_deg1_deg3"] == 5
     assert doc["maximal"] is True
-    assert doc["uncounted_orders"] == []
+    assert "uncounted_orders" not in doc
 
 
-def test_genus_uncounted_count_is_unknown(capsys):
+def test_genus_singer_count(capsys):
     # an element of order 7 with an irreducible cubic characteristic
-    # polynomial: no path counts its twisted points
+    # polynomial, counted on the Singer-type path
     spec = "tau(a^1, a^0) * omega * eps(a^7)"
     code, out, _ = run_cli(capsys, "genus", "--q", "3", "--spec", spec,
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["maximal"] is None and doc["n_rational_quotient"] is None
-    assert doc["uncounted_orders"] == [7]
+    assert doc["genus"] == 0
+    assert doc["n_rational_quotient"] == 10 and doc["maximal"] is True
     code, out, _ = run_cli(capsys, "genus", "--q", "3", "--spec", spec)
     assert code == 0
-    assert "elements of order 7 not counted" in out
-    assert "maximal = unknown" in out
+    assert "quotient rational places = 10  maximal = True" in out
 
 
 def test_genus_named_case(capsys):
@@ -258,7 +257,7 @@ def test_verify_reports_suites(capsys):
     assert "relations:" in out
     assert "v-sequence:" in out
     assert "hurwitz:" in out
-    assert "maximality: 4 passed, 0 failed, 0 unknown" in out
+    assert "maximality: 4 passed, 0 failed\n" in out
 
 
 def test_verify_skips_degenerate_closed_form(capsys):

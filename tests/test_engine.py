@@ -2,12 +2,17 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import hermquot
+from hermquot import cli, engine
 from hermquot._linalg import charpoly3
 from hermquot.autgrp import (
     apply_place,
@@ -45,10 +50,10 @@ from hermquot.engine import (
     pointwise_fixed_degree3_places,
     tame_diff_crosscheck,
     twisted_counts,
-    twisted_fix_count,
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
 from hermquot.gf import GFError, build_tower, poly_roots
+from _twisted_oracle import kernel_twisted_fix_count
 from _walk_oracle import (
     orbit_rows_by_images,
     rational_count_per_subgroup,
@@ -137,7 +142,7 @@ def test_twisted_fix_count_vs_brute(tw2):
             1 for pt in pts
             if normalize_point(q6, frobenius_point(tw2, pt))
             == normalize_point(q6, apply_point(f, q6, pt)))
-        assert twisted_fix_count(tw2, f) == brute
+        assert kernel_twisted_fix_count(tw2, f) == brute
 
 
 def test_trivial_group_keeps_genus(tw4):
@@ -329,7 +334,7 @@ def test_cyclic_walk_vs_per_element_on_9c_stream(towers, q, order):
 
 def test_order_3m_count_over_q6_is_the_fixed_places(towers):
     # an element of order 3m, m > 1, m | q^2 - q + 1, has no non-rational
-    # twisted point over F_{q^6}; twisted_fix_count checks this on every
+    # twisted point over F_{q^6}; the kernel count checks this on every
     # such element of the criterion 9c stream, on either path
     seen, paths = set(), {}
     for q in (4, 5, 7, 8):
@@ -344,16 +349,16 @@ def test_order_3m_count_over_q6_is_the_fixed_places(towers):
                     seen.add(f.m)
                     tc = twisted_counts(tw, f)
                     paths.setdefault(tc.path, set()).add(n)
-                    assert twisted_fix_count(tw, f) == tc.n6 == len(
+                    assert kernel_twisted_fix_count(tw, f) == tc.n6 == len(
                         fixed_rational_places(tw, f))
-    assert paths == {"none": {21, 57}, "diagonal": {9}} and len(seen) == 150
+    assert paths == {"F_q^6": {21, 57}, "diagonal": {9}} and len(seen) == 150
 
 
 def _report_key(rep):
     rows = sorted((r.size, r.degree, r.e, r.f, r.d, r.i_values)
                   for r in rep.orbits)
     return (rep.genus, rep.deg_diff, rep.n_rational, rep.f3_orbits,
-            rep.n_rational_deg13, rep.maximal, rep.uncounted_orders, rows)
+            rep.n_rational_deg13, rep.maximal, rows)
 
 
 def test_genus_grows_down_to_cyclic_subgroups(towers):
@@ -582,5 +587,40 @@ def test_pgu33_quotient_rows(tw3):
     # q^2 - q + 1 ramifies too
     rep = genus_of_quotient(tw3, _pgu(tw3))
     assert (rep.genus, rep.deg_diff) == (0, 12100)
+    assert rep.n_rational == 10 and rep.maximal is True
     assert [(r.rep.kind, r.size, r.e, r.d) for r in rep.orbits] == [
         ("infinity", 28, 216, 247), ("degree3", 288, 7, 6)]
+
+
+# Faults injected into _twisted_count, each wrapping the real one, with the
+# message of the invariant check that catches it: the subcount over F_(q^6)
+# off by one breaks Burnside's divisibility, and an element of order prime
+# to p with eigenspaces of total dimension < 3 is on no count path
+FAULTS = {
+    "burnside": ("twisted points over F_q^6 sum to 33, not a multiple of "
+                 "|G| = 2",
+                 "lambda real: lambda *a: real(*a)._replace(n6=real(*a).n6 + 1)"),
+    "no-path": ("an element of order 2 is on no count path",
+                "lambda real: lambda tw, s, n, eig, fixed: "
+                "real(tw, s, n, eig[:1], fixed)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
+    # one line and exit 3, in-process and in a python -O subprocess, where
+    # an assert would vanish
+    message, wrap = FAULTS[fault]
+    argv = ["genus", "--q", "3", "--spec", "omega"]
+    monkeypatch.setattr(engine, "_twisted_count",
+                        eval(wrap)(engine._twisted_count))
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    script = ("import sys\nfrom hermquot import cli, engine\n"
+              f"engine._twisted_count = ({wrap})(engine._twisted_count)\n"
+              f"sys.exit(cli.main({argv!r}))")
+    src = os.path.dirname(os.path.dirname(hermquot.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")

@@ -1,15 +1,20 @@
 """Frobenius-twisted point counts N_sigma = #{x : Frob(x) = sigma(x)}
 against independent routes: enumeration of the curve over F_(q^(2n)), the
-count over F_(q^6), and the quotient reports built from them."""
+9x9 kernel count over F_(q^6) (tests/_twisted_oracle.py), and the quotient
+reports built from them."""
 
 import random
 
-from hermquot._linalg import mat_vec3
-from hermquot.autgrp import aut_order, from_affine, group_from_spec, parse_spec
+from hermquot._linalg import charpoly3, mat_vec3
+from hermquot.autgrp import (aut_order, compose, from_affine, group_from_spec,
+                             parse_spec)
 from hermquot.curve import normalize_point
-from hermquot.engine import genus_of_quotient, twisted_counts, twisted_fix_count
+from hermquot.engine import (_cyclic_walk, genus_of_quotient, twisted_counts,
+                             twisted_fix_count)
 from hermquot.formulas import case_modulus, case_spec
-from hermquot.gf import BaseLevel, GFError, build_tower
+from hermquot.gf import BaseLevel, GFError, build_tower, poly_roots
+from _twisted_oracle import kernel_twisted_fix_count
+from test_acceptance import random_atom, random_group
 
 # elements with an irreducible cubic characteristic polynomial, which no
 # eigenvector of F_(q^2) describes: order 3 at q = 2 and 5, order 7 at q = 3
@@ -115,7 +120,7 @@ def test_translation_counts_vs_f6_count(tw3, tw9):
         for f in _translations(tw, random.Random(tw.q), count):
             tc = twisted_counts(tw, f)
             assert tc.path == "wild"
-            assert tc.n == tc.n6 == twisted_fix_count(tw, f)
+            assert tc.n == tc.n6 == kernel_twisted_fix_count(tw, f)
             assert tc.n == (1 if f.m[2] == 0 else tw.q ** 2 + 1)
 
 
@@ -146,7 +151,8 @@ def test_diagonal_path_vs_f6_count_on_grid_order3(towers):
                     seen.add((q, f.m))
                     tc = twisted_counts(tw, f)
                     assert tc.path == "diagonal", (case, q, m)
-                    assert tc.n == tc.n6 == twisted_fix_count(tw, f), (case, q, m)
+                    assert tc.n == tc.n6 == kernel_twisted_fix_count(tw, f), (
+                        case, q, m)
     assert len(seen) == 22  # 58 with repeats across the grid groups
     assert {q for q, _m in seen} == {2, 4, 5, 7, 8, 13}
 
@@ -162,7 +168,8 @@ def test_f6_part_vs_f6_count(towers):
         for spec in specs:
             for f in group_from_spec(tw, spec).elements:
                 if not f.is_identity():
-                    assert twisted_counts(tw, f).n6 == twisted_fix_count(tw, f)
+                    assert (twisted_counts(tw, f).n6
+                            == kernel_twisted_fix_count(tw, f))
 
 
 def test_report_counts_every_place(towers):
@@ -170,17 +177,86 @@ def test_report_counts_every_place(towers):
     for q, spec, n_sub in ((2, "eps(a), omega", 3), (4, "eps(a), omega", 5),
                            (2, SINGER3_Q2, 5)):
         rep = genus_of_quotient(towers[q], group_from_spec(towers[q], spec))
-        assert rep.maximal is True and rep.uncounted_orders == ()
+        assert rep.maximal is True
         assert rep.n_rational == q * q + 1 + 2 * rep.genus * q
         assert rep.n_rational_deg13 == n_sub
         assert rep.n_rational_deg13 >= rep.f3_orbits
 
 
-def test_report_marks_uncounted_orders_unknown(tw3):
+def test_report_counts_singer7_q3(tw3):
+    # the Singer-type path counts an element of order 7 with an irreducible
+    # cubic characteristic polynomial; maximal is None only without the count
     rep = genus_of_quotient(tw3, group_from_spec(tw3, SINGER7_Q3))
     assert rep.group_order == 7
-    assert rep.maximal is None and rep.n_rational is None
-    assert rep.uncounted_orders == (7,)
-    assert rep.n_rational_deg13 is not None
+    assert (rep.genus, rep.n_rational, rep.maximal) == (0, 10, True)
     assert genus_of_quotient(tw3, group_from_spec(tw3, SINGER7_Q3),
                              with_count=False).maximal is None
+
+
+def _is_singer(tw, f):
+    """No eigenvalue of f in F_(q^2): an irreducible cubic charpoly."""
+    return not poly_roots(tw.q2, charpoly3(tw.q2, f.m))
+
+
+def _has_order_3(f):
+    return not f.is_identity() and compose(compose(f, f), f).is_identity()
+
+
+def _stream(towers):
+    """(q, group) for the criterion 9c stream at q = 4, 5, 7, 8."""
+    for q in (4, 5, 7, 8):
+        rng = random.Random(12345 + q)
+        for _ in range(200):
+            yield q, random_group(towers[q], rng)
+
+
+def test_singer_count_vs_kernel_oracle_in_9c_stream(towers):
+    # every order-3 Singer-type element of the stream, not only the class
+    # representatives the engine counts
+    hits = {(q, f.m): f for q, grp in _stream(towers) for f in grp.elements
+            if _has_order_3(f) and _is_singer(towers[q], f)}
+    assert sorted(q for q, _m in hits) == [5, 5, 5, 5, 8, 8]
+    for (q, _m), f in hits.items():
+        n = twisted_fix_count(towers[q], f)
+        assert n == kernel_twisted_fix_count(towers[q], f)
+        assert twisted_counts(towers[q], f) == (n, n, "F_q^6")
+
+
+def test_singer_count_vs_kernel_oracle_on_random_words(towers):
+    # the first ten distinct order-3 Singer-type elements among random words
+    # of one to three 9c atoms
+    for q in (2, 5, 8, 11):
+        tw = towers[q]
+        rng = random.Random(q)
+        hits = {}
+        while len(hits) < 10:
+            f = random_atom(tw, rng)
+            for _ in range(rng.randrange(3)):
+                f = compose(f, random_atom(tw, rng))
+            if _has_order_3(f) and _is_singer(tw, f):
+                hits[f.m] = f
+        for f in hits.values():
+            n = twisted_fix_count(tw, f)
+            assert n == kernel_twisted_fix_count(tw, f), q
+            assert twisted_counts(tw, f) == (n, n, "F_q^6")
+
+
+def test_singer_count_in_9c_stream_is_q2_minus_q_plus_1(towers):
+    # on every Singer-type class representative the stream's walks count,
+    # the gcd has degree 1; the engine computes it, nothing assumes it
+    orders = {}
+    for q, grp in _stream(towers):
+        for i, c in enumerate(_cyclic_walk(towers[q], grp)):
+            if c.rep == i and c.eig == []:
+                orders.setdefault(q, set()).add(c.order)
+                assert twisted_fix_count(towers[q], c.gens[0]) == q * q - q + 1
+    assert orders == {4: {13}, 5: {3, 7, 21}, 7: {43}, 8: {3, 19, 57}}
+
+
+def test_9c_stream_with_count_is_maximal(towers):
+    # a quotient of a maximal curve is maximal (Lachaud 1987): with every
+    # element on a count path, each report of the stream says so
+    reports = [genus_of_quotient(towers[q], grp, dual_check=False)
+               for q, grp in _stream(towers)]
+    assert len(reports) == 800
+    assert all(rep.maximal is True for rep in reports)
