@@ -8,6 +8,9 @@ generators sigma^k, gcd(k, n) = 1, of <sigma>, and those of each subgroup
 of each; so all is found at sigma, once per G-conjugacy class of cyclic
 subgroups: conjugating by the group's generators finds each class, and
 fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
+The walk runs on element indices with no matrix product: a product with
+sigma follows the group's generator tables (Group.tables) along a word for
+sigma, and a conjugate is one more lookup.
 For ord(sigma) prime to p the fixed rational places come out of an
 eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
@@ -73,8 +76,8 @@ from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import (IDENTITY3, charpoly3, kernel, mat_adj3, mat_det3,
-                      mat_mul3, mat_vec3)
+from ._linalg import (charpoly3, kernel, mat_adj3, mat_det3, mat_mul3,
+                      mat_vec3)
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
                      proj_mul)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
@@ -468,7 +471,9 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
             continue
         orbit = _orbit(group, rep)
         done.update(orbit)
-        assert group.order % len(orbit) == 0
+        if group.order % len(orbit):
+            raise EngineError(f"an orbit has {len(orbit)} places, not a "
+                              f"divisor of |G| = {group.order}")
         setwise = group.order // len(orbit)
         # at a rational place this checks orbit-stabiliser against the walk
         rd = inertia_data(tower, rep, inertia[rep], setwise, dual_check)
@@ -481,9 +486,12 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
             g_adj = mat_adj3(tower.q2, g)
             conj = [(Aut(tower, _conjugated(tower.q2, g, g_adj, s.m)), w)
                     for s, w in inertia[rep]]
-            assert all(fixes_pointwise(tower, s, other) for s, _w in conj)
+            if not all(fixes_pointwise(tower, s, other) for s, _w in conj):
+                raise EngineError("a conjugated inertia group does not fix "
+                                  "its place")
             rd2 = inertia_data(tower, other, conj, setwise, dual_check=False)
-            assert (rd2.e, rd2.f, rd2.d) == (rd.e, rd.f, rd.d)
+            if (rd2.e, rd2.f, rd2.d) != (rd.e, rd.f, rd.d):
+                raise EngineError("ramification data differ along an orbit")
         rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
     return rows
 
@@ -510,35 +518,88 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     generators fix the same places as sigma, since sigma is in turn a power
     of each. The places are found once per G-conjugacy class of cyclic
     subgroups, each class by conjugating with the group's generators:
-    fixed(g sigma g^-1) = g(fixed(sigma)), so the other members of a class
-    get the representative's places moved by g. The eigen analysis runs only
+    fixed(g sigma g^-1) = g(fixed(sigma)), so a member met from another by
+    g gets that member's places moved by g. The eigen analysis runs only
     on classes of order prime to p. A class of order p takes its
     representative's one fixed place from the nilpotent part of its matrix
     (_wild_place), one of order n = p m, m > 1, from the record of
-    <sigma^m>, which the walk by increasing order has met before."""
-    q, p, lvl = tower.q, tower.p, tower.q2
-    subs, where = [], {}
-    for s in group.elements:
-        m = s.m
-        if m == IDENTITY3 or m in where:
+    <sigma^m>, which the walk by increasing order has met before.
+
+    The walk runs on element indices and makes no matrix product: x s
+    follows the group's tables along a word for s, read off a breadth-first
+    tree of the tables, and g s g^-1 follows the words of s and g^-1 from
+    g."""
+    q, p = tower.q, tower.p
+    els, tables, one = group.elements, group.tables, group.one
+    size = len(els)
+    # a breadth-first tree of the tables, each path cut into runs of one
+    # generator: els[x] = els[top[x]] gens[j]^k, j = by[x], k = times[x]
+    top, by, times = [None] * size, [None] * size, [0] * size
+    top[one] = one
+    frontier = [one]
+    for x in frontier:
+        for j, t in enumerate(tables):
+            y = t[x]
+            if top[y] is None:
+                if by[x] == j:
+                    top[y], times[y] = top[x], times[x] + 1
+                else:
+                    top[y], times[y] = x, 1
+                by[y] = j
+                frontier.append(y)
+    squares = [[t] for t in tables]  # [j][b]: the table of gens[j]^(2^b)
+
+    def word(x):
+        """The tables to follow for a right product with els[x]: each run
+        g^k of its word as the tables of g^(2^b) for the bits b of k."""
+        w = []
+        while x != one:
+            j, k = by[x], times[x]
+            if k == 1:
+                w.append(tables[j])
+            else:
+                sq, b = squares[j], 0
+                while k:
+                    if len(sq) == b:
+                        sq.append([sq[-1][y] for y in sq[-1]])
+                    if k & 1:
+                        w.append(sq[b])
+                    k, b = k >> 1, b + 1
+            x = top[x]
+        return w[::-1]
+
+    subs, where = [], [None] * size
+    for s in range(size):
+        if s == one or where[s] is not None:
             continue
-        powers = [m]
-        while powers[-1] != IDENTITY3:
-            powers.append(proj_mul(lvl, m, powers[-1]))
+        w = word(s)
+        powers = [s]
+        x = s
+        while x != one:
+            for t in w:
+                x = t[x]
+            powers.append(x)
         n = len(powers)
         # <s> and each subgroup <s^d> not met yet, generated by the s^(dk)
         # with gcd(k, n/d) = 1
         for d in range(1, n):
-            if n % d or powers[d - 1] in where:
+            if n % d or where[powers[d - 1]] is not None:
                 continue
             gens = [powers[d * k - 1] for k in range(1, n // d)
                     if gcd(k, n // d) == 1]
-            where.update((g, len(subs)) for g in gens)
+            for x in gens:
+                where[x] = len(subs)
             # a wild <s^d> of order > p fixes what <s^(n/p)> fixes
             wild = n // d % p == 0 and n // d > p
             subs.append((gens, n // d, powers[n // p - 1] if wild else None))
-    aut = {s.m: s for s in group.elements}
-    conj = [(g, mat_adj3(lvl, g.m)) for g in group.gens]
+    # conjugation by g: g s g^-1 follows the word of s, then that of g^-1,
+    # the last element of g's cycle through the identity
+    conj = []
+    for g, t in zip(group.gens, tables):
+        x = t[one]
+        while t[x] != one:
+            x = t[x]
+        conj.append((g, t[one], word(x)))
     out = [None] * len(subs)
     # by increasing order, so the order-p subgroup of a wild one comes
     # first; the sort is stable, so a class's lowest index stays its
@@ -547,7 +608,7 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         if out[i] is not None:
             continue
         gens, n, below = subs[i]
-        gens = [aut[x] for x in gens]
+        gens = [els[x] for x in gens]
         if n == p:
             fixed, deg3, eig = [_wild_place(tower, gens[0].m)], [], None
         elif below is None:
@@ -559,19 +620,22 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         else:
             fixed, deg3, eig = out[where[below]].fixed, [], None
         out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eig)
-        # the class, each member with an element carrying i's places to its
-        frontier = [(i, None)]
-        for j, t in frontier:
-            s = subs[j][0][0]
-            for g, g_adj in conj:
-                k = where[_conjugated(lvl, g.m, g_adj, s)]
+        # the class, each member met from one before it
+        frontier = [i]
+        for j in frontier:
+            w, c = word(subs[j][0][0]), out[j]
+            for g, x, w_inv in conj:
+                for t in w:
+                    x = t[x]
+                for t in w_inv:
+                    x = t[x]
+                k = where[x]
                 if out[k] is None:
-                    tg = g if t is None else compose(t, g)
                     out[k] = _CyclicSubgroup(
-                        [aut[x] for x in subs[k][0]], n,
-                        [apply_place(tg, p) for p in fixed],
-                        [apply_place(tg, p) for p in deg3], i, None)
-                    frontier.append((k, tg))
+                        [els[x] for x in subs[k][0]], n,
+                        [apply_place(g, pl) for pl in c.fixed],
+                        [apply_place(g, pl) for pl in c.deg3], i, None)
+                    frontier.append(k)
     return out
 
 

@@ -1,13 +1,19 @@
 """Automorphisms: generators, composition, group closure, and the spec DSL."""
 
+import os
 import random
+import re
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquot._linalg import mat_mul3, mat_vec3
+import hermquot
+from hermquot import autgrp, cli
+from hermquot._linalg import IDENTITY3, mat_mul3, mat_vec3
 from hermquot.autgrp import (
     Aut,
     DSLError,
@@ -24,12 +30,14 @@ from hermquot.autgrp import (
     omega,
     parse_spec,
     pgu_order,
+    proj_mul,
     sigma4,
     sigma5,
 )
 from hermquot.curve import normalize_point, rational_places
 from hermquot.gf import GFError, build_tower, factorize
 from test_acceptance import random_atom, random_group
+from test_engine import _translation_groups
 
 from _closure_oracle import close_group_bfs
 
@@ -253,6 +261,74 @@ def test_close_group_cap_is_exact(towers, q, make):
     for close in (close_group, close_group_bfs):
         with pytest.raises(GFError, match="exceeded the cap"):
             close(tw, gens, cap=n - 1)
+
+
+def _assert_tables(grp):
+    # every entry of every generator's table is the product it stands for,
+    # and one is the identity's index
+    lvl, els = grp.tower.q2, grp.elements
+    assert els[grp.one].m == IDENTITY3
+    assert len(grp.tables) == len(grp.gens)
+    for g, table in zip(grp.gens, grp.tables):
+        assert [els[y].m for y in table] == [
+            proj_mul(lvl, f.m, g.m) for f in els]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_tables_on_9c_stream(towers, q):
+    tw = towers[q]
+    rng = random.Random(12345 + q)
+    for _ in range(200):
+        _assert_tables(random_group(tw, rng))
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_tables_on_translation_groups(compose_towers, q):
+    for grp in _translation_groups(compose_towers[q], random.Random(q)):
+        _assert_tables(grp)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+def test_tables_on_pgu(towers, q, order):
+    gens = _pgu_gens(towers[q])
+    grp = close_group(towers[q], [gens[i] for i in order], cap=pgu_order(q))
+    assert grp.order == pgu_order(q)
+    _assert_tables(grp)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_tables_of_redundant_generators(towers, q):
+    # a power of a generator, a repeat, and a product of two earlier ones
+    # join no coset; each still gets its own table
+    tw = towers[q]
+    w, e, t = _pgu_gens(tw)
+    for gens in ([t, compose(t, t)], [t, t], [e, w, e],
+                 [e, w, compose(e, w)], [t, e, compose(t, e)]):
+        grp = close_group(tw, gens, cap=pgu_order(q))
+        assert grp.gens == tuple(gens)
+        _assert_tables(grp)
+
+
+def test_lagrange_check_exits_3_also_under_O(tw3, capsys, monkeypatch):
+    # with |PGU(3, q)| patched to 1, the closure of omega, of order 2,
+    # breaks Lagrange's theorem: a GFError, so exit 3 and one stderr line,
+    # in-process and in a python -O subprocess, where an assert would vanish
+    message = "the closure of order 2 is not a subgroup of PGU(3, 3)"
+    argv = ["genus", "--q", "3", "--spec", "omega"]
+    monkeypatch.setattr(autgrp, "pgu_order", lambda q: 1)
+    with pytest.raises(GFError, match=re.escape(message)):
+        close_group(tw3, [omega(tw3)])
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    script = ("import sys\nfrom hermquot import autgrp, cli\n"
+              "autgrp.pgu_order = lambda q: 1\n"
+              f"sys.exit(cli.main({argv!r}))")
+    src = os.path.dirname(os.path.dirname(hermquot.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
 
 
 @settings(max_examples=20, deadline=None)

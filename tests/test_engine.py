@@ -581,6 +581,36 @@ def test_p_groups_need_no_eigen_analysis(q, monkeypatch):
     assert p == 2 or (grp.order, rep.genus) == (q ** 3, 0)
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 16])
+def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
+    # translation groups at q = 8, 16 and the 9c stream at q <= 8: the walk
+    # follows the group's tables, and the only product left is the
+    # nilpotent square of each order-p class representative (_wild_place)
+    tw = towers[q] if q in towers else build_tower(2, 4)
+    groups = _translation_groups(tw, random.Random(q)) if q in (8, 16) else []
+    if q != 16:
+        rng = random.Random(12345 + q)
+        groups += [random_group(tw, rng) for _ in range(200)]
+
+    def no_product(*_args):
+        raise AssertionError("a matrix product in the walk")
+
+    def square(lvl, a, b):
+        squares.append(a is b)
+        return real(lvl, a, b)
+
+    real, squares = engine.mat_mul3, []
+    for name in ("proj_mul", "_conjugated"):
+        monkeypatch.setattr(engine, name, no_product)
+    monkeypatch.setattr("hermquot.autgrp.proj_mul", no_product)
+    monkeypatch.setattr(engine, "mat_mul3", square)
+    for grp in groups:
+        squares.clear()
+        walk = _cyclic_walk(tw, grp)
+        assert squares == [True] * sum(
+            1 for i, c in enumerate(walk) if c.rep == i and c.order == tw.p)
+
+
 def test_pgu33_quotient_rows(tw3):
     # X/PGU(3, q) is rational: P_inf's orbit is every rational place, and
     # one orbit of degree-3 places with a cyclic inertia group of order
@@ -592,17 +622,24 @@ def test_pgu33_quotient_rows(tw3):
         ("infinity", 28, 216, 247), ("degree3", 288, 7, 6)]
 
 
-# Faults injected into _twisted_count, each wrapping the real one, with the
-# message of the invariant check that catches it: the subcount over F_(q^6)
-# off by one breaks Burnside's divisibility, and an element of order prime
-# to p with eigenspaces of total dimension < 3 is on no count path
+# Faults injected into the engine, each wrapping a real function, with the
+# spec that reaches it and the message of the invariant check that catches
+# it: the subcount over F_(q^6) off by one breaks Burnside's divisibility,
+# an element of order prime to p with eigenspaces of total dimension < 3 is
+# on no count path, and an inertia group that fixes nothing breaks the orbit
+# guard at P_inf's orbit of two places
 FAULTS = {
-    "burnside": ("twisted points over F_q^6 sum to 33, not a multiple of "
+    "burnside": ("_twisted_count", "omega",
+                 "twisted points over F_q^6 sum to 33, not a multiple of "
                  "|G| = 2",
                  "lambda real: lambda *a: real(*a)._replace(n6=real(*a).n6 + 1)"),
-    "no-path": ("an element of order 2 is on no count path",
+    "no-path": ("_twisted_count", "omega",
+                "an element of order 2 is on no count path",
                 "lambda real: lambda tw, s, n, eig, fixed: "
                 "real(tw, s, n, eig[:1], fixed)"),
+    "orbit-guard": ("fixes_pointwise", "eps(a), omega",
+                    "a conjugated inertia group does not fix its place",
+                    "lambda real: lambda *a: False"),
 }
 
 
@@ -610,14 +647,13 @@ FAULTS = {
 def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
     # one line and exit 3, in-process and in a python -O subprocess, where
     # an assert would vanish
-    message, wrap = FAULTS[fault]
-    argv = ["genus", "--q", "3", "--spec", "omega"]
-    monkeypatch.setattr(engine, "_twisted_count",
-                        eval(wrap)(engine._twisted_count))
+    name, spec, message, wrap = FAULTS[fault]
+    argv = ["genus", "--q", "3", "--spec", spec]
+    monkeypatch.setattr(engine, name, eval(wrap)(getattr(engine, name)))
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     script = ("import sys\nfrom hermquot import cli, engine\n"
-              f"engine._twisted_count = ({wrap})(engine._twisted_count)\n"
+              f"engine.{name} = ({wrap})(engine.{name})\n"
               f"sys.exit(cli.main({argv!r}))")
     src = os.path.dirname(os.path.dirname(hermquot.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
