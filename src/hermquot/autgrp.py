@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
 
 from ._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
 from .curve import Place, degree3_place, normalize_point, place_of_point
@@ -164,61 +163,64 @@ def sigma5(tower: FieldTower, delta: int) -> Aut:
 
 @dataclass(frozen=True)
 class Group:
-    """A finite group of automorphisms, its elements sorted by key.
+    """A finite group of automorphisms, its elements in closure order with
+    the identity at index 0.
 
     tables[j] is the right-regular action of gens[j] on the element indices:
     elements[tables[j][x]] has the point matrix M_x M_(gens[j]), so a
-    product with a generator is a list lookup and a product with any
-    element follows the tables along a word for it. one is the identity's
-    index. A group made from bare elements (a stabiliser) has no tables."""
+    product with a generator is a list lookup. The closure's tree gives a
+    word for every element: for x > 0, elements[x] is
+    elements[up[x]] gens[by[x]], so a product with any element follows the
+    tables along its path (word_tables). A group made from bare elements (a
+    stabiliser) has no tables."""
 
     tower: FieldTower
     elements: tuple
     gens: tuple  # nontrivial generators; their words reach every element
     tables: tuple = ()
-    one: int = 0
+    up: list = ()
+    by: list = ()
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-def _word(levels, x: int) -> list:
-    """The generator indices of a word for element x of a Dimino closure.
-    levels holds (n, up) per generator joined: x = c n + i is H[i] r_c, H
-    the n elements before, and r_c = r_c0 gens[j] for (c0, j) = up[c]."""
-    w = []
-    for n, up in reversed(levels):
-        c, x = divmod(x, n)
-        while c:
-            c, j = up[c]
-            w.append(j)
-    return w[::-1]
+def word_tables(tables, up, by):
+    """A function from an element index x to the tables that right-multiply
+    by element x, in order: the path from the identity to x in the tree
+    (up, by), where x > 0 is element up[x] times generator by[x] and
+    tables[j] is generator j's table. A run g^k of one generator takes the
+    tables of g^(2^b) for the bits b of k, each squared once and kept by
+    the returned function, not by the group."""
+    squares = [[t] for t in tables]  # [j][b]: the table of gens[j]^(2^b)
 
+    def word(x):
+        w = []
+        while x:
+            j, k = by[x], 0
+            while x and by[x] == j:
+                x, k = up[x], k + 1
+            sq, b = squares[j], 0
+            while k:
+                if len(sq) == b:
+                    sq.append([sq[-1][y] for y in sq[-1]])
+                if k & 1:
+                    w.append(sq[b])
+                k, b = k >> 1, b + 1
+        return w[::-1]
 
-def _follow(tables, word, xs) -> list:
-    """The indices xs right-multiplied by the word; a run t^k of one
-    generator takes about 2 log k table passes, by repeated squaring."""
-    for j, run in groupby(word):
-        t, k = tables[j], len(list(run))
-        while True:
-            if k & 1:
-                xs = [t[x] for x in xs]
-            k >>= 1
-            if not k:
-                break
-            t = [t[x] for x in t]
-    return xs
+    return word
 
 
 def _dimino(lvl, gens: tuple, cap: int):
-    """Dimino's closure of nontrivial gens: the elements in coset order,
-    their positions as one list of int objects for every later index list
-    to share, the generators used with their indices, each one's table as
-    rows (offset, entries) to be concatenated, and a word in them for each
-    generator that was already in the group when its turn came."""
+    """Dimino's closure of nontrivial gens: the elements in coset order, the
+    tree (up, by), the tables of the generators that joined, None for one
+    already in the group when its turn came, and each generator's index.
+    The index lists share one int object per index."""
     # the first generator's powers first, each its own coset of 1
-    elements, used, rows, levels = [IDENTITY3], {}, [], []
+    elements, ids = [IDENTITY3], [0]
+    tables = [None] * len(gens)
     if gens:
         m = x = gens[0].m
         while x != IDENTITY3:
@@ -226,26 +228,25 @@ def _dimino(lvl, gens: tuple, cap: int):
                 raise GFError(f"subgroup closure exceeded the cap {cap}")
             elements.append(x)
             x = proj_mul(lvl, x, m)
-        used[m] = 0
-        rows = [[(0, [*range(1, len(elements)), 0])]]
-        levels = [(1, [(c - 1, 0) for c in range(len(elements))])]
-    index = dict(zip(elements, range(len(elements))))
-    for g in gens[1:]:
+        ids = list(range(len(elements)))
+        tables[0] = ids[1:] + ids[:1]
+    up, by = [0] + ids[:-1], [0] * len(ids)
+    index = dict(zip(elements, ids))
+    for k, g in enumerate(gens):
         if g.m in index:
             continue
-        used[g.m] = len(used)
         sub, n = elements[1:], len(elements)
-        tables = [[c + i for c, hi in row for i in hi] for row in rows]
-        # per generator, (c n, i -> H[i] H[i']) for each coset c in turn
-        rows = [[] for _ in used]
-        right, up = {0: range(n)}, [None]
+        used = [j for j, t in enumerate(tables) if t is not None] + [k]
+        word = word_tables(tables, up, by)
+        rows = {j: [] for j in used}
+        right = {}  # i -> the map i' -> H[i'] H[i] of H
         # every coset of H is n consecutive elements, its representative
         # first; H itself, at 0, reaches g's coset
         pos = 0
         while pos < len(elements):
             r = elements[pos]
-            for j, t in enumerate(used):
-                x = proj_mul(lvl, r, t)
+            for j in used:
+                x = proj_mul(lvl, r, gens[j].m)
                 y = index.get(x)
                 if y is None:
                     if len(elements) + n > cap:
@@ -253,63 +254,65 @@ def _dimino(lvl, gens: tuple, cap: int):
                             f"subgroup closure exceeded the cap {cap}")
                     y = len(elements)
                     coset = [x] + [proj_mul(lvl, h, x) for h in sub]
-                    index.update(zip(coset, range(y, y + n)))
+                    new = list(range(y, y + n))
+                    index.update(zip(coset, new))
                     elements += coset
-                    up.append((pos // n, j))
+                    ids += new
+                    # (H[i] r) gens[j] sits at y + i
+                    up += ids[pos:pos + n]
+                    by += [j] * n
                 i = y % n
                 hi = right.get(i)
                 if hi is None:
-                    hi = right[i] = _follow(tables, _word(levels, i),
-                                            range(n))
-                rows[j].append((y - i, hi))
+                    hi = range(n)
+                    for t in word(i):
+                        hi = [t[h] for h in hi]
+                    right[i] = hi
+                c = y - i
+                rows[j] += [ids[c + h] for h in hi]
             pos += n
-        levels.append((n, up))
-    words = {g.m: _word(levels, index[g.m])
-             for g in gens if g.m not in used}
-    return elements, list(index.values()), used, rows, words
+        for j in used:
+            tables[j] = rows[j]
+    return elements, up, by, tables, [index[g.m] for g in gens]
 
 
 def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
     """The subgroup that gens generate, closed by cosets (Dimino's algorithm;
     Butler, Fundamental Algorithms for Permutation Groups, 1991), with the
-    index table of each generator.
+    index table of each generator and the tree of the closure.
 
     The generators join one at a time. One not yet in the subgroup H closed
     so far adds each right coset H x that a coset representative times a
     generator so far reaches, at |H| products a coset: about |G| products
     in all, not |G| |gens|. The cap guards runaway input: the closure
     raises before adding a coset that would pass it, so exactly when
-    |G| > cap.
+    |G| > cap. The elements stay in closure order, the identity at 0.
 
-    The tables cost no further products. Coset c is stored at positions
-    c n + i as H[i] r_c, n = |H|, and Dimino computes every r_c t: if that
-    is H[i'] r_c', then (H[i] r_c) t = (H[i] H[i']) r_c', and i -> H[i] H[i']
-    is H's own tables followed along a word for H[i'], read off the tree in
-    which each coset hangs from the representative that reached it. A
+    The tables and the tree cost no further products. A coset found as
+    r t, r at position c and t = gens[j], is stored at y + i as H[i] r t,
+    which is the element at c + i times t: that is its place in the tree.
+    Every r t is computed; if it is H[i'] r' at y = c' + i', then
+    (H[i] r) t = (H[i] H[i']) r' at c' + (i -> H[i] H[i']), and that map is
+    H's own tables followed along the path of H[i'], which stays in H. A
     generator already in the group when its turn comes gets its table by
-    following the others along its word."""
+    following the others along its path."""
     if cap is None:
         cap = 4 * tower.q ** 3
     gens = tuple(g for g in gens if not g.is_identity())
-    elements, ids, used, rows, words = _dimino(tower.q2, gens, cap)
+    elements, up, by, tables, where = _dimino(tower.q2, gens, cap)
     order = len(elements)
     if pgu_order(tower.q) % order:
         raise GFError(f"the closure of order {order} is not a subgroup of "
                       f"PGU(3, {tower.q})")
-    rank = tower.q2.rank.__getitem__
-    perm = sorted(ids, key=[tuple(map(rank, m)) for m in elements].__getitem__)
-    new = [0] * order
-    for x, k in zip(perm, ids):
-        new[x] = k
-    # each used table, in sorted order, then the others along their words
-    tables = []
-    for row in rows:
-        t = [new[c + i] for c, hi in row for i in hi]
-        tables.append([t[x] for x in perm])
-    return Group(tower, tuple([Aut(tower, elements[x]) for x in perm]), gens,
-                 tuple([tables[used[g.m]] if g.m in used
-                        else _follow(tables, words[g.m], range(order))
-                        for g in gens]), new[0])
+    word = word_tables(tables, up, by)
+    for j in range(len(gens)):
+        if tables[j] is None:
+            xs = range(order)
+            for t in word(where[j]):
+                xs = [t[x] for x in xs]
+            tables[j] = xs
+    return Group(tower, tuple([Aut(tower, m) for m in elements]), gens,
+                 tuple(tables), up, by)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\^|\*|,|\(|\)|=)|([A-Za-z_][A-Za-z_0-9]*)|(-?\d+))")

@@ -9,8 +9,9 @@ of each; so all is found at sigma, once per G-conjugacy class of cyclic
 subgroups: conjugating by the group's generators finds each class, and
 fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
 The walk runs on element indices with no matrix product: a product with
-sigma follows the group's generator tables (Group.tables) along a word for
-sigma, and a conjugate is one more lookup.
+sigma follows the group's generator tables (Group.tables) along sigma's
+path in the tree that the closure records, and a conjugate is one more
+lookup.
 For ord(sigma) prime to p the fixed rational places come out of an
 eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
@@ -79,7 +80,7 @@ from typing import NamedTuple
 from ._linalg import (charpoly3, kernel, mat_adj3, mat_det3, mat_mul3,
                       mat_vec3)
 from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
-                     proj_mul)
+                     proj_mul, word_tables)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, GFError, p_gcd, p_powmod, p_trim, poly_roots
@@ -127,7 +128,9 @@ def fixed_rational_places(tower: FieldTower, aut: Aut,
     eig, _ = eigen or _eigen_data(tower, aut)
     places = []
     for _lam, _mult, basis in eig:
-        assert 1 <= len(basis) <= 2, "a non-scalar matrix has eigenspace dim < 3"
+        if not 1 <= len(basis) <= 2:
+            raise EngineError(f"an element of order {aut_order(aut)} has an "
+                              f"eigenspace of dimension {len(basis)}")
         gram = [[_herm(lvl, u, v) for v in basis] for u in basis]
         for cs in _form_zeros(lvl, tower.q, gram):
             pt = [0, 0, 0]
@@ -182,13 +185,19 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
     # single root already determines the whole candidate place
     roots = poly_roots(q6, cubic)
-    assert roots
+    if not roots:
+        raise EngineError(f"the charpoly of an element of order "
+                          f"{aut_order(aut)} has no root in F_q^6")
     basis = _eigenspace(q6, aut.m, roots[0][0])
-    assert len(basis) == 1
+    if len(basis) != 1:
+        raise EngineError(f"an element of order {aut_order(aut)} has an "
+                          f"eigenspace of dimension {len(basis)} over F_q^6")
     pt = normalize_point(q6, basis[0])
     if not on_curve(q6, tower.q, pt):
         return []
-    assert not point_is_rational(tower, pt)
+    if point_is_rational(tower, pt):
+        raise EngineError(f"an element of order {aut_order(aut)} fixes a "
+                          f"rational point through an irreducible cubic")
     return [degree3_place(tower, pt)]
 
 
@@ -526,56 +535,21 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     <sigma^m>, which the walk by increasing order has met before.
 
     The walk runs on element indices and makes no matrix product: x s
-    follows the group's tables along a word for s, read off a breadth-first
-    tree of the tables, and g s g^-1 follows the words of s and g^-1 from
-    g."""
+    follows the group's tables along the path of s in the closure's tree
+    (autgrp.word_tables), and g s g^-1 follows the paths of s and g^-1
+    from g."""
     q, p = tower.q, tower.p
-    els, tables, one = group.elements, group.tables, group.one
+    els = group.elements
     size = len(els)
-    # a breadth-first tree of the tables, each path cut into runs of one
-    # generator: els[x] = els[top[x]] gens[j]^k, j = by[x], k = times[x]
-    top, by, times = [None] * size, [None] * size, [0] * size
-    top[one] = one
-    frontier = [one]
-    for x in frontier:
-        for j, t in enumerate(tables):
-            y = t[x]
-            if top[y] is None:
-                if by[x] == j:
-                    top[y], times[y] = top[x], times[x] + 1
-                else:
-                    top[y], times[y] = x, 1
-                by[y] = j
-                frontier.append(y)
-    squares = [[t] for t in tables]  # [j][b]: the table of gens[j]^(2^b)
-
-    def word(x):
-        """The tables to follow for a right product with els[x]: each run
-        g^k of its word as the tables of g^(2^b) for the bits b of k."""
-        w = []
-        while x != one:
-            j, k = by[x], times[x]
-            if k == 1:
-                w.append(tables[j])
-            else:
-                sq, b = squares[j], 0
-                while k:
-                    if len(sq) == b:
-                        sq.append([sq[-1][y] for y in sq[-1]])
-                    if k & 1:
-                        w.append(sq[b])
-                    k, b = k >> 1, b + 1
-            x = top[x]
-        return w[::-1]
-
+    word = word_tables(group.tables, group.up, group.by)
     subs, where = [], [None] * size
-    for s in range(size):
-        if s == one or where[s] is not None:
+    for s in range(1, size):
+        if where[s] is not None:
             continue
         w = word(s)
         powers = [s]
         x = s
-        while x != one:
+        while x:
             for t in w:
                 x = t[x]
             powers.append(x)
@@ -595,11 +569,11 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     # conjugation by g: g s g^-1 follows the word of s, then that of g^-1,
     # the last element of g's cycle through the identity
     conj = []
-    for g, t in zip(group.gens, tables):
-        x = t[one]
-        while t[x] != one:
+    for g, t in zip(group.gens, group.tables):
+        x = t[0]
+        while t[x]:
             x = t[x]
-        conj.append((g, t[one], word(x)))
+        conj.append((g, t[0], word(x)))
     out = [None] * len(subs)
     # by increasing order, so the order-p subgroup of a wild one comes
     # first; the sort is stable, so a class's lowest index stays its

@@ -33,6 +33,7 @@ from hermquot.autgrp import (
     proj_mul,
     sigma4,
     sigma5,
+    word_tables,
 )
 from hermquot.curve import normalize_point, rational_places
 from hermquot.gf import GFError, build_tower, factorize
@@ -207,7 +208,8 @@ def _pgu_gens(tw):
 def _assert_closures_agree(tw, gens, cap=None):
     grp = close_group(tw, gens, cap=cap)
     bfs = close_group_bfs(tw, gens, cap=cap)
-    assert grp.elements == bfs.elements and grp.gens == bfs.gens
+    assert sorted(f.m for f in grp.elements) == sorted(
+        f.m for f in bfs.elements) and grp.gens == bfs.gens
     return grp
 
 
@@ -218,7 +220,8 @@ def test_close_group_vs_bfs_on_9c_stream(towers, q):
     for _ in range(200):
         grp = random_group(tw, rng)
         bfs = close_group_bfs(tw, grp.gens, cap=600)
-        assert grp.elements == bfs.elements and grp.gens == bfs.gens
+        assert sorted(f.m for f in grp.elements) == sorted(
+            f.m for f in bfs.elements) and grp.gens == bfs.gens
 
 
 @pytest.mark.parametrize("q", [8, 16])
@@ -265,13 +268,27 @@ def test_close_group_cap_is_exact(towers, q, make):
 
 def _assert_tables(grp):
     # every entry of every generator's table is the product it stands for,
-    # and one is the identity's index
-    lvl, els = grp.tower.q2, grp.elements
-    assert els[grp.one].m == IDENTITY3
-    assert len(grp.tables) == len(grp.gens)
-    for g, table in zip(grp.gens, grp.tables):
+    # the identity is at index 0, every other element is its tree parent
+    # times one generator, and on sampled pairs (x, y) following y's path
+    # from x lands on x y
+    lvl, els, gens = grp.tower.q2, grp.elements, grp.gens
+    assert els[0].m == IDENTITY3
+    assert len(grp.tables) == len(gens)
+    for g, table in zip(gens, grp.tables):
         assert [els[y].m for y in table] == [
             proj_mul(lvl, f.m, g.m) for f in els]
+    for x in range(1, len(els)):
+        assert els[x].m == proj_mul(lvl, els[grp.up[x]].m,
+                                    gens[grp.by[x]].m)
+    word = word_tables(grp.tables, grp.up, grp.by)
+    index = {f.m: x for x, f in enumerate(els)}
+    rng = random.Random(len(els))
+    for _ in range(50):
+        x, y = rng.randrange(len(els)), rng.randrange(len(els))
+        z = x
+        for t in word(y):
+            z = t[z]
+        assert z == index[proj_mul(lvl, els[x].m, els[y].m)]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8])

@@ -60,6 +60,7 @@ from _walk_oracle import (
     walk_per_subgroup,
 )
 from test_acceptance import GRID, random_atom, random_group
+from test_twisted import SINGER3_Q2
 
 
 def brute_fixed_rational(tw, f):
@@ -623,23 +624,42 @@ def test_pgu33_quotient_rows(tw3):
 
 
 # Faults injected into the engine, each wrapping a real function, with the
-# spec that reaches it and the message of the invariant check that catches
-# it: the subcount over F_(q^6) off by one breaks Burnside's divisibility,
-# an element of order prime to p with eigenspaces of total dimension < 3 is
-# on no count path, and an inertia group that fixes nothing breaks the orbit
-# guard at P_inf's orbit of two places
+# q and spec that reach it and the message of the invariant check that
+# catches it: the subcount over F_(q^6) off by one breaks Burnside's
+# divisibility, an element of order prime to p with eigenspaces of total
+# dimension < 3 is on no count path, an inertia group that fixes nothing
+# breaks the orbit guard at P_inf's orbit of two places, a 2-dimensional
+# eigenspace with a third vector is too big, and a Singer-type element of
+# order 3 at q = 2 whose charpoly has no root over F_(q^6), whose eigenspace
+# there has two vectors, or whose eigenvector is rational breaks the
+# degree-3 place search
 FAULTS = {
-    "burnside": ("_twisted_count", "omega",
+    "burnside": ("_twisted_count", 3, "omega",
                  "twisted points over F_q^6 sum to 33, not a multiple of "
                  "|G| = 2",
                  "lambda real: lambda *a: real(*a)._replace(n6=real(*a).n6 + 1)"),
-    "no-path": ("_twisted_count", "omega",
+    "no-path": ("_twisted_count", 3, "omega",
                 "an element of order 2 is on no count path",
                 "lambda real: lambda tw, s, n, eig, fixed: "
                 "real(tw, s, n, eig[:1], fixed)"),
-    "orbit-guard": ("fixes_pointwise", "eps(a), omega",
+    "orbit-guard": ("fixes_pointwise", 3, "eps(a), omega",
                     "a conjugated inertia group does not fix its place",
                     "lambda real: lambda *a: False"),
+    "eigenspace": ("_eigenspace", 3, "omega",
+                   "an element of order 2 has an eigenspace of dimension 3",
+                   "lambda real: lambda *a: (lambda b: b + b[1:])(real(*a))"),
+    "cubic-root": ("poly_roots", 2, SINGER3_Q2,
+                   "the charpoly of an element of order 3 has no root in "
+                   "F_q^6",
+                   "lambda real: lambda *a: []"),
+    "cubic-eigenspace": ("_eigenspace", 2, SINGER3_Q2,
+                         "an element of order 3 has an eigenspace of "
+                         "dimension 2 over F_q^6",
+                         "lambda real: lambda *a: real(*a) * 2"),
+    "cubic-rational": ("point_is_rational", 2, SINGER3_Q2,
+                       "an element of order 3 fixes a rational point "
+                       "through an irreducible cubic",
+                       "lambda real: lambda *a: True"),
 }
 
 
@@ -647,8 +667,8 @@ FAULTS = {
 def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
     # one line and exit 3, in-process and in a python -O subprocess, where
     # an assert would vanish
-    name, spec, message, wrap = FAULTS[fault]
-    argv = ["genus", "--q", "3", "--spec", spec]
+    name, q, spec, message, wrap = FAULTS[fault]
+    argv = ["genus", "--q", str(q), "--spec", spec]
     monkeypatch.setattr(engine, name, eval(wrap)(getattr(engine, name)))
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
