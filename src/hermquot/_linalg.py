@@ -80,34 +80,32 @@ def charpoly3(lvl, A):
 
 
 def kernel(lvl, rows):
-    """Basis of the right null space of a matrix (list of row lists)."""
-    rows = [list(r) for r in rows]
-    n = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = lvl.inv(rows[r][col])
-        rows[r] = [lvl.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [lvl.sub(x, lvl.mul(c, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the right null space of a 3x3 matrix (three row lists), in
+    closed form: the basis that Gauss-Jordan elimination gives, each vector
+    1 at a non-pivot column and 0 at the other non-pivot ones. Rank 2: the
+    cross product of two rows, checked against the third and scaled so its
+    last nonzero coordinate (the non-pivot column) is 1. Rank 1: the normal
+    of the nonzero row, pivoting on its first nonzero column. Rank 3: none.
+    Rank 0: the unit vectors."""
+    m, sb = lvl.mul, lvl.sub
+    r0, r1, r2 = rows
+    for (a, b, c), (d, e, f), (g, h, i) in ((r0, r1, r2), (r0, r2, r1),
+                                            (r1, r2, r0)):
+        v = [sb(m(b, f), m(c, e)), sb(m(c, d), m(a, f)), sb(m(a, e), m(b, d))]
+        if any(v):
+            if lvl.add(lvl.add(m(g, v[0]), m(h, v[1])), m(i, v[2])):
+                return []
+            s = lvl.inv(next(x for x in reversed(v) if x))
+            return [[m(s, x) for x in v]]
+    row = next((r for r in rows if any(r)), None)
+    if row is None:
+        return [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    piv = next(j for j in range(3) if row[j])
+    ng = lvl.neg(lvl.inv(row[piv]))
     basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = lvl.neg(rows[ri][fc])
-        basis.append(v)
+    for j in range(3):
+        if j != piv:
+            v = [0, 0, 0]
+            v[j], v[piv] = 1, m(ng, row[j])
+            basis.append(v)
     return basis
-

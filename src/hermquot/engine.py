@@ -15,7 +15,12 @@ lookup.
 For ord(sigma) prime to p the fixed rational places come out of an
 eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
-line of PG(2, q^2) meets the curve only in rational points). A wild sigma
+line of PG(2, q^2) meets the curve only in rational points). The analysis
+runs once per chain of powers: sigma = s^d of order prime to p is a power
+t^e of the chain's tame part t = s^(p^a), p^a the p-part of ord(s), and t
+is semisimple, so the eigenspaces of t^e are sums of those of t
+(_power_eigen_data). Eigenspaces are null spaces of 3x3 matrices, found in
+closed form (_linalg.kernel). A wild sigma
 needs no eigenvalues: a Sylow p-subgroup of PGU(3, q) fixes one rational
 place and acts regularly on the q^3 others (Hirschfeld-Korchmaros-Torres
 2008), so sigma fixes one rational place and no degree-3 one, as p does not
@@ -38,8 +43,9 @@ _form_zeros: on the span of b_1..b_k the curve equation is the form
 sum c_i^q c_j h(b_i, b_j), h the sesquilinear Hermitian form of the curve,
 and its zeros in P^(k-1)(F_{q^2}) are listed line by line, each line in
 one scan of the log tables (BaseLevel.zeros, which also gives poly_roots its
-eigenvalues). The spans are the eigenspaces, and their zeros the fixed
-rational places.
+eigenvalues). The spans are the eigenspaces of dimension 2, and their
+zeros fixed rational places; an eigenspace of dimension 1 is one when its
+point is on the curve.
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
@@ -83,12 +89,9 @@ from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
                      proj_mul, word_tables)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
-from .gf import FieldTower, GFError, p_gcd, p_powmod, p_trim, poly_roots
-from .localval import conjugate, fixes_pointwise, inertia_data, to_infinity
-
-
-class EngineError(GFError):
-    pass
+from .gf import FieldTower, p_gcd, p_powmod, p_trim, poly_roots
+from .localval import (EngineError, conjugate, fixes_pointwise, inertia_data,
+                       to_infinity)
 
 
 def _eigen_data(tower: FieldTower, aut: Aut):
@@ -99,6 +102,32 @@ def _eigen_data(tower: FieldTower, aut: Aut):
     out = [(lam, mult, _eigenspace(lvl, aut.m, lam))
            for lam, mult in poly_roots(lvl, cp)]
     return out, None if out else cp
+
+
+def _power_eigen_data(tower: FieldTower, eig, m: tuple, order: int, e: int):
+    """_eigen_data of sigma^e, whose point matrix is m and order is order,
+    from sigma's eigen data eig when sigma is diagonalisable over F_{q^2}:
+    the eigenspaces of sigma^e are the sums of those of sigma whose
+    eigenvalues have equal e-th powers. Each one's eigenvalue for m is read
+    off one eigenvector v (m is a scalar times M^e) and checked on all of
+    m v; its basis comes from _eigenspace and its multiplicity is its
+    dimension, sigma^e being semisimple too."""
+    lvl = tower.q2
+    vectors = {}
+    for lam, _mult, basis in eig:
+        vectors.setdefault(lvl.pow(lam, e), basis[0])
+    out = []
+    for v in vectors.values():
+        mv = mat_vec3(lvl, m, v)
+        j = next(j for j in range(3) if v[j])
+        lam = lvl.div(mv[j], v[j])
+        if any(x != lvl.mul(lam, y) for x, y in zip(mv, v)):
+            raise EngineError(f"an element of order {order} does not keep the "
+                              f"eigenvectors of the element it is a power of")
+        basis = _eigenspace(lvl, m, lam)
+        out.append((lam, len(basis), basis))
+    out.sort(key=lambda x: lvl.rank[x[0]])
+    return out, None
 
 
 def _eigenspace(lvl, m, lam):
@@ -122,13 +151,17 @@ def fixed_rational_places(tower: FieldTower, aut: Aut,
     _eigen_data(tower, aut) when the caller already has it. A fixed point is
     an eigenvector, and the curve equation on the span of an eigenspace
     basis b_i is the form sum c_i^q c_j h(b_i, b_j), h sesquilinear, whose
-    zeros _form_zeros lists."""
+    zeros _form_zeros lists; an eigenspace of dimension 1 is its point."""
     assert not aut.is_identity()
     lvl = tower.q2
     eig, _ = eigen or _eigen_data(tower, aut)
     places = []
     for _lam, _mult, basis in eig:
-        if not 1 <= len(basis) <= 2:
+        if len(basis) == 1:
+            if not _herm(lvl, basis[0], basis[0]):
+                places.append(place_of_point(tower, basis[0]))
+            continue
+        if len(basis) != 2:
             raise EngineError(f"an element of order {aut_order(aut)} has an "
                               f"eigenspace of dimension {len(basis)}")
         gram = [[_herm(lvl, u, v) for v in basis] for u in basis]
@@ -529,7 +562,12 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     subgroups, each class by conjugating with the group's generators:
     fixed(g sigma g^-1) = g(fixed(sigma)), so a member met from another by
     g gets that member's places moved by g. The eigen analysis runs only
-    on classes of order prime to p. A class of order p takes its
+    on classes of order prime to p, and once per chain of powers: the walk
+    of s analyses its tame part t = s^(p^a) (p^a the p-part of ord s) at
+    most once, and a tame class <s^d> = <t^e>, e = d / p^a, takes its eigen
+    data from t's (_power_eigen_data), unless t has no eigenvalue in
+    F_{q^2} (Singer-type), when each class is analysed alone. A class of
+    order p takes its
     representative's one fixed place from the nilpotent part of its matrix
     (_wild_place), one of order n = p m, m > 1, from the record of
     <sigma^m>, which the walk by increasing order has met before.
@@ -554,6 +592,10 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
                 x = t[x]
             powers.append(x)
         n = len(powers)
+        # the tame part t = s^(p^a) of the chain, p^a the p-part of n
+        pa = 1
+        while n % (pa * p) == 0:
+            pa *= p
         # <s> and each subgroup <s^d> not met yet, generated by the s^(dk)
         # with gcd(k, n/d) = 1
         for d in range(1, n):
@@ -563,9 +605,13 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
                     if gcd(k, n // d) == 1]
             for x in gens:
                 where[x] = len(subs)
-            # a wild <s^d> of order > p fixes what <s^(n/p)> fixes
-            wild = n // d % p == 0 and n // d > p
-            subs.append((gens, n // d, powers[n // p - 1] if wild else None))
+            # the element whose data <s^d> starts from: a tame <s^d> is
+            # <t^e>, e = d / p^a, and a wild one of order > p fixes what
+            # <s^(n/p)> fixes
+            if n // d % p:
+                subs.append((gens, n // d, powers[pa - 1], d // pa))
+            else:
+                subs.append((gens, n // d, powers[n // p - 1], 0))
     # conjugation by g: g s g^-1 follows the word of s, then that of g^-1,
     # the last element of g's cycle through the identity
     conj = []
@@ -575,24 +621,33 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
             x = t[x]
         conj.append((g, t[0], word(x)))
     out = [None] * len(subs)
+    spectra = {}  # a chain's tame part t -> _eigen_data(t)
     # by increasing order, so the order-p subgroup of a wild one comes
     # first; the sort is stable, so a class's lowest index stays its
     # representative
     for i in sorted(range(len(subs)), key=lambda i: subs[i][1]):
         if out[i] is not None:
             continue
-        gens, n, below = subs[i]
+        gens, n, source, e = subs[i]
         gens = [els[x] for x in gens]
         if n == p:
             fixed, deg3, eig = [_wild_place(tower, gens[0].m)], [], None
-        elif below is None:
-            eigen = _eigen_data(tower, gens[0])
+        elif n % p:
+            if source not in spectra:
+                spectra[source] = _eigen_data(tower, els[source])
+            eigen = spectra[source]
+            if e > 1:
+                # t semisimple and split over F_{q^2}, or else (Singer-type)
+                # an analysis of its own
+                eigen = (_power_eigen_data(tower, eigen[0], gens[0].m, n, e)
+                         if sum(len(b) for _l, _m, b in eigen[0]) == 3
+                         else _eigen_data(tower, gens[0]))
             fixed = fixed_rational_places(tower, gens[0], eigen)
             deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
                     if (q * q - q + 1) % n == 0 else [])
             eig = eigen[0]
         else:
-            fixed, deg3, eig = out[where[below]].fixed, [], None
+            fixed, deg3, eig = out[where[source]].fixed, [], None
         out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eig)
         # the class, each member met from one before it
         frontier = [i]

@@ -22,7 +22,8 @@ is a subgroup, so the generators of a cyclic subgroup share one i-value,
 and inertia_data takes one generator per cyclic subgroup with a weight. The
 same number is the Hilbert sum sum_i (|G_i| - 1) over the ramification
 filtration, which we recompute as a consistency check whenever the i-values
-are on hand.
+are on hand. Every such check, and orbit-stabiliser and the residue degree,
+raises EngineError naming the place, also under python -O.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from ._linalg import mat_adj3, mat_mul3, mat_vec3
 from .autgrp import Aut, Group, apply_place, apply_point, from_affine, omega
 from .curve import P_INF, Place, normalize_point
 from .gf import FieldTower, GFError
+
+
+class EngineError(GFError):
+    """A mathematical invariant of the computation does not hold."""
 
 
 def to_infinity(tower: FieldTower, place: Place):
@@ -141,8 +146,23 @@ def ramification_data(tower: FieldTower, place: Place, group: Group,
         setwise += 1
         if place.kind != "degree3" or fixes_pointwise(tower, s, place):
             inertia.append((s, 1))
-    assert group.order % setwise == 0
+    if group.order % setwise:
+        raise EngineError(f"the stabiliser of {place} has order {setwise}, "
+                          f"not a divisor of |G| = {group.order}")
     return inertia_data(tower, place, inertia, setwise, dual_check)
+
+
+def _hilbert_sum(ivals, e: int) -> tuple[int, int]:
+    """sum over i >= 0 of (|G_i| - 1), and |G_1|, in one pass over the
+    sorted pairs (i-value, weight): |G_i| = 1 + the weight of the i-values
+    above i, so the levels from one i-value up to the next share it."""
+    total, level, size, g1 = 0, 0, e, e
+    for v, w in ivals:
+        total += (v - level) * (size - 1)
+        level, size = v, size - w
+        if v == 1:
+            g1 = size
+    return total, g1
 
 
 def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
@@ -151,40 +171,45 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
     that fix it pointwise, given as pairs (sigma, weight): sigma generates
     a cyclic subgroup, standing for weight elements that share its i-value.
     The phi(n) generators of a cyclic subgroup of order n do, as every
-    G_i(P) is a subgroup. setwise is the order of the setwise stabiliser."""
+    G_i(P) is a subgroup. setwise is the order of the setwise stabiliser.
+    A broken invariant raises EngineError naming the place."""
     p, q = tower.p, tower.q
     e = 1 + sum(w for _s, w in inertia)
-    assert setwise % e == 0
+    if setwise % e:
+        raise EngineError(f"the inertia group at {place} has order {e}, not "
+                          f"a divisor of its stabiliser's order {setwise}")
     f = setwise // e
     if place.kind == "degree3":
         # degree-3 places are always tamely ramified with cyclic inertia of
         # order dividing q^2 - q + 1
-        assert f in (1, 3)
-        assert (q * q - q + 1) % e == 0 and e % p != 0
+        if f not in (1, 3):
+            raise EngineError(f"residue degree {f} at {place}, not 1 or 3")
+        if (q * q - q + 1) % e or e % p == 0:
+            raise EngineError(f"the inertia group at {place} has order {e}, "
+                              f"not a divisor of q^2 - q + 1")
         return RamificationData(place, e, f, e - 1, None)
-    assert f == 1, "a rational place has residue degree 1"
+    if f != 1:
+        raise EngineError(f"residue degree {f} at the rational place {place}")
     wild = e % p == 0
     if not wild and not dual_check:
         return RamificationData(place, e, 1, e - 1, None)
     ivals = sorted((i_value(tower, place, s), w) for s, w in inertia)
-    assert all(v >= 1 for v, _w in ivals), "stabilizer elements must fix P"
+    if ivals and ivals[0][0] < 1:
+        raise EngineError(f"an element of the inertia group at {place} does "
+                          f"not fix it, so |G_0| is not e = {e}")
     d_sum = sum(v * w for v, w in ivals)
-    # Hilbert form of the same sum, plus structural checks on the
-    # filtration sizes
-    imax = ivals[-1][0] if ivals else 0
-    d_hilbert = 0
-    for i in range(imax):
-        gi = 1 + sum(w for v, w in ivals if v >= i + 1)
-        if i == 0:
-            assert gi == e
-        if i == 1:
-            assert _is_prime_power_of(gi, p)
-        d_hilbert += gi - 1
-    assert d_hilbert == d_sum
-    if not wild:
-        assert all(v == 1 for v, _w in ivals)
-        assert d_sum == e - 1
-    else:
-        assert d_sum >= e, "wild ramification forces d >= e"
+    # the Hilbert form of the same sum, and the filtration's G_1
+    d_hilbert, g1 = _hilbert_sum(ivals, e)
+    if not _is_prime_power_of(g1, p):
+        raise EngineError(f"|G_1| = {g1} at {place} is not a power of p")
+    if d_hilbert != d_sum:
+        raise EngineError(f"the Hilbert sum at {place} is {d_hilbert}, not "
+                          f"the sum {d_sum} of the i-values")
+    if not wild and d_sum != e - 1:
+        raise EngineError(f"tame ramification at {place} has d = {d_sum}, "
+                          f"not e - 1 = {e - 1}")
+    if wild and d_sum < e:
+        raise EngineError(f"wild ramification at {place} has d = {d_sum} < "
+                          f"e = {e}")
     return RamificationData(place, e, 1, d_sum,
                             tuple(v for v, w in ivals for _ in range(w)))

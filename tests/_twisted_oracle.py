@@ -6,10 +6,46 @@ lambda M v."""
 
 from __future__ import annotations
 
-from hermquot._linalg import charpoly3, kernel, mat_mul3
+from hermquot._linalg import charpoly3, mat_mul3
 from hermquot.autgrp import Aut
 from hermquot.engine import EngineError, _form_zeros, _herm
 from hermquot.gf import FieldTower, poly_roots
+
+
+def elimination_kernel(lvl, rows):
+    """Basis of the right null space of a matrix (list of row lists) by
+    Gauss-Jordan elimination: one vector per non-pivot column, 1 there, 0 at
+    the other non-pivot columns. Also the oracle for the closed-form 3x3
+    null space, _linalg.kernel."""
+    rows = [list(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = lvl.inv(rows[r][col])
+        rows[r] = [lvl.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [lvl.sub(x, lvl.mul(c, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = lvl.neg(rows[ri][fc])
+        basis.append(v)
+    return basis
 
 
 def _span_curve_points(tower: FieldTower, basis) -> int:
@@ -71,7 +107,7 @@ def kernel_twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
                                                        ll[3 * i + jj]))
                         row.append(val)
                 rows.append(row)
-        basis = kernel(lvl, rows)
+        basis = elimination_kernel(lvl, rows)
         if basis:
             total += _span_curve_points(
                 tower, [tuple(q6.pack(*v9[3 * l:3 * l + 3]) for l in range(3))

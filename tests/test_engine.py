@@ -1,6 +1,7 @@
 """Quotient genus engine: fixed points, orbit data, genus, cross-checks."""
 
 import functools
+import importlib
 import itertools
 import os
 import random
@@ -582,6 +583,61 @@ def test_p_groups_need_no_eigen_analysis(q, monkeypatch):
     assert p == 2 or (grp.order, rep.genus) == (q ** 3, 0)
 
 
+def _analyses_per_chain(tw, walk):
+    """The matrices whose eigen analysis the walk needs: the tame part
+    t = s^(p^a) of each chain of powers that holds a tame class
+    representative r = t^e (p^a the p-part of ord s), and r itself when t
+    is not diagonalisable over F_(q^2) (Singer-type). The records come in
+    chains: <s>, then the subgroups of <s> met first there, each with a
+    power of s first; the next chain's s is not a power of s."""
+    out, powers = set(), {}
+    for i, c in enumerate(walk):
+        r = c.gens[0]
+        if r.m not in powers:
+            pa = 1
+            while c.order % (pa * tw.p) == 0:
+                pa *= tw.p
+            tame = aut_pow(r, pa)
+            split = sum(len(b) for _l, _m, b in _eigen_data(tw, tame)[0]) == 3
+            powers = {aut_pow(r, k).m for k in range(1, c.order + 1)}
+        if c.rep == i and c.order % tw.p:
+            out.add(tame.m)
+            if not split:
+                out.add(r.m)
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_one_eigen_analysis_per_chain(towers, q, monkeypatch):
+    # the tame classes of a chain of powers take their eigenspaces from one
+    # analysis of its tame part: eps(a) at q = 7 is cyclic of order 48 with
+    # nine tame classes and one analysis, and on the 9c stream each element
+    # analysed is one of _analyses_per_chain, analysed once
+    real, seen = engine._eigen_data, []
+
+    def counting(tw, aut):
+        seen.append(aut.m)
+        return real(tw, aut)
+
+    monkeypatch.setattr(engine, "_eigen_data", counting)
+    tw = towers[q]
+    if q == 7:
+        walk = _cyclic_walk(tw, group_from_spec(tw, "eps(a)"))
+        assert (len(walk), len(seen)) == (9, 1)
+    rng = random.Random(12345 + q)
+    reps = analysed = 0
+    for _ in range(60):
+        grp = random_group(tw, rng)
+        seen.clear()
+        walk = _cyclic_walk(tw, grp)
+        assert len(set(seen)) == len(seen)
+        assert set(seen) == _analyses_per_chain(tw, walk)
+        reps += sum(1 for i, c in enumerate(walk)
+                    if c.rep == i and c.order % tw.p)
+        analysed += len(seen)
+    assert analysed < reps
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 16])
 def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
     # translation groups at q = 8, 16 and the 9c stream at q <= 8: the walk
@@ -632,7 +688,10 @@ def test_pgu33_quotient_rows(tw3):
 # eigenspace with a third vector is too big, and a Singer-type element of
 # order 3 at q = 2 whose charpoly has no root over F_(q^6), whose eigenspace
 # there has two vectors, or whose eigenvector is rational breaks the
-# degree-3 place search
+# degree-3 place search; a stabiliser one too large for its orbit breaks
+# orbit-stabiliser at a fixed place of omega, and a Hilbert sum off by one
+# breaks its agreement with the i-values. A name with a module prefix is
+# looked up there, any other in the engine.
 FAULTS = {
     "burnside": ("_twisted_count", 3, "omega",
                  "twisted points over F_q^6 sum to 33, not a multiple of "
@@ -660,6 +719,16 @@ FAULTS = {
                        "an element of order 3 fixes a rational point "
                        "through an irreducible cubic",
                        "lambda real: lambda *a: True"),
+    "orbit-stabiliser": ("inertia_data", 3, "omega",
+                         "the inertia group at P(4,1) has order 2, not a "
+                         "divisor of its stabiliser's order 3",
+                         "lambda real: lambda tw, pl, inertia, setwise, *a: "
+                         "real(tw, pl, inertia, setwise + 1, *a)"),
+    "hilbert-sum": ("localval._hilbert_sum", 3, "omega",
+                    "the Hilbert sum at P(4,1) is 2, not the sum 1 of the "
+                    "i-values",
+                    "lambda real: lambda *a: (lambda d, g1: (d + 1, g1))"
+                    "(*real(*a))"),
 }
 
 
@@ -668,12 +737,15 @@ def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
     # one line and exit 3, in-process and in a python -O subprocess, where
     # an assert would vanish
     name, q, spec, message, wrap = FAULTS[fault]
+    module, _, name = name.rpartition(".")
+    module = module or "engine"
+    target = importlib.import_module(f"hermquot.{module}")
     argv = ["genus", "--q", str(q), "--spec", spec]
-    monkeypatch.setattr(engine, name, eval(wrap)(getattr(engine, name)))
+    monkeypatch.setattr(target, name, eval(wrap)(getattr(target, name)))
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
-    script = ("import sys\nfrom hermquot import cli, engine\n"
-              f"engine.{name} = ({wrap})(engine.{name})\n"
+    script = (f"import sys\nfrom hermquot import cli, {module}\n"
+              f"{module}.{name} = ({wrap})({module}.{name})\n"
               f"sys.exit(cli.main({argv!r}))")
     src = os.path.dirname(os.path.dirname(hermquot.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermquot.gf as gf
+from hermquot._linalg import kernel
 from hermquot.autgrp import epsilon, from_affine, parse_spec
 from hermquot.curve import degree3_places
 from hermquot.gf import (
@@ -20,6 +22,7 @@ from hermquot.gf import (
     p_eval,
     poly_roots,
 )
+from _twisted_oracle import elimination_kernel
 
 # (q2.mod, a, q6.mod) of the canonical tower: every a^k in every spec means
 # a fixed packed value only while these stay the same.
@@ -460,6 +463,36 @@ def test_add_table_is_the_digitwise_sum(towers, q):
     for x, y in pairs:
         assert lvl.add(x, y) == lvl.pack(
             [(u + v) % p for u, v in zip(lvl.digits(x), lvl.digits(y))])
+
+
+def _random_rank(lvl, rng, rank):
+    """A 3x3 matrix (row lists) of the given rank: a random 3 x rank times
+    rank x 3 product, drawn again until the elimination finds that rank."""
+    def draw(r, c):
+        return [[rng.randrange(lvl.size) for _ in range(c)] for _ in range(r)]
+    while True:
+        a, b = draw(3, rank), draw(rank, 3)
+        rows = [[reduce(lvl.add, (lvl.mul(a[i][k], b[k][j])
+                                  for k in range(rank)), 0)
+                 for j in range(3)] for i in range(3)]
+        if len(elimination_kernel(lvl, rows)) == 3 - rank:
+            return rows
+
+
+@pytest.mark.parametrize("q, name", [(q, "q2") for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(2, "q6"), (3, "q6")])
+def test_closed_form_kernel_is_the_elimination_basis(towers, q, name):
+    # the closed-form 3x3 null space returns the very basis of Gauss-Jordan
+    # elimination, on random matrices of every rank, and none at rank 3
+    lvl = towers[q].level(name)
+    rng = random.Random(q * 10 + len(name))
+    for rank in range(4):
+        for _ in range(40):
+            rows = _random_rank(lvl, rng, rank)
+            basis = kernel(lvl, rows)
+            assert basis == elimination_kernel(lvl, rows)
+            assert len(basis) == 3 - rank
+    assert kernel(lvl, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
 
 def test_parse_and_print_roundtrip(tw8):

@@ -26,7 +26,7 @@ from hermquot.curve import P_INF, normalize_point, rational_place, rational_plac
 from hermquot.engine import fixed_rational_places
 from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import GFError
-from hermquot.localval import expand_at, i_value, ramification_data
+from hermquot.localval import _hilbert_sum, expand_at, i_value, ramification_data
 
 from _series import PrecisionError, Series
 from test_acceptance import GRID, divisors, random_group
@@ -425,8 +425,16 @@ def test_ramification_data_degree3(tw2):
 
 
 def test_hilbert_formula_cross_check_runs(tw4):
-    # ramification_data asserts the two different computations agree when
-    # dual_check is set; exercising it on a wild place must not raise
+    # ramification_data checks that the two different computations agree
+    # when dual_check is set; exercising it on a wild place must not raise
     g = group_from_spec(tw4, "eps(a), omega")
     dat = ramification_data(tw4, P_INF, g, dual_check=True)
     assert dat.d == 4 * 4 - 2
+
+
+def test_hilbert_sum_in_one_pass():
+    # i-values 1 (weight 2), 2 (weight 3) and 5 (weight 1), e = 7: |G_0| = 7,
+    # |G_1| = 5 and |G_2| = |G_3| = |G_4| = 2, so the sum is 6 + 4 + 3 * 1,
+    # the sum 2 + 6 + 5 of the i-values
+    assert _hilbert_sum([(1, 2), (2, 3), (5, 1)], 7) == (13, 5)
+    assert _hilbert_sum([], 1) == (0, 1)
