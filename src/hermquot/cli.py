@@ -285,29 +285,34 @@ def cmd_places(args) -> int:
     return 0
 
 
+def _tally(suite, checks):
+    """(suite, passes, failures, first failing label) from (label, ok)
+    pairs."""
+    passes, fails, first = 0, 0, None
+    for label, ok in checks:
+        passes += ok
+        fails += not ok
+        if not ok and first is None:
+            first = label
+    return suite, passes, fails, first
+
+
 def _verify_suites(tower):
     """Yield (suite name, passes, failures, first failing instance)."""
     q = tower.q
-    passes, fails, first = 0, 0, None
     # group relation suite: omega is an involution, eps conjugation rule,
     # inverse and associativity samples
     w = autgrp.omega(tower)
     eps = autgrp.epsilon(tower, tower.a)
-    checks = [
+    yield _tally("relations", [
         ("omega^2 = 1", autgrp.compose(w, w).is_identity()),
         ("eps inverse", autgrp.compose(eps, autgrp.inverse(eps)).is_identity()),
         ("omega eps omega = eps^-q",
          autgrp.compose(autgrp.compose(w, eps), w).m
          == autgrp.aut_pow(eps, -q).m),
-    ]
-    for name, ok in checks:
-        passes += ok
-        fails += not ok
-        if not ok and first is None:
-            first = name
-    yield ("relations", passes, fails, first)
+    ])
     # v-sequence suite
-    passes, fails, first = 0, 0, None
+    checks = []
     for kind, delta in (("sigma4", tower.a_pow(q - 1)),
                         ("sigma5", tower.a)):
         try:
@@ -320,50 +325,31 @@ def _verify_suites(tower):
             ok = rec[i] == closed[i]
             if kind == "sigma4":
                 ok = ok and rec[i] == seq.binomial(i)
-            passes += ok
-            fails += not ok
-            if not ok and first is None:
-                first = f"{kind} delta={tower.elt_str(delta)} i={i}"
-    yield ("v-sequence", passes, fails, first)
+            checks.append((f"{kind} delta={tower.elt_str(delta)} i={i}", ok))
+    yield _tally("v-sequence", checks)
     # Hurwitz integrality + filtration suite on a few standard groups
-    passes, fails, first = 0, 0, None
     specs = ["omega", "eps(a), omega", f"sigma4(delta=a^{q - 1})",
              "sigma5(delta=a)"]
-    reports = []
+    reports, checks = [], []
     for sp in specs:
         try:
             grp = autgrp.group_from_spec(tower, sp)
             rep = genus_of_quotient(tower, grp, with_count=True,
                                     dual_check=True)
             reports.append((sp, grp, rep))
-            passes += 1
+            checks.append((sp, True))
         except (GFError, EngineError) as ex:
-            fails += 1
-            if first is None:
-                first = f"{sp}: {ex}"
-    yield ("hurwitz", passes, fails, first)
+            checks.append((f"{sp}: {ex}", False))
+    yield _tally("hurwitz", checks)
     # maximality suite: a quotient of a maximal curve is maximal
-    passes, fails, first = 0, 0, None
-    for sp, grp, rep in reports:
-        if rep.maximal:
-            passes += 1
-        else:
-            fails += 1
-            if first is None:
-                first = (f"{sp}: n={rep.n_rational} vs "
-                         f"{q * q + 1 + 2 * rep.genus * q}")
-    yield ("maximality", passes, fails, first)
+    yield _tally("maximality", (
+        (f"{sp}: n={rep.n_rational} vs {q * q + 1 + 2 * rep.genus * q}",
+         rep.maximal) for sp, _grp, rep in reports))
     # tame crosscheck suite
-    passes, fails, first = 0, 0, None
-    for sp, grp, rep in reports:
-        if grp.order % tower.p == 0 or gcd(grp.order, q * q - q + 1) != 1:
-            continue
-        ok = tame_diff_crosscheck(tower, grp) == rep.deg_diff
-        passes += ok
-        fails += not ok
-        if not ok and first is None:
-            first = sp
-    yield ("tame-crosscheck", passes, fails, first)
+    yield _tally("tame-crosscheck", (
+        (sp, tame_diff_crosscheck(tower, grp) == rep.deg_diff)
+        for sp, grp, rep in reports
+        if grp.order % tower.p and gcd(grp.order, q * q - q + 1) == 1))
 
 
 def cmd_verify(args) -> int:

@@ -108,7 +108,9 @@ def place_of_point(tower: FieldTower, pt) -> Place:
     """The rational place of a projective F_{q^2}-point on the curve."""
     x, y, z = pt
     if z == 0:
-        assert x == 0 and y != 0, "the only rational point at infinity is (0:1:0)"
+        if x or not y:
+            raise GFError(f"the point ({x}:{y}:0) at infinity is not "
+                          f"P_inf = (0:1:0)")
         return P_INF
     lvl = tower.q2
     iz = lvl.inv(z)
@@ -123,7 +125,9 @@ def rational_places(tower: FieldTower) -> list[Place]:
     for alpha in q2.elements_by_key():
         for beta in sorted(tower.solve_additive_raw(alpha, "q2"), key=rank):
             out.append(rational_place(alpha, beta))
-    assert len(out) == tower.q ** 3 + 1
+    if len(out) != tower.q ** 3 + 1:
+        raise GFError(f"the curve has {len(out)} rational places, not "
+                      f"q^3 + 1 = {tower.q ** 3 + 1}")
     return out
 
 
@@ -153,5 +157,7 @@ def degree3_places(tower: FieldTower,
             pl = degree3_place(tower, (x, y, 1))
             seen.setdefault(pl.data[0], pl)
     out = sorted(seen.values(), key=lambda p: place_sort_key(tower, p))
-    assert len(out) == degree3_count(tower)
+    if len(out) != degree3_count(tower):
+        raise GFError(f"the curve has {len(out)} places of degree 3, not "
+                      f"(N_6 - N_2) / 3 = {degree3_count(tower)}")
     return out

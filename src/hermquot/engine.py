@@ -37,15 +37,16 @@ it. The setwise stabiliser has order |G| / |orbit|, so orbit-stabiliser is a
 check at rational places and gives the residue degree at degree-3 ones. The
 i-values are computed once per cyclic subgroup and weighted by phi(n), as
 i_P(sigma^k) = i_P(sigma): the ramification groups G_i(P) are subgroups.
+The walk lists the inertia group at every member of an orbit, each moved
+there on its own, so the data read at the orbit's last member from its own
+list must agree with the representative's: a guard against a broken one.
 
-Curve points on a projective span over F_{q^2} are found one way, by
-_form_zeros: on the span of b_1..b_k the curve equation is the form
-sum c_i^q c_j h(b_i, b_j), h the sesquilinear Hermitian form of the curve,
-and its zeros in P^(k-1)(F_{q^2}) are listed line by line, each line in
-one scan of the log tables (BaseLevel.zeros, which also gives poly_roots its
-eigenvalues). The spans are the eigenspaces of dimension 2, and their
-zeros fixed rational places; an eigenspace of dimension 1 is one when its
-point is on the curve.
+A fixed rational place is an eigenvector on the curve. An eigenspace of
+dimension 1 is its point; on one of dimension 2 with basis b_0, b_1 the
+curve equation at b_0 + s b_1 is g00 + g01 s + g10 s^q + g11 s^(q+1),
+g_ij = h(b_i, b_j) with h the sesquilinear Hermitian form of the curve,
+whose zeros one scan of the log tables lists (BaseLevel.zeros, which also
+gives poly_roots its eigenvalues); b_1 is on the curve when g11 = 0.
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
@@ -79,14 +80,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import (charpoly3, kernel, mat_adj3, mat_det3, mat_mul3,
-                      mat_vec3)
-from .autgrp import (Aut, Group, apply_place, aut_order, compose, from_affine,
-                     proj_mul, word_tables)
+from ._linalg import charpoly3, kernel, mat_det3, mat_mul3, mat_vec3
+from .autgrp import (Aut, Group, apply_place, aut_order, from_affine,
+                     word_tables)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, p_gcd, p_powmod, p_trim, poly_roots
@@ -149,28 +148,32 @@ def fixed_rational_places(tower: FieldTower, aut: Aut,
                           eigen=None) -> list[Place]:
     """All rational places fixed by a nontrivial automorphism; eigen is
     _eigen_data(tower, aut) when the caller already has it. A fixed point is
-    an eigenvector, and the curve equation on the span of an eigenspace
-    basis b_i is the form sum c_i^q c_j h(b_i, b_j), h sesquilinear, whose
-    zeros _form_zeros lists; an eigenspace of dimension 1 is its point."""
+    an eigenvector: an eigenspace of dimension 1 is its point, and on one of
+    dimension 2, with basis b_0, b_1, the curve equation at b_0 + s b_1 is
+    g00 + g01 s + g10 s^q + g11 s^(q+1), g_ij = h(b_i, b_j) with h
+    sesquilinear, whose zeros one scan of the log tables lists
+    (BaseLevel.zeros); b_1 is on the curve when g11 = 0."""
     assert not aut.is_identity()
-    lvl = tower.q2
+    lvl, q = tower.q2, tower.q
     eig, _ = eigen or _eigen_data(tower, aut)
-    places = []
+    points = []
     for _lam, _mult, basis in eig:
         if len(basis) == 1:
             if not _herm(lvl, basis[0], basis[0]):
-                places.append(place_of_point(tower, basis[0]))
+                points.append(basis[0])
             continue
         if len(basis) != 2:
             raise EngineError(f"an element of order {aut_order(aut)} has an "
                               f"eigenspace of dimension {len(basis)}")
-        gram = [[_herm(lvl, u, v) for v in basis] for u in basis]
-        for cs in _form_zeros(lvl, tower.q, gram):
-            pt = [0, 0, 0]
-            for c, b in zip(cs, basis):
-                pt = [lvl.add(x, lvl.mul(c, y)) for x, y in zip(pt, b)]
-            places.append(place_of_point(tower, pt))
-    return sorted(places, key=lambda p: place_sort_key(tower, p))
+        b0, b1 = basis
+        (g00, g01), (g10, g11) = [[_herm(lvl, u, v) for v in basis]
+                                  for u in basis]
+        for s in lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1))):
+            points.append([lvl.add(x, lvl.mul(s, y)) for x, y in zip(b0, b1)])
+        if not g11:
+            points.append(b1)
+    return sorted((place_of_point(tower, pt) for pt in points),
+                  key=lambda p: place_sort_key(tower, p))
 
 
 def _wild_place(tower: FieldTower, m: tuple) -> Place:
@@ -232,33 +235,6 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
         raise EngineError(f"an element of order {aut_order(aut)} fixes a "
                           f"rational point through an irreducible cubic")
     return [degree3_place(tower, pt)]
-
-
-def _line_zeros(lvl, q: int, c0, c1, cq, cq1) -> list[int]:
-    """The s in F_{q^2} where c0 + c1 s + cq s^q + cq1 s^(q+1) vanishes."""
-    return lvl.zeros(c0, ((c1, 1), (cq, q), (cq1, q + 1)))
-
-
-def _form_zeros(lvl, q: int, g) -> list[tuple]:
-    """Zeros in P^(k-1)(F_{q^2}) of sum g_ij c_i^q c_j, for a k x k matrix g
-    over F_{q^2} with k <= 3, as tuples c with first nonzero entry 1. The
-    zeros with c_0 = 1 are found one line c = (1, s, t) at a time, the rest
-    by the same search on g[1:][1:]."""
-    k = len(g)
-    if k == 1:
-        return [(1,)] if g[0][0] == 0 else []
-    out = [(0,) + c for c in _form_zeros(lvl, q, [row[1:] for row in g[1:]])]
-    if k == 2:
-        return out + [(1, s) for s in _line_zeros(lvl, q, *g[0], *g[1])]
-    fr, mul, add = lvl.frobq, lvl.mul, lvl.add
-    for s in range(lvl.size):
-        sq = fr(s)
-        c0 = add(add(g[0][0], mul(g[0][1], s)),
-                 add(mul(g[1][0], sq), mul(g[1][1], mul(sq, s))))
-        c1 = add(g[0][2], mul(g[1][2], sq))
-        cq = add(g[2][0], mul(g[2][1], s))
-        out += [(1, s, t) for t in _line_zeros(lvl, q, c0, c1, cq, g[2][2])]
-    return out
 
 
 def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
@@ -473,36 +449,27 @@ class GenusReport:
         return None if self.expected is None else self.genus == self.expected
 
 
-def _orbit(group: Group, place: Place) -> dict:
+def _orbit(group: Group, place: Place) -> list:
     """The G-orbit of a place by a breadth-first search over the group's
-    generators: each member with the (place, generator) it was reached
-    from, None at the start."""
-    found = {place: None}
-    frontier = [place]
-    for pl in frontier:
+    generators, the place first."""
+    orbit, seen = [place], {place}
+    for pl in orbit:
         for g in group.gens:
             im = apply_place(g, pl)
-            if im not in found:
-                found[im] = (pl, g)
-                frontier.append(im)
-    return found
-
-
-def _carrier(orbit: dict, place: Place) -> Aut:
-    """An element taking the orbit's start to place, read back along the
-    search."""
-    steps = []
-    while orbit[place] is not None:
-        place, g = orbit[place]
-        steps.append(g)
-    return reduce(compose, reversed(steps))
+            if im not in seen:
+                seen.add(im)
+                orbit.append(im)
+    return orbit
 
 
 def _orbit_rows(tower: FieldTower, group: Group, walk,
                 dual_check: bool) -> list[OrbitRow]:
     """One row per orbit of ramified places. A place's inertia group is the
     identity and the generators of the walk records that fix it (pointwise,
-    at degree 3); its setwise stabiliser has order |G| / |orbit|."""
+    at degree 3); its setwise stabiliser has order |G| / |orbit|. At an
+    orbit of more than one place, the walk's lists at the representative
+    and at the last member must fix their places, and the last member's
+    must give the representative's (e, f, d), or EngineError."""
     inertia = {}
     for c in walk:
         for pl in c.fixed + c.deg3:
@@ -520,18 +487,16 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
         # at a rational place this checks orbit-stabiliser against the walk
         rd = inertia_data(tower, rep, inertia[rep], setwise, dual_check)
         if len(orbit) > 1:
-            # ramification data is constant on an orbit; recompute it at
-            # g(rep) from the conjugated cyclic subgroups as a guard against
-            # a broken inertia group
+            # ramification data is constant on an orbit, and the walk moved
+            # each member's inertia group there on its own; recompute it at
+            # the last member as a guard against a broken one
             other = max(orbit, key=lambda p: place_sort_key(tower, p))
-            g = _carrier(orbit, other).m
-            g_adj = mat_adj3(tower.q2, g)
-            conj = [(Aut(tower, _conjugated(tower.q2, g, g_adj, s.m)), w)
-                    for s, w in inertia[rep]]
-            if not all(fixes_pointwise(tower, s, other) for s, _w in conj):
+            if not all(fixes_pointwise(tower, s, pl) for pl in (rep, other)
+                       for s, _w in inertia.get(pl, [])):
                 raise EngineError("a conjugated inertia group does not fix "
                                   "its place")
-            rd2 = inertia_data(tower, other, conj, setwise, dual_check=False)
+            rd2 = inertia_data(tower, other, inertia.get(other, []), setwise,
+                               dual_check=False)
             if (rd2.e, rd2.f, rd2.d) != (rd.e, rd.f, rd.d):
                 raise EngineError("ramification data differ along an orbit")
         rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
@@ -546,12 +511,6 @@ class _CyclicSubgroup(NamedTuple):
     rep: int     # walk index of its conjugacy class's representative
     eig: list | None  # sigma's [(eigenvalue, multiplicity, basis)] on a
                       # representative of order prime to p, None elsewhere
-
-
-def _conjugated(lvl, g: tuple, g_adj: tuple, s: tuple) -> tuple:
-    """The point matrix M_g M_s M_g^-1 of g^-1 o s o g, normalised, from
-    M_g, its adjugate and M_s."""
-    return proj_mul(lvl, g, mat_mul3(lvl, s, g_adj))
 
 
 def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:

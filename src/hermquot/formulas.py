@@ -207,7 +207,8 @@ def expected_genus(case: str, q: int, m: int = 1) -> int:
         raise GFError(f"unknown case {case!r}")
     if g.denominator != 1:
         raise HypothesisNotMet(f"{case} at q={q}, m={m} gives non-integer {g}")
-    assert g >= 0
+    if g < 0:
+        raise GFError(f"{case} at q={q}, m={m} gives negative genus {g}")
     return int(g)
 
 

@@ -2,14 +2,57 @@
 engine.twisted_fix_count and the F_(q^6) part of every path: for each
 coset of scalars lambda whose norm inverts an eigenvalue of M^3, the curve
 points in the projective F_(q^2)-kernel of the 9x9 system Frob(v) =
-lambda M v."""
+lambda M v. It shares no code with the engine: the Hermitian form, the
+general curve-point search on a span (form_zeros, also the oracle of the
+engine's search on an eigenspace) and the n x n null space
+(elimination_kernel) are its own."""
 
 from __future__ import annotations
 
 from hermquot._linalg import charpoly3, mat_mul3
 from hermquot.autgrp import Aut
-from hermquot.engine import EngineError, _form_zeros, _herm
 from hermquot.gf import FieldTower, poly_roots
+from hermquot.localval import EngineError
+
+# the curve's Gram matrix: Y^q Z + Z^q Y - X^(q+1) = sum x_i^q H_ij x_j
+_GRAM = ((-1, 0, 0), (0, 0, 1), (0, 1, 0))
+
+
+def _herm(lvl, u, v):
+    """The curve's sesquilinear form sum u_i^q H_ij v_j."""
+    total = 0
+    for i, row in enumerate(_GRAM):
+        for j, h in enumerate(row):
+            if h:
+                term = lvl.mul(lvl.frobq(u[i]), v[j])
+                total = (lvl.add if h == 1 else lvl.sub)(total, term)
+    return total
+
+
+def form_zeros(lvl, q: int, g) -> list[tuple]:
+    """Zeros in P^(k-1)(F_{q^2}) of sum g_ij c_i^q c_j, for a k x k matrix g
+    over F_{q^2} with k <= 3, as tuples c with first nonzero entry 1. The
+    zeros with c_0 = 1 are found one line c = (1, s, t) at a time, each in
+    one scan of the log tables (BaseLevel.zeros), the rest by the same
+    search on g[1:][1:]."""
+    k = len(g)
+    if k == 1:
+        return [(1,)] if g[0][0] == 0 else []
+    out = [(0,) + c for c in form_zeros(lvl, q, [row[1:] for row in g[1:]])]
+    if k == 2:
+        (c0, c1), (cq, cq1) = g
+        return out + [(1, s) for s in lvl.zeros(
+            c0, ((c1, 1), (cq, q), (cq1, q + 1)))]
+    fr, mul, add = lvl.frobq, lvl.mul, lvl.add
+    for s in range(lvl.size):
+        sq = fr(s)
+        c0 = add(add(g[0][0], mul(g[0][1], s)),
+                 add(mul(g[1][0], sq), mul(g[1][1], mul(sq, s))))
+        c1 = add(g[0][2], mul(g[1][2], sq))
+        cq = add(g[2][0], mul(g[2][1], s))
+        out += [(1, s, t) for t in lvl.zeros(
+            c0, ((c1, 1), (cq, q), (g[2][2], q + 1)))]
+    return out
 
 
 def elimination_kernel(lvl, rows):
@@ -65,7 +108,7 @@ def _span_curve_points(tower: FieldTower, basis) -> int:
     gram = [[q6.mul(x, ig) for x in row] for row in gram]
     if not all(q6.in_base(x) for row in gram for x in row):
         raise EngineError("Gram matrix of a twisted kernel is not F_q^2-proportional")
-    return len(_form_zeros(lvl, tower.q, gram))
+    return len(form_zeros(lvl, tower.q, gram))
 
 
 def kernel_twisted_fix_count(tower: FieldTower, aut: Aut) -> int:

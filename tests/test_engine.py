@@ -41,7 +41,6 @@ from hermquot.engine import (
     EngineError,
     _cyclic_walk,
     _eigen_data,
-    _form_zeros,
     _orbit_rows,
     _rational_count,
     _twisted_count,
@@ -54,7 +53,7 @@ from hermquot.engine import (
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
 from hermquot.gf import GFError, build_tower, poly_roots
-from _twisted_oracle import kernel_twisted_fix_count
+from _twisted_oracle import form_zeros, kernel_twisted_fix_count
 from _walk_oracle import (
     orbit_rows_by_images,
     rational_count_per_subgroup,
@@ -101,7 +100,7 @@ def test_form_zeros_vs_brute(tw3, k):
                  if functools.reduce(add, (mul(mul(fr(c[i]), c[j]), g[i][j])
                                            for i in range(k)
                                            for j in range(k))) == 0]
-        assert sorted(_form_zeros(lvl, 3, g)) == brute
+        assert sorted(form_zeros(lvl, 3, g)) == brute
 
 
 @pytest.mark.parametrize("q, spec", [
@@ -657,8 +656,6 @@ def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
         return real(lvl, a, b)
 
     real, squares = engine.mat_mul3, []
-    for name in ("proj_mul", "_conjugated"):
-        monkeypatch.setattr(engine, name, no_product)
     monkeypatch.setattr("hermquot.autgrp.proj_mul", no_product)
     monkeypatch.setattr(engine, "mat_mul3", square)
     for grp in groups:
@@ -666,6 +663,22 @@ def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
         walk = _cyclic_walk(tw, grp)
         assert squares == [True] * sum(
             1 for i, c in enumerate(walk) if c.rep == i and c.order == tw.p)
+
+
+def test_orbit_guard_reads_the_walk_at_the_last_member(tw3):
+    # the walk lists the inertia group at every member of an orbit, so a
+    # record that has lost the orbit's last place breaks the guard there
+    grp = group_from_spec(tw3, "eps(a), omega")
+    walk = _cyclic_walk(tw3, grp)
+    row = next(r for r in _orbit_rows(tw3, grp, walk, False)
+               if r.size > 1 and r.degree == 1)
+    last = max(engine._orbit(grp, row.rep),
+               key=lambda p: place_sort_key(tw3, p))
+    i = next(i for i, c in enumerate(walk) if last in c.fixed)
+    walk[i] = walk[i]._replace(fixed=[pl for pl in walk[i].fixed
+                                      if pl != last])
+    with pytest.raises(EngineError, match="residue degree 2"):
+        _orbit_rows(tw3, grp, walk, False)
 
 
 def test_pgu33_quotient_rows(tw3):
@@ -732,23 +745,68 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
-    # one line and exit 3, in-process and in a python -O subprocess, where
-    # an assert would vanish
-    name, q, spec, message, wrap = FAULTS[fault]
-    module, _, name = name.rpartition(".")
-    module = module or "engine"
-    target = importlib.import_module(f"hermquot.{module}")
-    argv = ["genus", "--q", str(q), "--spec", spec]
-    monkeypatch.setattr(target, name, eval(wrap)(getattr(target, name)))
+def _assert_exits_3_also_under_O(capsys, monkeypatch, argv, target, message,
+                                 wrap):
+    # the CLI on argv with hermquot.<target> wrapped by the source text wrap
+    # prints the one line "error: <message>" and exits 3, in-process and in
+    # a python -O subprocess, where an assert would vanish
+    module, _, attr = target.partition(".")
+    owner = importlib.import_module(f"hermquot.{module}")
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    monkeypatch.setattr(owner, name, eval(wrap)(getattr(owner, name)))
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     script = (f"import sys\nfrom hermquot import cli, {module}\n"
-              f"{module}.{name} = ({wrap})({module}.{name})\n"
+              f"{target} = ({wrap})({target})\n"
               f"sys.exit(cli.main({argv!r}))")
     src = os.path.dirname(os.path.dirname(hermquot.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_broken_invariant_exits_3_also_under_O(capsys, monkeypatch, fault):
+    name, q, spec, message, wrap = FAULTS[fault]
+    target = name if "." in name else f"engine.{name}"
+    _assert_exits_3_also_under_O(capsys, monkeypatch,
+                                 ["genus", "--q", str(q), "--spec", spec],
+                                 target, message, wrap)
+
+
+# Faults injected below the engine, each with the CLI call that reaches it,
+# the target it wraps, and the message of the check that catches it: a
+# fixed point whose Z is dropped is at infinity but not P_inf, a missing
+# solution of y^q + y = x^(q+1) per x breaks the rational place count, one
+# degree-3 place per point triples their count, and a negated formula gives
+# a negative genus.
+CURVE_FAULTS = {
+    "point-at-infinity": (
+        ["genus", "--q", "3", "--case", "t521", "--m", "2"],
+        "engine.place_of_point",
+        "the point (0:0:0) at infinity is not P_inf = (0:1:0)",
+        "lambda real: lambda tw, pt: real(tw, (*pt[:2], 0))"),
+    "rational-count": (
+        ["places", "--q", "2"],
+        "gf.FieldTower.solve_additive_raw",
+        "the curve has 5 rational places, not q^3 + 1 = 9",
+        "lambda real: lambda tw, *a: real(tw, *a)[1:]"),
+    "degree3-count": (
+        ["places", "--q", "2", "--with-degree3"],
+        "curve.degree3_place",
+        "the curve has 72 places of degree 3, not (N_6 - N_2) / 3 = 24",
+        "lambda real: lambda tw, pt: type(real(tw, pt))('degree3', (pt,))"),
+    "negative-genus": (
+        ["genus", "--q", "3", "--case", "t521", "--m", "2"],
+        "formulas.Fraction", "t521 at q=3, m=2 gives negative genus -1",
+        "lambda real: lambda *a: -real(*a)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CURVE_FAULTS))
+def test_broken_curve_invariant_exits_3_also_under_O(capsys, monkeypatch,
+                                                     fault):
+    _assert_exits_3_also_under_O(capsys, monkeypatch, *CURVE_FAULTS[fault])
