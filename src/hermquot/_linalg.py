@@ -79,19 +79,39 @@ def charpoly3(lvl, A):
     return [ng(mat_det3(lvl, A)), minors, ng(tr), 1]
 
 
+def cross3(lvl, u, v):
+    """The cross product u x v, normal to the span of u and v."""
+    m, sb = lvl.mul, lvl.sub
+    (a, b, c), (d, e, f) = u, v
+    return [sb(m(b, f), m(c, e)), sb(m(c, d), m(a, f)), sb(m(a, e), m(b, d))]
+
+
+def row_kernel(lvl, row):
+    """Basis of the plane that a nonzero row is normal to, as Gauss-Jordan
+    elimination gives it: pivoting on the row's first nonzero column, one
+    vector per other column, 1 there and 0 at the third."""
+    piv = next(j for j in range(3) if row[j])
+    ng = lvl.neg(lvl.inv(row[piv]))
+    basis = []
+    for j in range(3):
+        if j != piv:
+            v = [0, 0, 0]
+            v[j], v[piv] = 1, lvl.mul(ng, row[j])
+            basis.append(v)
+    return basis
+
+
 def kernel(lvl, rows):
     """Basis of the right null space of a 3x3 matrix (three row lists), in
     closed form: the basis that Gauss-Jordan elimination gives, each vector
     1 at a non-pivot column and 0 at the other non-pivot ones. Rank 2: the
     cross product of two rows, checked against the third and scaled so its
-    last nonzero coordinate (the non-pivot column) is 1. Rank 1: the normal
-    of the nonzero row, pivoting on its first nonzero column. Rank 3: none.
-    Rank 0: the unit vectors."""
-    m, sb = lvl.mul, lvl.sub
+    last nonzero coordinate (the non-pivot column) is 1. Rank 1: the nonzero
+    row's plane (row_kernel). Rank 3: none. Rank 0: the unit vectors."""
+    m = lvl.mul
     r0, r1, r2 = rows
-    for (a, b, c), (d, e, f), (g, h, i) in ((r0, r1, r2), (r0, r2, r1),
-                                            (r1, r2, r0)):
-        v = [sb(m(b, f), m(c, e)), sb(m(c, d), m(a, f)), sb(m(a, e), m(b, d))]
+    for u, w, (g, h, i) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
+        v = cross3(lvl, u, w)
         if any(v):
             if lvl.add(lvl.add(m(g, v[0]), m(h, v[1])), m(i, v[2])):
                 return []
@@ -100,12 +120,4 @@ def kernel(lvl, rows):
     row = next((r for r in rows if any(r)), None)
     if row is None:
         return [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    piv = next(j for j in range(3) if row[j])
-    ng = lvl.neg(lvl.inv(row[piv]))
-    basis = []
-    for j in range(3):
-        if j != piv:
-            v = [0, 0, 0]
-            v[j], v[piv] = 1, m(ng, row[j])
-            basis.append(v)
-    return basis
+    return row_kernel(lvl, row)

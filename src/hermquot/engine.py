@@ -18,9 +18,11 @@ degree-3 place needs an irreducible cubic factor of its charpoly (every
 line of PG(2, q^2) meets the curve only in rational points). The analysis
 runs once per chain of powers: sigma = s^d of order prime to p is a power
 t^e of the chain's tame part t = s^(p^a), p^a the p-part of ord(s), and t
-is semisimple, so the eigenspaces of t^e are sums of those of t
-(_power_eigen_data). Eigenspaces are null spaces of 3x3 matrices, found in
-closed form (_linalg.kernel). A wild sigma
+is semisimple, so the eigenspaces of t^e are sums of those of t and take
+their bases from t's with no null space solved (_power_eigen_data): one
+that is t's alone keeps t's basis, and two lines that merge span the plane
+normal to their cross product. t's own eigenspaces are null spaces of 3x3
+matrices, found in closed form (_linalg.kernel). A wild sigma
 needs no eigenvalues: a Sylow p-subgroup of PGU(3, q) fixes one rational
 place and acts regularly on the q^3 others (Hirschfeld-Korchmaros-Torres
 2008), so sigma fixes one rational place and no degree-3 one, as p does not
@@ -46,7 +48,8 @@ dimension 1 is its point; on one of dimension 2 with basis b_0, b_1 the
 curve equation at b_0 + s b_1 is g00 + g01 s + g10 s^q + g11 s^(q+1),
 g_ij = h(b_i, b_j) with h the sesquilinear Hermitian form of the curve,
 whose zeros one scan of the log tables lists (BaseLevel.zeros, which also
-gives poly_roots its eigenvalues); b_1 is on the curve when g11 = 0.
+gives poly_roots its eigenvalues); b_1 is on the curve when g11 = 0. A
+walk searches each eigenspace once, keyed by its basis (elimination's).
 
 Rational places of the quotient are counted by Burnside. Frobenius commutes
 with every automorphism here (all matrices have F_{q^2} entries), so the
@@ -83,7 +86,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from ._linalg import charpoly3, kernel, mat_det3, mat_mul3, mat_vec3
+from ._linalg import (charpoly3, cross3, kernel, mat_det3, mat_mul3, mat_vec3,
+                      row_kernel)
 from .autgrp import (Aut, Group, apply_place, aut_order, from_affine,
                      word_tables)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
@@ -105,26 +109,34 @@ def _eigen_data(tower: FieldTower, aut: Aut):
 
 def _power_eigen_data(tower: FieldTower, eig, m: tuple, order: int, e: int):
     """_eigen_data of sigma^e, whose point matrix is m and order is order,
-    from sigma's eigen data eig when sigma is diagonalisable over F_{q^2}:
-    the eigenspaces of sigma^e are the sums of those of sigma whose
-    eigenvalues have equal e-th powers. Each one's eigenvalue for m is read
-    off one eigenvector v (m is a scalar times M^e) and checked on all of
-    m v; its basis comes from _eigenspace and its multiplicity is its
-    dimension, sigma^e being semisimple too."""
+    from sigma's eigen data eig when sigma is diagonalisable over F_{q^2},
+    with no null space to solve: the eigenspaces of sigma^e are the sums of
+    those of sigma whose eigenvalues have equal e-th powers. One that is
+    sigma's alone keeps sigma's basis; two lines that merge span the plane
+    normal to their cross product, whose basis is row_kernel's, as
+    _eigenspace would give it. Each one's eigenvalue for m is read off one
+    vector (m is a scalar times M^e) and checked on every vector, and no two
+    may be equal; its multiplicity is its dimension, sigma^e being semisimple
+    too."""
     lvl = tower.q2
-    vectors = {}
+    spaces = {}
     for lam, _mult, basis in eig:
-        vectors.setdefault(lvl.pow(lam, e), basis[0])
+        spaces.setdefault(lvl.pow(lam, e), []).append(basis)
     out = []
-    for v in vectors.values():
+    for bases in spaces.values():
+        vs = [v for basis in bases for v in basis]
+        v = vs[0]
         mv = mat_vec3(lvl, m, v)
         j = next(j for j in range(3) if v[j])
         lam = lvl.div(mv[j], v[j])
-        if any(x != lvl.mul(lam, y) for x, y in zip(mv, v)):
+        if any(lam == x[0] for x in out) or any(
+                x != lvl.mul(lam, y) for b in vs
+                for x, y in zip(mat_vec3(lvl, m, b), b)):
             raise EngineError(f"an element of order {order} does not keep the "
                               f"eigenvectors of the element it is a power of")
-        basis = _eigenspace(lvl, m, lam)
-        out.append((lam, len(basis), basis))
+        if len(bases) == len(vs) == 2:
+            vs = row_kernel(lvl, cross3(lvl, *vs))
+        out.append((lam, len(vs), vs))
     out.sort(key=lambda x: lvl.rank[x[0]])
     return out, None
 
@@ -144,36 +156,45 @@ def _herm(lvl, u, v):
                mul(fr(u[0]), v[0]))
 
 
-def fixed_rational_places(tower: FieldTower, aut: Aut,
-                          eigen=None) -> list[Place]:
-    """All rational places fixed by a nontrivial automorphism; eigen is
-    _eigen_data(tower, aut) when the caller already has it. A fixed point is
-    an eigenvector: an eigenspace of dimension 1 is its point, and on one of
-    dimension 2, with basis b_0, b_1, the curve equation at b_0 + s b_1 is
-    g00 + g01 s + g10 s^q + g11 s^(q+1), g_ij = h(b_i, b_j) with h
-    sesquilinear, whose zeros one scan of the log tables lists
-    (BaseLevel.zeros); b_1 is on the curve when g11 = 0."""
-    assert not aut.is_identity()
+def _span_places(tower: FieldTower, basis) -> list[Place]:
+    """The rational places on the span of an eigenspace basis: its point, or
+    the zeros s of the curve equation at b_0 + s b_1, and b_1 when g11 = 0."""
     lvl, q = tower.q2, tower.q
+    if len(basis) == 1:
+        b0 = basis[0]
+        return [] if _herm(lvl, b0, b0) else [place_of_point(tower, b0)]
+    b0, b1 = basis
+    (g00, g01), (g10, g11) = [[_herm(lvl, u, v) for v in basis]
+                              for u in basis]
+    points = [[lvl.add(x, lvl.mul(s, y)) for x, y in zip(b0, b1)]
+              for s in lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1)))]
+    if not g11:
+        points.append(b1)
+    return [place_of_point(tower, pt) for pt in points]
+
+
+def fixed_rational_places(tower: FieldTower, aut: Aut, eigen=None,
+                          found=None) -> list[Place]:
+    """All rational places fixed by a nontrivial automorphism, sorted: a
+    fixed point is an eigenvector, so they are the places on its eigenspaces
+    (_span_places). eigen is _eigen_data(tower, aut) when the caller already
+    has it; found, when given, maps the basis of each eigenspace searched
+    before to its places, and each eigenspace is searched once across the
+    calls that share it."""
+    assert not aut.is_identity()
     eig, _ = eigen or _eigen_data(tower, aut)
-    points = []
+    found = {} if found is None else found
+    places = []
     for _lam, _mult, basis in eig:
-        if len(basis) == 1:
-            if not _herm(lvl, basis[0], basis[0]):
-                points.append(basis[0])
-            continue
-        if len(basis) != 2:
+        if len(basis) not in (1, 2):
             raise EngineError(f"an element of order {aut_order(aut)} has an "
                               f"eigenspace of dimension {len(basis)}")
-        b0, b1 = basis
-        (g00, g01), (g10, g11) = [[_herm(lvl, u, v) for v in basis]
-                                  for u in basis]
-        for s in lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1))):
-            points.append([lvl.add(x, lvl.mul(s, y)) for x, y in zip(b0, b1)])
-        if not g11:
-            points.append(b1)
-    return sorted((place_of_point(tower, pt) for pt in points),
-                  key=lambda p: place_sort_key(tower, p))
+        key = tuple(map(tuple, basis))
+        known = found.get(key)
+        if known is None:
+            known = found[key] = _span_places(tower, basis)
+        places += known
+    return sorted(places, key=lambda p: place_sort_key(tower, p))
 
 
 def _wild_place(tower: FieldTower, m: tuple) -> Place:
@@ -525,11 +546,11 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     of s analyses its tame part t = s^(p^a) (p^a the p-part of ord s) at
     most once, and a tame class <s^d> = <t^e>, e = d / p^a, takes its eigen
     data from t's (_power_eigen_data), unless t has no eigenvalue in
-    F_{q^2} (Singer-type), when each class is analysed alone. A class of
-    order p takes its
-    representative's one fixed place from the nilpotent part of its matrix
-    (_wild_place), one of order n = p m, m > 1, from the record of
-    <sigma^m>, which the walk by increasing order has met before.
+    F_{q^2} (Singer-type), when each class is analysed alone; each
+    eigenspace is searched for places once per walk (found). A class of
+    order p takes its representative's one fixed place from the nilpotent
+    part of its matrix (_wild_place), one of order n = p m, m > 1, from the
+    record of <sigma^m>, which the walk by increasing order has met before.
 
     The walk runs on element indices and makes no matrix product: x s
     follows the group's tables along the path of s in the closure's tree
@@ -581,6 +602,7 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         conj.append((g, t[0], word(x)))
     out = [None] * len(subs)
     spectra = {}  # a chain's tame part t -> _eigen_data(t)
+    found = {}  # an eigenspace's basis -> the rational places on it
     # by increasing order, so the order-p subgroup of a wild one comes
     # first; the sort is stable, so a class's lowest index stays its
     # representative
@@ -601,7 +623,7 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
                 eigen = (_power_eigen_data(tower, eigen[0], gens[0].m, n, e)
                          if sum(len(b) for _l, _m, b in eigen[0]) == 3
                          else _eigen_data(tower, gens[0]))
-            fixed = fixed_rational_places(tower, gens[0], eigen)
+            fixed = fixed_rational_places(tower, gens[0], eigen, found)
             deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
                     if (q * q - q + 1) % n == 0 else [])
             eig = eigen[0]

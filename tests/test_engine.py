@@ -637,6 +637,81 @@ def test_one_eigen_analysis_per_chain(towers, q, monkeypatch):
     assert analysed < reps
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_power_takes_its_eigenspaces_from_its_chain(towers, q, monkeypatch):
+    # a tame class t^e takes its eigenspaces from its chain's tame part t
+    # with no null space solved: the walk solves one over F_(q^2) per root of
+    # each charpoly that _eigen_data analyses, three for eps(a) at q = 7 with
+    # its nine tame classes, and fewer than its representatives have
+    # eigenspaces on the 9c stream
+    real_kernel, real_eigen = engine.kernel, engine._eigen_data
+    solved, roots = [], []
+
+    def counting_kernel(lvl, rows):
+        solved.append(lvl.name)
+        return real_kernel(lvl, rows)
+
+    def counting_eigen(tw, aut):
+        out = real_eigen(tw, aut)
+        roots.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(engine, "kernel", counting_kernel)
+    monkeypatch.setattr(engine, "_eigen_data", counting_eigen)
+    tw = towers[q]
+    if q == 7:
+        walk = _cyclic_walk(tw, group_from_spec(tw, "eps(a)"))
+        assert (len(walk), solved) == (9, ["q2"] * 3)
+    rng = random.Random(12345 + q)
+    spaces = null_spaces = 0
+    for _ in range(60):
+        grp = random_group(tw, rng)
+        solved.clear()
+        roots.clear()
+        walk = _cyclic_walk(tw, grp)
+        assert solved.count("q2") == sum(roots)
+        null_spaces += sum(roots)
+        spaces += sum(len(c.eig) for i, c in enumerate(walk)
+                      if c.rep == i and c.eig)
+    assert null_spaces < spaces
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_walk_searches_each_eigenspace_once(towers, q, monkeypatch):
+    # one span search per distinct eigenspace among a walk's class
+    # representatives, none carried over to the next walk, and the places
+    # found are those of a search per element with no shared dict
+    real, searched = engine._span_places, []
+
+    def counting(tw, basis):
+        searched.append(tuple(map(tuple, basis)))
+        return real(tw, basis)
+
+    monkeypatch.setattr(engine, "_span_places", counting)
+    tw = towers[q]
+    if q == 7:
+        _cyclic_walk(tw, group_from_spec(tw, "eps(a)"))
+        # the three lines of eps(a) and one plane: only the eigenvalues
+        # a^(q+1) and 1 have equal powers short of the identity
+        assert len(searched) == len(set(searched)) == 4
+    rng = random.Random(12345 + q)
+    spaces = searches = 0
+    for _ in range(60):
+        grp = random_group(tw, rng)
+        for _walk in range(2):
+            searched.clear()
+            walk = _cyclic_walk(tw, grp)
+            reps = [c for i, c in enumerate(walk) if c.rep == i and c.eig]
+            distinct = {tuple(map(tuple, b)) for c in reps
+                        for _l, _m, b in c.eig}
+            assert sorted(searched) == sorted(distinct)
+        spaces += sum(len(c.eig) for c in reps)
+        searches += len(searched)
+        for c in reps:
+            assert c.fixed == fixed_rational_places(tw, c.gens[0])
+    assert searches < spaces
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 16])
 def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
     # translation groups at q = 8, 16 and the 9c stream at q <= 8: the walk
@@ -703,8 +778,9 @@ def test_pgu33_quotient_rows(tw3):
 # there has two vectors, or whose eigenvector is rational breaks the
 # degree-3 place search; a stabiliser one too large for its orbit breaks
 # orbit-stabiliser at a fixed place of omega, and a Hilbert sum off by one
-# breaks its agreement with the i-values. A name with a module prefix is
-# looked up there, any other in the engine.
+# breaks its agreement with the i-values. An eigenvector of eps(a) at q = 3
+# moved off its line breaks a power's check of its chain's eigenvectors. A
+# name with a module prefix is looked up there, any other in the engine.
 FAULTS = {
     "burnside": ("_twisted_count", 3, "omega",
                  "twisted points over F_q^6 sum to 33, not a multiple of "
@@ -732,6 +808,12 @@ FAULTS = {
                        "an element of order 3 fixes a rational point "
                        "through an irreducible cubic",
                        "lambda real: lambda *a: True"),
+    "power-eigenvector": ("_eigen_data", 3, "eps(a)",
+                          "an element of order 2 does not keep the "
+                          "eigenvectors of the element it is a power of",
+                          "lambda real: lambda *a: (lambda eig, cp: "
+                          "(eig[:-1] + [(*eig[-1][:2], [[1, 1, 1]])], cp))"
+                          "(*real(*a))"),
     "orbit-stabiliser": ("inertia_data", 3, "omega",
                          "the inertia group at P(4,1) has order 2, not a "
                          "divisor of its stabiliser's order 3",
