@@ -676,6 +676,15 @@ def test_power_takes_its_eigenspaces_from_its_chain(towers, q, monkeypatch):
     assert null_spaces < spaces
 
 
+def test_power_eigen_data_rejects_equal_eigenvalues(tw7):
+    # the identity keeps every eigenvector of eps(a) but gives its three
+    # eigenspaces one eigenvalue, so it is no power of eps(a) with e = 1
+    eig = _eigen_data(tw7, epsilon(tw7, tw7.a))[0]
+    with pytest.raises(EngineError, match="an element of order 48 does not "
+                       "keep the eigenvectors"):
+        engine._power_eigen_data(tw7, eig, (1, 0, 0, 0, 1, 0, 0, 0, 1), 48, 1)
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8])
 def test_walk_searches_each_eigenspace_once(towers, q, monkeypatch):
     # one span search per distinct eigenspace among a walk's class
