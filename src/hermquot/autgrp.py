@@ -213,6 +213,26 @@ def word_tables(tables, up, by):
     return word
 
 
+def conjugation_tables(group: Group):
+    """For each generator g, the table c with elements[c[x]] = g x g^-1 (point
+    matrices): M_g M_x = (M_g M_(up[x])) M_(gens[by[x]]) with up[x] < x, one
+    pass along the closure's tree, then the inverse of g's right table (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005)."""
+    tables, up, by, n = group.tables, group.up, group.by, group.order
+    out, inv = [], [0] * n
+    for t in tables:
+        c = [t[0]] * n
+        for x in range(1, n):
+            c[x] = tables[by[x]][c[up[x]]]
+        # x runs over t, a permutation, to keep the int objects it shares
+        for x in t:
+            inv[t[x]] = x
+        for x in range(n):
+            c[x] = inv[c[x]]
+        out.append(c)
+    return out
+
+
 def _dimino(lvl, gens: tuple, cap: int):
     """Dimino's closure of nontrivial gens: the elements in coset order, the
     tree (up, by), the tables of the generators that joined, None for one

@@ -10,8 +10,8 @@ subgroups: conjugating by the group's generators finds each class, and
 fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
 The walk runs on element indices with no matrix product: a product with
 sigma follows the group's generator tables (Group.tables) along sigma's
-path in the tree that the closure records, and a conjugate is one more
-lookup.
+path in the tree that the closure records, and a conjugate is one lookup
+in a table made per walk from that tree (autgrp.conjugation_tables).
 For ord(sigma) prime to p the fixed rational places come out of an
 eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 from ._linalg import (charpoly3, cross3, kernel, mat_det3, mat_mul3, mat_vec3,
                       row_kernel)
-from .autgrp import (Aut, Group, apply_place, aut_order, from_affine,
+from .autgrp import (Aut, Group, apply_place, aut_order, conjugation_tables,
                      word_tables)
 from .curve import (Place, degree3_place, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
@@ -307,7 +307,8 @@ def _diagonal_counts(tower: FieldTower, eig):
     Some t_k occurs only as c_kk t_k^(q+1): c_ij != 0 needs
     a^(q k_i + k_j) to be the factor by which sigma scales the form, so the
     nonzero entries of a row all sit at one eigenvalue, and a nondegenerate
-    Gram matrix with this pattern has such a k. For each (t_i : t_j) in P^1 the t_k are
+    Gram matrix (one product W V, W's rows the (-X^q, Z^q, Y^q) of the p_i)
+    with this pattern has such a k. For each (t_i : t_j) in P^1 the t_k are
     then a norm fibre of size 0, 1 or q + 1. A solution is over
     F_{q^6} iff sigma^3 fixes it, i.e. its support lies in one eigenspace
     of M^3.
@@ -319,11 +320,15 @@ def _diagonal_counts(tower: FieldTower, eig):
         vecs += basis
         ks += [lvl.dlog(lam)] * len(basis)
     e = [(k - ks[0]) % n for k in ks]
+    fr, neg = lvl.frobt, lvl.neg
+    gram = mat_mul3(lvl, [x for v in vecs
+                          for x in (neg(fr[v[0]]), fr[v[2]], fr[v[1]])],
+                    [v[i] for i in range(3) for v in vecs])
     c = [[0] * 3 for _ in range(3)]
     r = None
     for i in range(3):
         for j in range(3):
-            hij = _herm(lvl, vecs[i], vecs[j])
+            hij = gram[3 * i + j]
             if hij:
                 x = q * e[i] + e[j]
                 if r is None:
@@ -357,14 +362,14 @@ def _diagonal_counts(tower: FieldTower, eig):
     return total, total6
 
 
-def _affine_conjugate(lvl, t, m):
-    """T M T^-1 (M when T is None) for T M T^-1 fixing P_inf, scaled to the
-    affine shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1)."""
-    out = conjugate(lvl, t, m)
+def _affine_conjugate(lvl, frame, m, used):
+    """T M T^-1 for a frame (T, T^-1), or M, which must fix P_inf, and its
+    entries used in the affine shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1)."""
+    out = conjugate(lvl, frame, m)
     if out[1] or out[6] or out[7]:
         raise EngineError("conjugate does not fix P_inf")
     iz = lvl.inv(out[8])
-    return tuple(lvl.mul(iz, x) for x in out)
+    return out, [lvl.mul(iz, out[k]) for k in used]
 
 
 def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
@@ -387,17 +392,20 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
     if len(fixed) != 1:
         raise EngineError(f"an element of order {order} fixes "
                           f"{len(fixed)} rational places, not 1")
-    m = _affine_conjugate(lvl, to_infinity(tower, fixed[0]), aut.m)
-    a, b = m[0], m[2]
+    m, (a, b) = _affine_conjugate(lvl, to_infinity(tower, fixed[0]), aut.m,
+                                  (0, 2))
     if a == 1:
         xs = q if b else 0
     else:
+        # tau(-x0, c0), c0^q + c0 = x0^(q+1), and tau(x0, x0^(q+1) - c0)
         x0 = lvl.div(b, lvl.sub(1, a))
-        tr = from_affine(tower, 1, lvl.neg(x0), tower.solve_additive_raw(x0)[0])
-        m = _affine_conjugate(lvl, tr.m, m)
-        if m[4] != 1 or m[5] == 0:
+        x0q, c0 = lvl.frobq(x0), tower.solve_additive_raw(x0)[0]
+        tr = ((1, 0, lvl.neg(x0), lvl.neg(x0q), 1, c0, 0, 0, 1),
+              (1, 0, x0, x0q, 1, lvl.sub(lvl.mul(x0q, x0), c0), 0, 0, 1))
+        _, (aq1, c) = _affine_conjugate(lvl, tr, m, (4, 5))
+        if aq1 != 1 or c == 0:
             raise EngineError(f"an element of order {order} is semisimple")
-        beta = lvl.div(m[5], lvl.sub(a, 1))
+        beta = lvl.div(c, lvl.sub(a, 1))
         xs = q + 1 if lvl.pow(beta, q - 1) == a else 0
     total = 1 + q * xs
     return total, (total if order == 3 else 1)
@@ -554,11 +562,10 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
 
     The walk runs on element indices and makes no matrix product: x s
     follows the group's tables along the path of s in the closure's tree
-    (autgrp.word_tables), and g s g^-1 follows the paths of s and g^-1
-    from g."""
+    (autgrp.word_tables), and g s g^-1 is one lookup in g's conjugation
+    table (autgrp.conjugation_tables)."""
     q, p = tower.q, tower.p
-    els = group.elements
-    size = len(els)
+    els, size = group.elements, group.order
     word = word_tables(group.tables, group.up, group.by)
     subs, where = [], [None] * size
     for s in range(1, size):
@@ -592,14 +599,7 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
                 subs.append((gens, n // d, powers[pa - 1], d // pa))
             else:
                 subs.append((gens, n // d, powers[n // p - 1], 0))
-    # conjugation by g: g s g^-1 follows the word of s, then that of g^-1,
-    # the last element of g's cycle through the identity
-    conj = []
-    for g, t in zip(group.gens, group.tables):
-        x = t[0]
-        while t[x]:
-            x = t[x]
-        conj.append((g, t[0], word(x)))
+    conj = list(zip(group.gens, conjugation_tables(group)))
     out = [None] * len(subs)
     spectra = {}  # a chain's tame part t -> _eigen_data(t)
     found = {}  # an eigenspace's basis -> the rational places on it
@@ -633,13 +633,9 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         # the class, each member met from one before it
         frontier = [i]
         for j in frontier:
-            w, c = word(subs[j][0][0]), out[j]
-            for g, x, w_inv in conj:
-                for t in w:
-                    x = t[x]
-                for t in w_inv:
-                    x = t[x]
-                k = where[x]
+            y, c = subs[j][0][0], out[j]
+            for g, table in conj:
+                k = where[table[y]]
                 if out[k] is None:
                     out[k] = _CyclicSubgroup(
                         [els[x] for x in subs[k][0]], n,

@@ -3,18 +3,19 @@ form of sigma at P_inf.
 
 All wild ramification happens at rational places. A map T_P of PGU(3, q)
 takes a rational place P to P_inf, and i-values are invariant under this
-conjugation. At P_inf the stabiliser is the affine group
-x -> a x + b, y -> a^(q+1) y + a b^q x + c, whose lower ramification
-filtration is known (Garcia, Stichtenoth and Xing 2000): G_1 = {a = 1},
-G_2 = ... = G_(q+1) = {tau(0, c)} and G_(q+2) = 1. So for sigma fixing P,
-with T_P sigma T_P^-1 in that affine form, i_P(sigma) is 1 when a != 1,
-2 when a = 1 and b != 0, and q + 2 when only c is left.
+conjugation; T_P and its exact inverse are written down in closed form
+(to_infinity), so a conjugate is two matrix products. At P_inf the
+stabiliser is the affine group x -> a x + b, y -> a^(q+1) y + a b^q x + c,
+whose lower ramification filtration is known (Garcia, Stichtenoth and Xing
+2000): G_1 = {a = 1}, G_2 = ... = G_(q+1) = {tau(0, c)} and G_(q+2) = 1. So
+for sigma fixing P, with T_P sigma T_P^-1 in that affine form, i_P(sigma)
+is 1 when a != 1, 2 when a = 1 and b != 0, and q + 2 when only c is left.
 
 expand_at writes the curve point near P as a power series in the
 uniformizer: at P_inf, t = x/y = X/Y and u = 1/y = Z/Y solves
 u + u^q = t^(q+1), with the closed form u = sum over k >= 0 of
 (-1)^k t^((q+1) q^k), so the point is (t : 1 : u); near P it is
-w = adj(T_P)(t, 1, u).
+w = T_P^-1 (t, 1, u).
 
 The different exponent of a place P in the quotient by a group G is
 d(P) = sum over nontrivial sigma in the stabilizer of i_P(sigma). Each G_i
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._linalg import mat_adj3, mat_mul3, mat_vec3
-from .autgrp import Aut, Group, apply_place, apply_point, from_affine, omega
+from ._linalg import mat_mul3, mat_vec3
+from .autgrp import Aut, Group, apply_place, apply_point
 from .curve import P_INF, Place, normalize_point
 from .gf import FieldTower, GFError
 
@@ -41,26 +42,29 @@ class EngineError(GFError):
 
 
 def to_infinity(tower: FieldTower, place: Place):
-    """Point matrix T_P of an automorphism taking a rational place to P_inf
+    """The frame (T_P, T_P^-1) of point matrices at a rational place
+    P = (alpha, beta): T_P = omega tau(-alpha, alpha^(q+1) - beta) takes P to
+    P_inf = (0 : 1 : 0), and tau(alpha, beta) omega is its exact inverse
     (None for P_inf itself)."""
     if place == P_INF:
         return None
-    lvl = tower.q2
-    al, be = place.alpha, place.beta
-    # the translation taking (al, be) to (0, 0), then omega swapping Y and Z
-    tr = from_affine(tower, 1, lvl.neg(al), lvl.sub(lvl.mul(lvl.frobq(al), al), be))
-    return mat_mul3(lvl, omega(tower).m, tr.m)
+    lvl, al, be = tower.q2, place.alpha, place.beta
+    aq = lvl.frobq(al)
+    return ((1, 0, lvl.neg(al), 0, 0, 1, lvl.neg(aq), 1,
+             lvl.sub(lvl.mul(aq, al), be)),
+            (1, al, 0, aq, be, 1, 0, 1, 0))
 
 
-def conjugate(lvl, t, m):
-    """T M T^-1, up to a scalar, for point matrices T and M (M when T is
-    None)."""
-    return m if t is None else mat_mul3(lvl, mat_mul3(lvl, t, m), mat_adj3(lvl, t))
+def conjugate(lvl, frame, m):
+    """T M T^-1 for a frame (T, T^-1) from to_infinity and a point matrix M
+    (M when the frame is None)."""
+    return m if frame is None else mat_mul3(lvl, mat_mul3(lvl, frame[0], m),
+                                            frame[1])
 
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """The curve point w = adj(T_P)(t, 1, u) near a rational place P, as its
+    """The curve point w = T_P^-1 (t, 1, u) near a rational place P, as its
     nonzero coefficient vectors w[e] of t^e, exact for e < horizon."""
 
     place: Place
@@ -80,11 +84,10 @@ def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
     while e < horizon:
         v[e] = (0, 0, c)
         e, c = e * tower.q, lvl.neg(c)
-    t = to_infinity(tower, place)
-    if t is not None:
-        adj = mat_adj3(lvl, t)
-        v = {e: mat_vec3(lvl, adj, x) for e, x in v.items()}
-    return LocalFrame(place, t, v, horizon)
+    frame = to_infinity(tower, place)
+    if frame is not None:
+        v = {e: mat_vec3(lvl, frame[1], x) for e, x in v.items()}
+    return LocalFrame(place, frame and frame[0], v, horizon)
 
 
 def i_value(tower: FieldTower, place: Place, aut: Aut) -> int:

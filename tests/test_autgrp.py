@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hermquot
 from hermquot import autgrp, cli
-from hermquot._linalg import IDENTITY3, mat_mul3, mat_vec3
+from hermquot._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
 from hermquot.autgrp import (
     Aut,
     DSLError,
@@ -22,6 +22,7 @@ from hermquot.autgrp import (
     aut_pow,
     close_group,
     compose,
+    conjugation_tables,
     epsilon,
     from_affine,
     group_from_spec,
@@ -325,6 +326,32 @@ def test_tables_of_redundant_generators(towers, q):
         grp = close_group(tw, gens, cap=pgu_order(q))
         assert grp.gens == tuple(gens)
         _assert_tables(grp)
+
+
+def _conjugation_cases(towers, compose_towers):
+    yield close_group(towers[2], _pgu_gens(towers[2]), cap=pgu_order(2))
+    rng = random.Random(12345 + 5)
+    yield next(g for g in iter(lambda: random_group(towers[5], rng), None)
+               if g.order > 20 and len(g.gens) > 1)
+    yield next(g for g in _translation_groups(compose_towers[8],
+                                              random.Random(8))
+               if len(g.gens) > 1)
+
+
+def test_conjugation_tables(towers, compose_towers):
+    # on PGU(3, 2), a 9c group at q = 5 and a translation group at q = 8:
+    # every entry is the closure index of the normalised g x g^-1, from
+    # matrices, and the tree's parents come before their children
+    for grp in _conjugation_cases(towers, compose_towers):
+        lvl, els = grp.tower.q2, grp.elements
+        index = {f.m: x for x, f in enumerate(els)}
+        assert all(grp.up[x] < x for x in range(1, grp.order))
+        tables = conjugation_tables(grp)
+        assert len(tables) == len(grp.gens) > 1
+        for g, table in zip(grp.gens, tables):
+            adj = mat_adj3(lvl, g.m)
+            assert table == [index[normalize_point(lvl, mat_mul3(
+                lvl, mat_mul3(lvl, g.m, f.m), adj))] for f in els]
 
 
 def test_lagrange_check_exits_3_also_under_O(tw3, capsys, monkeypatch):

@@ -788,8 +788,13 @@ def test_pgu33_quotient_rows(tw3):
 # degree-3 place search; a stabiliser one too large for its orbit breaks
 # orbit-stabiliser at a fixed place of omega, and a Hilbert sum off by one
 # breaks its agreement with the i-values. An eigenvector of eps(a) at q = 3
-# moved off its line breaks a power's check of its chain's eigenvectors. A
-# name with a module prefix is looked up there, any other in the engine.
+# moved off its line breaks a power's check of its chain's eigenvectors.
+# The wild count at q = 3 of omega tau(0, a^2) omega, which fixes P(0, 0),
+# given P_inf's frame (none) there conjugates it to a matrix that does not
+# fix P_inf; at q = 2, the square of the wild eps(a) tau(0, 1) of order 6,
+# semisimple of order 3, counted in its place leaves no c after the fixed
+# point of x -> a x + b moves to 0. A name with a module prefix is looked
+# up there, any other in the engine.
 FAULTS = {
     "burnside": ("_twisted_count", 3, "omega",
                  "twisted points over F_q^6 sum to 33, not a multiple of "
@@ -823,6 +828,14 @@ FAULTS = {
                           "lambda real: lambda *a: (lambda eig, cp: "
                           "(eig[:-1] + [(*eig[-1][:2], [[1, 1, 1]])], cp))"
                           "(*real(*a))"),
+    "frame-fixes-p-inf": ("to_infinity", 3, "omega*tau(0,a^2)*omega",
+                          "conjugate does not fix P_inf",
+                          "lambda real: lambda *a: None"),
+    "wild-semisimple": ("_wild_counts", 2, "eps(a)*tau(0,1)",
+                        "an element of order 6 is semisimple",
+                        "lambda real: lambda tw, s, fixed, n: real(tw, "
+                        "engine.Aut(tw, engine.mat_mul3(tw.q2, s.m, s.m)), "
+                        "fixed, n)"),
     "orbit-stabiliser": ("inertia_data", 3, "omega",
                          "the inertia group at P(4,1) has order 2, not a "
                          "divisor of its stabiliser's order 3",

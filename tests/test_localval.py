@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermquot._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
 from hermquot.autgrp import (
+    Aut,
     apply_place,
     close_group,
     compose,
@@ -25,11 +27,17 @@ from hermquot.autgrp import (
 from hermquot.curve import P_INF, normalize_point, rational_place, rational_places
 from hermquot.engine import fixed_rational_places
 from hermquot.formulas import case_modulus, case_spec
-from hermquot.gf import GFError
-from hermquot.localval import _hilbert_sum, expand_at, i_value, ramification_data
+from hermquot.gf import GFError, build_tower
+from hermquot.localval import (
+    _hilbert_sum,
+    expand_at,
+    i_value,
+    ramification_data,
+    to_infinity,
+)
 
 from _series import PrecisionError, Series
-from test_acceptance import GRID, divisors, random_group
+from test_acceptance import GRID, divisors, random_atom, random_group
 
 
 def _const(lvl, c, prec):
@@ -235,7 +243,7 @@ def test_expand_infinity_valuations(towers):
 
 
 def test_frame_point_lies_on_the_curve(towers):
-    # w = adj(T_P)(t, 1, u) is P at t = 0, solves the curve equation to the
+    # w = T_P^-1 (t, 1, u) is P at t = 0, solves the curve equation to the
     # horizon, and its uniformizer l_0(w)/l_1(w) is t itself, at horizons
     # q + 5 and 8(q + 5)
     for q in (2, 3, 4, 5, 7, 8, 9):
@@ -325,6 +333,81 @@ def test_i_value_positive_exactly_on_the_stabiliser(towers):
                 assert (got > 0) == fixed
                 if fixed:
                     assert got == oracle_i_value(tw, pl, f)
+
+
+@pytest.fixture(scope="module")
+def frame_places(towers):
+    """(tower, rational places): every affine one at q = 2..5, and 200
+    random ones at q = 16 and 19."""
+    out = [(towers[q], rational_places(towers[q])[1:]) for q in (2, 3, 4, 5)]
+    rng = random.Random(1619)
+    for p, e in ((2, 4), (19, 1)):
+        tw = build_tower(p, e)
+        out.append((tw, rng.sample(rational_places(tw)[1:], 200)))
+    return out
+
+
+def test_frame_is_exact_and_takes_the_place_to_infinity(frame_places):
+    # T_P T_P^-1 is the identity matrix itself, not a multiple of it, and
+    # T_P maps P to (0 : 1 : 0); P_inf has no frame
+    for tw, places in frame_places:
+        lvl = tw.q2
+        assert to_infinity(tw, P_INF) is None
+        for pl in places:
+            t, back = to_infinity(tw, pl)
+            assert mat_mul3(lvl, t, back) == IDENTITY3
+            assert mat_mul3(lvl, back, t) == IDENTITY3
+            assert normalize_point(lvl, mat_vec3(
+                lvl, t, (pl.alpha, pl.beta, 1))) == (0, 1, 0)
+
+
+def _constructor_frame(tw, place):
+    """T_P as the product of omega and the translation taking P to P(0, 0),
+    both built by the automorphism constructors."""
+    lvl = tw.q2
+    al, be = place.alpha, place.beta
+    tr = from_affine(tw, 1, lvl.neg(al),
+                     lvl.sub(lvl.mul(lvl.frobq(al), al), be))
+    return mat_mul3(lvl, omega(tw).m, tr.m)
+
+
+def _adjugate_i_value(tw, t, m):
+    """The i-value read off T M adj(T) as i_value reads T M T^-1."""
+    lvl = tw.q2
+    c = mat_mul3(lvl, mat_mul3(lvl, t, m), mat_adj3(lvl, t))
+    if c[1] or c[7]:
+        return 0
+    if c[0] != c[8]:
+        return 1
+    return 2 if c[2] else tw.q + 2
+
+
+def test_i_value_matches_the_adjugate_reference(frame_places):
+    # at each place: the three branches of the affine form at P_inf (a != 1,
+    # b != 0, only c) moved to P by adj(T_P) . T_P, and two random elements,
+    # which mostly move P
+    rng = random.Random(25)
+    branches = set()
+    for tw, places in frame_places:
+        lvl, size = tw.q2, tw.q2.size
+        c0 = next(c for c in tw.solve_additive_raw(0) if c)
+        for pl in places:
+            t = _constructor_frame(tw, pl)
+            a, b = rng.randrange(2, size), rng.randrange(1, size)
+            affine = [from_affine(tw, a, b, tw.solve_additive_raw(b)[0]),
+                      from_affine(tw, 1, b, tw.solve_additive_raw(b)[0]),
+                      from_affine(tw, 1, 0, c0)]
+            ms = [mat_mul3(lvl, mat_mul3(lvl, mat_adj3(lvl, t), f.m), t)
+                  for f in affine]
+            ms += [random_atom(tw, rng).m for _ in range(2)]
+            for m in ms:
+                f = Aut(tw, normalize_point(lvl, m))
+                if f.is_identity():
+                    continue
+                want = _adjugate_i_value(tw, t, m)
+                branches.add(want if want < 3 else "q + 2")
+                assert i_value(tw, pl, f) == want
+    assert branches == {0, 1, 2, "q + 2"}
 
 
 def _grid_and_9c_groups(towers):
