@@ -72,12 +72,16 @@ def normalize_point(lvl, v):
     raise GFError("zero vector is not a projective point")
 
 
-def on_curve(lvl, q: int, pt) -> bool:
+def herm(lvl, u, v):
+    """The Hermitian form Y_u^q Z_v + Z_u^q Y_v - X_u^q X_v of the curve."""
+    fr, mul, add, sub = lvl.frobq, lvl.mul, lvl.add, lvl.sub
+    return sub(add(mul(fr(u[1]), v[2]), mul(fr(u[2]), v[1])),
+               mul(fr(u[0]), v[0]))
+
+
+def on_curve(lvl, pt) -> bool:
     """Check Y^q Z + Y Z^q = X^(q+1) for a point over the given level."""
-    x, y, z = pt
-    fr = lvl.frobq
-    lhs = lvl.add(lvl.mul(fr(y), z), lvl.mul(y, fr(z)))
-    return lhs == lvl.mul(fr(x), x)
+    return not herm(lvl, pt, pt)
 
 
 def frobenius_point(tower: FieldTower, pt):

@@ -61,9 +61,9 @@ and weighted by the phi(n) generators of each member (_rational_count).
 Such an x lies over F_{q^(2n)}, and N_sigma is counted from points on one
 of three paths:
 
-  * p | ord(sigma): conjugated to fix P_inf, sigma gives an additive or a
-    Kummer equation in x and the curve equation in y; this needs only
-    sigma's fixed place, not its eigenvalues;
+  * p | ord(sigma): sigma's affine form at P_inf (localval.affine_form)
+    gives an additive or a Kummer equation in x and the curve equation in y;
+    this needs only sigma's fixed place, not its eigenvalues;
   * sigma diagonalisable over F_{q^2}: in eigen-coordinates twisted by a
     (q^2 - 1)-th root of a, the solutions are the zeros in P^2(F_{q^2}) of
     one form over F_{q^2}, counted as norm fibres over P^1;
@@ -77,7 +77,10 @@ of order prime to p lies in a maximal torus of type (q + 1)^3 or
 eigenvalue in F_{q^2} have an irreducible charpoly; any other element is an
 EngineError. The points over F_{q^6} alone give the subcount of quotient
 places under places of degree 1 and 3; unless ord(sigma) = 3 they are
-sigma's fixed rational points (_twisted_count).
+sigma's fixed rational points (_twisted_count). Each class's N_sigma must
+also meet the Lefschetz fixed-point formula, as Frobenius acts on H^1 of
+the maximal curve as -q: N_sigma = (q + 1)^2 - q D, D the sum of
+deg P i_P(sigma) over the places sigma fixes pointwise.
 """
 from __future__ import annotations
 
@@ -90,11 +93,11 @@ from ._linalg import (charpoly3, cross3, kernel, mat_det3, mat_mul3, mat_vec3,
                       row_kernel)
 from .autgrp import (Aut, Group, apply_place, aut_order, conjugation_tables,
                      word_tables)
-from .curve import (Place, degree3_place, normalize_point, on_curve,
+from .curve import (Place, degree3_place, herm, normalize_point, on_curve,
                     place_of_point, place_sort_key, point_is_rational)
 from .gf import FieldTower, p_gcd, p_powmod, p_trim, poly_roots
-from .localval import (EngineError, conjugate, fixes_pointwise, inertia_data,
-                       to_infinity)
+from .localval import (EngineError, OrbitRow, affine_form, fixes_pointwise,
+                       i_value, inertia_data, to_infinity)
 
 
 def _eigen_data(tower: FieldTower, aut: Aut):
@@ -149,22 +152,15 @@ def _eigenspace(lvl, m, lam):
     return kernel(lvl, [flat[0:3], flat[3:6], flat[6:9]])
 
 
-def _herm(lvl, u, v):
-    """The Hermitian form Y_u^q Z_v + Z_u^q Y_v - X_u^q X_v of the curve."""
-    fr, mul, add, sub = lvl.frobq, lvl.mul, lvl.add, lvl.sub
-    return sub(add(mul(fr(u[1]), v[2]), mul(fr(u[2]), v[1])),
-               mul(fr(u[0]), v[0]))
-
-
 def _span_places(tower: FieldTower, basis) -> list[Place]:
     """The rational places on the span of an eigenspace basis: its point, or
     the zeros s of the curve equation at b_0 + s b_1, and b_1 when g11 = 0."""
     lvl, q = tower.q2, tower.q
     if len(basis) == 1:
         b0 = basis[0]
-        return [] if _herm(lvl, b0, b0) else [place_of_point(tower, b0)]
+        return [] if herm(lvl, b0, b0) else [place_of_point(tower, b0)]
     b0, b1 = basis
-    (g00, g01), (g10, g11) = [[_herm(lvl, u, v) for v in basis]
+    (g00, g01), (g10, g11) = [[herm(lvl, u, v) for v in basis]
                               for u in basis]
     points = [[lvl.add(x, lvl.mul(s, y)) for x, y in zip(b0, b1)]
               for s in lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1)))]
@@ -218,7 +214,7 @@ def _wild_place(tower: FieldTower, m: tuple) -> Place:
     top = nil2 if any(nil2) else nil
     pt = next((top[j::3] for j in range(3) if any(top[j::3])), None)
     # on the curve, and M pt = lam pt
-    if pt is None or _herm(lvl, pt, pt) or any(mat_vec3(lvl, nil, pt)):
+    if pt is None or herm(lvl, pt, pt) or any(mat_vec3(lvl, nil, pt)):
         raise EngineError("an element of order p fixes no rational place "
                           "through its nilpotent part")
     return place_of_point(tower, pt)
@@ -250,7 +246,7 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
         raise EngineError(f"an element of order {aut_order(aut)} has an "
                           f"eigenspace of dimension {len(basis)} over F_q^6")
     pt = normalize_point(q6, basis[0])
-    if not on_curve(q6, tower.q, pt):
+    if not on_curve(q6, pt):
         return []
     if point_is_rational(tower, pt):
         raise EngineError(f"an element of order {aut_order(aut)} fixes a "
@@ -279,7 +275,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     p1 = _eigenspace(q6, aut.m, mu)[0]
     p2 = tuple(map(q6.frobq2, p1))
     ps = (p1, p2, tuple(map(q6.frobq2, p2)))
-    h = [[_herm(q6, u, v) for v in ps] for u in ps]
+    h = [[herm(q6, u, v) for v in ps] for u in ps]
     if any(bool(h[i][j]) != (j == (i + 2) % 3)
            for i in range(3) for j in range(3)):
         raise EngineError("eigenvalues over F_q^6 do not respect the "
@@ -362,16 +358,6 @@ def _diagonal_counts(tower: FieldTower, eig):
     return total, total6
 
 
-def _affine_conjugate(lvl, frame, m, used):
-    """T M T^-1 for a frame (T, T^-1), or M, which must fix P_inf, and its
-    entries used in the affine shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1)."""
-    out = conjugate(lvl, frame, m)
-    if out[1] or out[6] or out[7]:
-        raise EngineError("conjugate does not fix P_inf")
-    iz = lvl.inv(out[8])
-    return out, [lvl.mul(iz, out[k]) for k in used]
-
-
 def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
     """(N, N6) for sigma with p | ord(sigma), as in _diagonal_counts.
 
@@ -382,9 +368,11 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
       * a = 1: the roots x of b X^q - b^q X = c (raising to the q-th power
         and adding gives x^(q^2) = x + b); q of them when b != 0, none when
         b = 0;
-      * a != 1: after moving the fixed point of x -> a x + b to 0, a p-part
-        forces a^(q+1) = 1 and c != 0, and the roots of (a - 1) x^(q+1) = c,
-        which satisfy x^(q^2 - 1) = a all or none;
+      * a != 1: conjugating by tau(-x0, d), d^q + d = x0^(q+1), moves the
+        fixed point x0 = b / (1 - a) of x -> a x + b to 0 and leaves
+        y -> a^(q+1) y + c + (1 - a^(q+1)) d - b x0^q; a p-part forces
+        a^(q+1) = 1 and c' = c - b x0^q != 0, and the roots of
+        (a - 1) x^(q+1) = c' satisfy x^(q^2 - 1) = a all or none;
     each with the q roots y of y^q + y = x^(q+1). sigma^3 fixes P_inf and
     no affine twisted point unless sigma^3 = 1.
     """
@@ -392,18 +380,16 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
     if len(fixed) != 1:
         raise EngineError(f"an element of order {order} fixes "
                           f"{len(fixed)} rational places, not 1")
-    m, (a, b) = _affine_conjugate(lvl, to_infinity(tower, fixed[0]), aut.m,
-                                  (0, 2))
+    form = affine_form(lvl, to_infinity(tower, fixed[0]), aut.m)
+    if form is None:
+        raise EngineError("conjugate does not fix P_inf")
+    a, b, c = form
     if a == 1:
         xs = q if b else 0
     else:
-        # tau(-x0, c0), c0^q + c0 = x0^(q+1), and tau(x0, x0^(q+1) - c0)
         x0 = lvl.div(b, lvl.sub(1, a))
-        x0q, c0 = lvl.frobq(x0), tower.solve_additive_raw(x0)[0]
-        tr = ((1, 0, lvl.neg(x0), lvl.neg(x0q), 1, c0, 0, 0, 1),
-              (1, 0, x0, x0q, 1, lvl.sub(lvl.mul(x0q, x0), c0), 0, 0, 1))
-        _, (aq1, c) = _affine_conjugate(lvl, tr, m, (4, 5))
-        if aq1 != 1 or c == 0:
+        c = lvl.sub(c, lvl.mul(b, lvl.frobq(x0)))
+        if lvl.mul(a, lvl.frobq(a)) != 1 or c == 0:
             raise EngineError(f"an element of order {order} is semisimple")
         beta = lvl.div(c, lvl.sub(a, 1))
         xs = q + 1 if lvl.pow(beta, q - 1) == a else 0
@@ -444,20 +430,6 @@ def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
     eigen = _eigen_data(tower, aut)
     return _twisted_count(tower, aut, aut_order(aut), eigen[0],
                           fixed_rational_places(tower, aut, eigen))
-
-
-@dataclass(frozen=True)
-class OrbitRow:
-    rep: Place
-    size: int
-    e: int
-    f: int
-    d: int
-    i_values: tuple | None
-
-    @property
-    def degree(self) -> int:
-        return self.rep.degree
 
 
 @dataclass(frozen=True)
@@ -514,7 +486,8 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
                               f"divisor of |G| = {group.order}")
         setwise = group.order // len(orbit)
         # at a rational place this checks orbit-stabiliser against the walk
-        rd = inertia_data(tower, rep, inertia[rep], setwise, dual_check)
+        row = inertia_data(tower, rep, inertia[rep], setwise, len(orbit),
+                           dual_check)
         if len(orbit) > 1:
             # ramification data is constant on an orbit, and the walk moved
             # each member's inertia group there on its own; recompute it at
@@ -524,11 +497,11 @@ def _orbit_rows(tower: FieldTower, group: Group, walk,
                        for s, _w in inertia.get(pl, [])):
                 raise EngineError("a conjugated inertia group does not fix "
                                   "its place")
-            rd2 = inertia_data(tower, other, inertia.get(other, []), setwise,
-                               dual_check=False)
-            if (rd2.e, rd2.f, rd2.d) != (rd.e, rd.f, rd.d):
+            row2 = inertia_data(tower, other, inertia.get(other, []),
+                                setwise, len(orbit), dual_check=False)
+            if (row2.e, row2.f, row2.d) != (row.e, row.f, row.d):
                 raise EngineError("ramification data differ along an orbit")
-        rows.append(OrbitRow(rep, len(orbit), rd.e, rd.f, rd.d, rd.i_values))
+        rows.append(row)
     return rows
 
 
@@ -665,7 +638,8 @@ def _rational_count(tower: FieldTower, group_order: int, walk):
     (1/|G|) sum over sigma of N_sigma. The same sum over the points over
     F_{q^6} alone gives the places under places of degree 1 and 3, and
     over the fixed rational points the rational places under rational
-    ones."""
+    ones. Each class meets Lefschetz's N_sigma = (q + 1)^2 - q D, i = 1 at
+    a tame place, or EngineError."""
     q = tower.q
     top = q ** 3 + 1  # the identity: every rational point
     total = fixed = over_q6 = top
@@ -681,6 +655,12 @@ def _rational_count(tower: FieldTower, group_order: int, walk):
         # points for each class of conjugate cyclic subgroups
         weight = members[i] * len(c.gens)
         tc = _twisted_count(tower, c.gens[0], c.order, c.eig, c.fixed)
+        d = 3 * len(c.deg3) + (i_value(tower, c.fixed[0], c.gens[0])
+                               if c.order % tower.p == 0 else len(c.fixed))
+        if tc.n != (q + 1) ** 2 - q * d:
+            raise EngineError(f"an element of order {c.order} has N = {tc.n} "
+                              f"on the {tc.path} path, not (q + 1)^2 - q D = "
+                              f"{(q + 1) ** 2 - q * d} with D = {d}")
         fixed += weight * len(c.fixed)
         over_q6 += weight * tc.n6
         total += weight * tc.n

@@ -8,8 +8,9 @@ conjugation; T_P and its exact inverse are written down in closed form
 stabiliser is the affine group x -> a x + b, y -> a^(q+1) y + a b^q x + c,
 whose lower ramification filtration is known (Garcia, Stichtenoth and Xing
 2000): G_1 = {a = 1}, G_2 = ... = G_(q+1) = {tau(0, c)} and G_(q+2) = 1. So
-for sigma fixing P, with T_P sigma T_P^-1 in that affine form, i_P(sigma)
-is 1 when a != 1, 2 when a = 1 and b != 0, and q + 2 when only c is left.
+for sigma fixing P, with (a, b, c) read off T_P sigma T_P^-1 (affine_form,
+also the wild point count's one reader), i_P(sigma) is 1 when a != 1, 2
+when a = 1 and b != 0, and q + 2 when only c is left.
 
 expand_at writes the curve point near P as a power series in the
 uniformizer: at P_inf, t = x/y = X/Y and u = 1/y = Z/Y solves
@@ -55,11 +56,16 @@ def to_infinity(tower: FieldTower, place: Place):
             (1, al, 0, aq, be, 1, 0, 1, 0))
 
 
-def conjugate(lvl, frame, m):
-    """T M T^-1 for a frame (T, T^-1) from to_infinity and a point matrix M
-    (M when the frame is None)."""
-    return m if frame is None else mat_mul3(lvl, mat_mul3(lvl, frame[0], m),
-                                            frame[1])
+def affine_form(lvl, frame, m):
+    """(a, b, c) of T M T^-1 for a frame (T, T^-1) from to_infinity (M itself
+    for None), in the shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1) up to a
+    scalar; None when T M T^-1 moves P_inf = (0 : 1 : 0)."""
+    if frame is not None:
+        m = mat_mul3(lvl, mat_mul3(lvl, frame[0], m), frame[1])
+    if m[1] or m[6] or m[7]:
+        return None
+    iz = lvl.inv(m[8])
+    return lvl.mul(iz, m[0]), lvl.mul(iz, m[2]), lvl.mul(iz, m[5])
 
 
 @dataclass(frozen=True)
@@ -92,34 +98,33 @@ def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
 
 def i_value(tower: FieldTower, place: Place, aut: Aut) -> int:
     """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t, 0 when
-    sigma does not fix the place.
-
-    Read off M = T_P sigma T_P^-1, which fixes P_inf = (0 : 1 : 0) exactly
-    when its entries 1 and 7 vanish and then has the affine shape
-    (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1) up to a scalar."""
+    sigma does not fix the place, read off sigma's affine form at P_inf."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
     if place.kind == "degree3":
         raise GFError("i-values are only computed at rational places")
-    m = conjugate(tower.q2, to_infinity(tower, place), aut.m)
-    if m[1] or m[7]:
+    form = affine_form(tower.q2, to_infinity(tower, place), aut.m)
+    if form is None:
         return 0
-    if m[0] != m[8]:
+    if form[0] != 1:
         return 1
-    return 2 if m[2] else tower.q + 2
+    return 2 if form[1] else tower.q + 2
 
 
 @dataclass(frozen=True)
-class RamificationData:
-    place: Place
+class OrbitRow:
+    """A ramified orbit: its representative, size and (e, f, d) at each."""
+
+    rep: Place
+    size: int
     e: int
     f: int
     d: int
-    i_values: tuple | None  # sorted tuple of i_P(sigma) over the inertia group
+    i_values: tuple | None  # sorted i_P(sigma) over the inertia group
 
     @property
     def degree(self) -> int:
-        return self.place.degree
+        return self.rep.degree
 
 
 def _is_prime_power_of(n: int, p: int) -> bool:
@@ -139,8 +144,8 @@ def fixes_pointwise(tower: FieldTower, aut: Aut, place: Place) -> bool:
 
 
 def ramification_data(tower: FieldTower, place: Place, group: Group,
-                      dual_check: bool = True) -> RamificationData:
-    """Ramification data at a place in the quotient by a whole group, from
+                      dual_check: bool = True) -> OrbitRow:
+    """The row of a place's orbit in the quotient by a whole group, from
     its stabiliser found by applying every element."""
     setwise, inertia = 1, []
     for s in group.elements:
@@ -152,7 +157,8 @@ def ramification_data(tower: FieldTower, place: Place, group: Group,
     if group.order % setwise:
         raise EngineError(f"the stabiliser of {place} has order {setwise}, "
                           f"not a divisor of |G| = {group.order}")
-    return inertia_data(tower, place, inertia, setwise, dual_check)
+    return inertia_data(tower, place, inertia, setwise,
+                        group.order // setwise, dual_check)
 
 
 def _hilbert_sum(ivals, e: int) -> tuple[int, int]:
@@ -169,13 +175,12 @@ def _hilbert_sum(ivals, e: int) -> tuple[int, int]:
 
 
 def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
-                 dual_check: bool = True) -> RamificationData:
-    """Ramification data at a place from its inertia group, the elements
-    that fix it pointwise, given as pairs (sigma, weight): sigma generates
-    a cyclic subgroup, standing for weight elements that share its i-value.
-    The phi(n) generators of a cyclic subgroup of order n do, as every
-    G_i(P) is a subgroup. setwise is the order of the setwise stabiliser.
-    A broken invariant raises EngineError naming the place."""
+                 size: int, dual_check: bool = True) -> OrbitRow:
+    """The row of a place's orbit of size places from its inertia group,
+    the elements that fix it pointwise, given as pairs (sigma, weight):
+    sigma generates a cyclic subgroup, standing for weight elements that
+    share its i-value, as every G_i(P) is a subgroup. setwise is the order
+    of the setwise stabiliser. A broken invariant raises EngineError."""
     p, q = tower.p, tower.q
     e = 1 + sum(w for _s, w in inertia)
     if setwise % e:
@@ -190,12 +195,12 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
         if (q * q - q + 1) % e or e % p == 0:
             raise EngineError(f"the inertia group at {place} has order {e}, "
                               f"not a divisor of q^2 - q + 1")
-        return RamificationData(place, e, f, e - 1, None)
+        return OrbitRow(place, size, e, f, e - 1, None)
     if f != 1:
         raise EngineError(f"residue degree {f} at the rational place {place}")
     wild = e % p == 0
     if not wild and not dual_check:
-        return RamificationData(place, e, 1, e - 1, None)
+        return OrbitRow(place, size, e, 1, e - 1, None)
     ivals = sorted((i_value(tower, place, s), w) for s, w in inertia)
     if ivals and ivals[0][0] < 1:
         raise EngineError(f"an element of the inertia group at {place} does "
@@ -214,5 +219,5 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
     if wild and d_sum < e:
         raise EngineError(f"wild ramification at {place} has d = {d_sum} < "
                           f"e = {e}")
-    return RamificationData(place, e, 1, d_sum,
-                            tuple(v for v, w in ivals for _ in range(w)))
+    return OrbitRow(place, size, e, 1, d_sum,
+                    tuple(v for v, w in ivals for _ in range(w)))

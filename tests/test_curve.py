@@ -27,7 +27,7 @@ def test_rational_place_counts(towers):
 def test_rational_places_on_curve(tw3):
     lvl = tw3.q2
     for pl in rational_places(tw3)[1:]:
-        assert on_curve(lvl, 3, (pl.alpha, pl.beta, 1))
+        assert on_curve(lvl, (pl.alpha, pl.beta, 1))
 
 
 def test_rational_places_deterministic(tw4):
@@ -44,7 +44,7 @@ def test_no_points_off_curve(tw2):
         1
         for x in range(lvl.size)
         for y in range(lvl.size)
-        if on_curve(lvl, 2, (x, y, 1))
+        if on_curve(lvl, (x, y, 1))
     )
     assert on == 2**3  # plus P_inf gives q^3 + 1
 
@@ -65,7 +65,7 @@ def test_degree3_orbit_structure(tw2):
         pts = pl.data
         assert len(pts) == 3
         for pt in pts:
-            assert on_curve(q6, 2, pt)
+            assert on_curve(q6, pt)
         orbit = {pts[0]}
         cur = pts[0]
         for _ in range(2):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-top-level definition is referenced somewhere else in the package."""
+"""Every module of the package uses each name it imports, every function
+reads each of its parameters, and every top-level definition is referenced
+somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,28 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _unread_parameters(tree):
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{node.name}({a.arg}) (line {node.lineno})" for a in params
+                if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                and a.arg not in read]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_read_their_parameters(path):
+    # self, cls and _-prefixed names are exempt
+    assert _unread_parameters(ast.parse(path.read_text())) == []
 
 
 # definitions kept only as seams for the tests and the benchmark

@@ -30,6 +30,7 @@ from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import GFError, build_tower
 from hermquot.localval import (
     _hilbert_sum,
+    affine_form,
     expand_at,
     i_value,
     ramification_data,
@@ -359,6 +360,33 @@ def test_frame_is_exact_and_takes_the_place_to_infinity(frame_places):
             assert mat_mul3(lvl, back, t) == IDENTITY3
             assert normalize_point(lvl, mat_vec3(
                 lvl, t, (pl.alpha, pl.beta, 1))) == (0, 1, 0)
+
+
+def test_affine_form_reads_the_affine_shape(frame_places):
+    # (a, b, c) of from_affine(a, b, c) at P_inf, also scaled, and of its
+    # conjugate moved to each place P by T_P^-1 . T_P, read through P's
+    # frame; None exactly when a random atom moves the place
+    rng = random.Random(26)
+    moved = set()
+    for tw, places in frame_places:
+        lvl, size = tw.q2, tw.q2.size
+        assert affine_form(lvl, None, omega(tw).m) is None
+        for pl in places:
+            a, b = rng.randrange(1, size), rng.randrange(size)
+            c = rng.choice(tw.solve_additive_raw(b))
+            f = from_affine(tw, a, b, c).m
+            lam = rng.randrange(1, size)
+            assert affine_form(lvl, None, f) == (a, b, c)
+            assert affine_form(lvl, None, [lvl.mul(lam, x) for x in f]) == (
+                a, b, c)
+            t, back = to_infinity(tw, pl)
+            at_p = mat_mul3(lvl, mat_mul3(lvl, back, f), t)
+            assert affine_form(lvl, (t, back), at_p) == (a, b, c)
+            g = random_atom(tw, rng)
+            off = apply_place(g, pl) != pl
+            moved.add(off)
+            assert (affine_form(lvl, (t, back), g.m) is None) == off
+    assert moved == {False, True}
 
 
 def _constructor_frame(tw, place):
