@@ -1,28 +1,38 @@
 """Closed-form quotient genus predictions for the named subgroup families.
 
-Each case pins down a family of subgroups of the Hermitian curve's
-automorphism group, one group per divisor m of the case modulus, together
-with the genus the quotient curve must have. All groups contain the
-involution omega composed with an affine map, and the parameter delta feeds
-the sigma4 / sigma5 constructors of the generator DSL.
+Each family pins down a subgroup of the Hermitian curve's automorphism
+group for every divisor m of its modulus n(q), together with the genus the
+quotient curve must have. All groups contain the involution omega composed
+with an affine map, and the parameter delta feeds the sigma4 / sigma5
+constructors of the generator DSL.
 
-Case tags:
-  t3          char 2, m | q^2 - 1, dihedral-flavoured <eps, omega> quotient
-  t41m_minus  char 2, m | q - 1,   sigma4 with delta of order dividing q - 1
-  t41m_plus   char 2, m | q + 1,   sigma4 with delta of order dividing q + 1
-  ex43        char 2, 3 | q - 1,   delta of order 3
-  ex44        char 2, q = 4^k,     delta of order 5
-  t421        odd q > 3 with 3 not dividing q + 1, cyclic, sigma4
-  t422        odd q > 3, m | 2(q - 1), cyclic, sigma4
-  t511        char 2, q > 2, m | q^2 - 1, cyclic, sigma5
-  t512        char 2, m | q + 1,   cyclic, sigma5
-  t521        odd q, m | 2(q + 1), cyclic, sigma5
-  t522        odd q with q not 5 mod 12, cyclic, sigma5
+Each family is one `Family` record in `FAMILIES`, which every function here
+reads; none branches on a case name. A record holds n(q), the hypotheses
+beyond m | n as (condition on q, message) pairs checked in order, the spec
+as a function of q and k = n / m, the order of the distinguished sigma, the
+genus rows and, if there is one, the congruence for v_{i-1} = 0. A genus
+row is the paper's table and label (None where the tables leave the family
+out), a condition on (q, m) and the formula; within a family the conditions
+partition the (q, m) grid.
+
+  t3          char 2, dihedral-flavoured <eps, omega>
+  t41m_minus  char 2, <omega, sigma4(delta)>, delta of order m | q - 1
+  t41m_plus   char 2, <omega, sigma4(delta)>, delta of order m | q + 1
+  ex43        char 2, <omega, sigma4(delta)>, delta of order 3
+  ex44        char 2, <omega, sigma4(delta)>, delta of order 5
+  t421        odd q, cyclic <sigma4(delta = a^(q-1))>
+  t422        odd q, cyclic <sigma4(delta = a^((q+1)/2))>
+  t511        char 2, cyclic <sigma5(delta = a^(q+1))>
+  t512        char 2, cyclic <sigma5(delta = a)>
+  t521        odd q, cyclic <sigma5(delta = a^((q+1)/2))>
+  t522        odd q, cyclic <sigma5(delta = a)>
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
+from typing import NamedTuple
 
 from .gf import GFError
 
@@ -31,59 +41,182 @@ class HypothesisNotMet(GFError):
     """The (q, m) pair is outside the range a formula is claimed for."""
 
 
-CASES = ("t3", "t41m_minus", "t41m_plus", "ex43", "ex44",
-         "t421", "t422", "t511", "t512", "t521", "t522")
+def _divides(n: int, m: int):
+    if m < 1 or n % m:
+        raise HypothesisNotMet(f"need m | {n}, got m = {m}")
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise HypothesisNotMet(msg)
+class Row(NamedTuple):
+    """A genus row, as the module docstring describes."""
+
+    table: int | None
+    label: str | None
+    holds: Callable[[int, int], bool]
+    genus: Callable[[int, int], Fraction]
+
+
+class Family(NamedTuple):
+    """One catalogue family, as the module docstring describes."""
+
+    modulus: Callable[[int], int]
+    hypotheses: tuple[tuple[Callable[[int], bool], str], ...]
+    spec: Callable[[int, int], str]
+    order: Callable[[Family, int, int], int] | None
+    rows: tuple[Row, ...]
+    vanishes: Callable[[int, int], bool] | None
+
+    def check(self, q: int, m: int):
+        """Raise HypothesisNotMet unless m | n and every hypothesis holds."""
+        _divides(self.modulus(q), m)
+        for cond, msg in self.hypotheses:
+            if not cond(q):
+                raise HypothesisNotMet(msg)
+
+
+def _delta_order(fam: Family, q: int, m: int) -> int:
+    # sigma4 in even characteristic has the order of delta itself
+    fam.check(q, m)
+    return m
+
+
+def _cyclic(modulus, hypotheses, sigma, rows, vanishes) -> Family:
+    """The family <sigma(q)> ^ k, k = n / m, with ord sigma(q) = n."""
+    return Family(modulus, hypotheses, lambda q, k: f"{sigma(q)} ^ {k}",
+                  lambda fam, q, m: modulus(q), rows, vanishes)
+
+
+def _t522_modulus(q: int) -> int:
+    return (q + 1) // 2 if q % 4 == 1 else q + 1
+
+
+def _sigma5_genus(q: int, m: int) -> Fraction:
+    return Fraction((q - 1) * (q + 1 - m), 2 * m)
+
+
+_ALWAYS = lambda q, m: True
+_EVEN = (lambda q: q % 2 == 0, "even characteristic only")
+_ODD = (lambda q: q % 2 == 1, "odd characteristic only")
+_ODD_ABOVE_3 = (lambda q: q % 2 == 1 and q > 3, "odd q > 3 only")
+# for q = 2^e, 3 | q - 1 says that e is even: q is a power of 4
+_CHAR2_3 = lambda q: q % 2 == 0 and (q - 1) % 3 == 0
+
+
+FAMILIES = {
+    "t3": Family(
+        modulus=lambda q: q * q - 1, hypotheses=(_EVEN,),
+        spec=lambda q, k: f"eps(a^{k}), omega", order=None,
+        rows=(Row(1, "i", _ALWAYS, lambda q, m: Fraction(
+            q * q - q + m - (gcd(m, q + 1) - 1) * (q - 1)
+            - gcd(m, q - 1) * (q + 1), 4 * m)),),
+        vanishes=None),
+    "t41m_minus": Family(
+        modulus=lambda q: q - 1, hypotheses=(_EVEN,),
+        spec=lambda q, k: f"omega, sigma4(delta=a^{(q + 1) * k})",
+        order=_delta_order, vanishes=None,
+        rows=(Row(1, "ii", _ALWAYS,
+                  lambda q, m: Fraction(q * q - q - m * q, 4 * m)),)),
+    "t41m_plus": Family(
+        modulus=lambda q: q + 1, hypotheses=(_EVEN,),
+        spec=lambda q, k: f"omega, sigma4(delta=a^{(q - 1) * k})",
+        order=_delta_order, vanishes=None,
+        rows=(Row(1, "iii", _ALWAYS, lambda q, m: Fraction(
+            q * q - q - m * q + 2 * m - 2, 4 * m)),)),
+    "ex43": Family(
+        modulus=lambda q: 1,
+        hypotheses=((_CHAR2_3, "need char 2 and 3 | q - 1"),),
+        spec=lambda q, k: f"omega, sigma4(delta=a^{(q * q - 1) // 3})",
+        order=lambda fam, q, m: 3, vanishes=None,
+        rows=(Row(None, None, _ALWAYS,
+                  lambda q, m: Fraction(q * q - 4 * q, 12)),)),
+    "ex44": Family(
+        modulus=lambda q: 1,
+        hypotheses=((_CHAR2_3, "need q a power of 4"),),
+        spec=lambda q, k: f"omega, sigma4(delta=a^{(q * q - 1) // 5})",
+        order=lambda fam, q, m: 5, vanishes=None,
+        rows=(Row(None, None, lambda q, m: q % 5 == 1,
+                  lambda q, m: Fraction(q * q - 6 * q, 20)),
+              Row(None, None, lambda q, m: q % 5 != 1,
+                  lambda q, m: Fraction(q * q - 6 * q + 8, 20)))),
+    "t421": _cyclic(
+        modulus=lambda q: q + 1,
+        hypotheses=(_ODD_ABOVE_3,
+                    (lambda q: (q + 1) % 3 != 0, "need 3 not dividing q + 1")),
+        sigma=lambda q: f"sigma4(delta=a^{q - 1})",
+        rows=(Row(2, "i", lambda q, m: m % 2 == 1,
+                  lambda q, m: 1 + Fraction(q * q - q - 2, 2 * m)),
+              Row(2, "ii", lambda q, m: m % 4 == 0 and q % 8 == 3,
+                  lambda q, m: 1 + Fraction(q * q - 4 * q - 5, 2 * m)),
+              Row(2, "iii",
+                  lambda q, m: m % 2 == 0 and not (m % 4 == 0 and q % 8 == 3),
+                  lambda q, m: 1 + Fraction(q * q - 2 * q - 3, 2 * m))),
+        vanishes=lambda q, i: (2 * i) % (q + 1) == (
+            0 if i % 2 == 0 else (q + 1) // 2)),
+    "t422": _cyclic(
+        modulus=lambda q: 2 * (q - 1), hypotheses=(_ODD_ABOVE_3,),
+        sigma=lambda q: f"sigma4(delta=a^{(q + 1) // 2})",
+        rows=(Row(2, "iv", lambda q, m: m % 2 == 1,
+                  lambda q, m: Fraction(q * q - q, 2 * m)),
+              Row(2, "v", lambda q, m: m % 4 == 0 and q % 4 == 3,
+                  lambda q, m: Fraction(q * q - 4 * q + 3, 2 * m)),
+              Row(2, "vi",
+                  lambda q, m: m % 2 == 0 and not (m % 4 == 0 and q % 4 == 3),
+                  lambda q, m: Fraction(q * q - 2 * q + 1, 2 * m))),
+        vanishes=lambda q, i: (2 * i) % (2 * q - 2) == (
+            0 if i % 2 == 0 else q - 1)),
+    "t511": _cyclic(
+        modulus=lambda q: q * q - 1,
+        # at q = 2, delta = a^3 = 1 and sigma5 has order 6, not q^2 - 1
+        hypotheses=(_EVEN, (lambda q: q > 2, "q > 2 only")),
+        sigma=lambda q: f"sigma5(delta=a^{q + 1})",
+        rows=(Row(1, "iv", _ALWAYS, lambda q, m: Fraction(
+            (q - 1) * (q + 1 - gcd(m, q + 1)), 2 * m)),),
+        vanishes=lambda q, i: i % (q - 1) == 0),
+    "t512": _cyclic(
+        modulus=lambda q: q + 1, hypotheses=(_EVEN,),
+        sigma=lambda q: "sigma5(delta=a)",
+        rows=(Row(None, None, _ALWAYS, _sigma5_genus),),
+        vanishes=lambda q, i: i % (q + 1) == 0),
+    "t521": _cyclic(
+        modulus=lambda q: 2 * (q + 1), hypotheses=(_ODD,),
+        sigma=lambda q: f"sigma5(delta=a^{(q + 1) // 2})",
+        rows=(Row(2, "vii", lambda q, m: (q + 1) % m == 0, _sigma5_genus),
+              Row(2, "viii", lambda q, m: (q + 1) % m != 0,
+                  lambda q, m: Fraction((q - 1) * (q + 1 - m // 2), 2 * m))),
+        vanishes=lambda q, i: i % 2 == 0),
+    "t522": _cyclic(
+        modulus=_t522_modulus,
+        hypotheses=(_ODD, (lambda q: q % 12 != 5,
+                           "excluded congruence class q = 5 mod 12")),
+        sigma=lambda q: "sigma5(delta=a)",
+        rows=(Row(None, None, _ALWAYS, _sigma5_genus),),
+        vanishes=lambda q, i: i % _t522_modulus(q) == 0),
+}
+
+CASES = tuple(FAMILIES)
+
+# the paper's Tables 1 and 2, each row as (label, case, condition on (q, m))
+TABLE1_ROWS, TABLE2_ROWS = (
+    tuple((row.label, case, row.holds) for case, fam in FAMILIES.items()
+          for row in fam.rows if row.table == table) for table in (1, 2))
+
+
+def _family(case: str) -> Family:
+    if case not in FAMILIES:
+        raise GFError(f"unknown case {case!r}")
+    return FAMILIES[case]
 
 
 def sigma_order(case: str, q: int, m: int) -> int:
     """Predicted order of the distinguished generator sigma = tau omega."""
-    if case in ("t41m_minus", "t41m_plus"):
-        # sigma4 in even characteristic has the order of delta itself
-        _check_hypotheses(case, q, m)
-        return m
-    if case == "ex43":
-        return 3
-    if case == "ex44":
-        return 5
-    if case == "t421":
-        return q + 1
-    if case == "t422":
-        return 2 * (q - 1)
-    if case == "t511":
-        return q * q - 1
-    if case == "t512":
-        return q + 1
-    if case == "t521":
-        return 2 * (q + 1)
-    if case == "t522":
-        return (q + 1) // 2 if q % 4 == 1 else q + 1
-    raise GFError(f"no sigma order for case {case!r}")
+    fam = _family(case)
+    if fam.order is None:
+        raise GFError(f"no sigma order for case {case!r}")
+    return fam.order(fam, q, m)
 
 
 def case_modulus(case: str, q: int) -> int:
     """The range of m: expected_genus(case, q, m) is defined for m | this."""
-    if case in ("t3", "t511"):
-        return q * q - 1
-    if case == "t41m_minus":
-        return q - 1
-    if case in ("t41m_plus", "t512"):
-        return q + 1
-    if case in ("ex43", "ex44"):
-        return 1
-    if case == "t421":
-        return q + 1
-    if case == "t422":
-        return 2 * (q - 1)
-    if case == "t521":
-        return 2 * (q + 1)
-    if case == "t522":
-        return (q + 1) // 2 if q % 4 == 1 else q + 1
-    raise GFError(f"unknown case {case!r}")
+    return _family(case).modulus(q)
 
 
 def case_spec(case: str, q: int, m: int, check: bool = True) -> str:
@@ -91,120 +224,20 @@ def case_spec(case: str, q: int, m: int, check: bool = True) -> str:
 
     With check=False only m | modulus is enforced, so a group can still be
     built (and its genus measured) outside a formula's hypotheses."""
+    fam = _family(case)
+    n = fam.modulus(q)
     if check:
-        _check_hypotheses(case, q, m)
+        fam.check(q, m)
     else:
-        n = case_modulus(case, q)
-        _require(m >= 1 and n % m == 0, f"need m | {n}, got m = {m}")
-    if case == "t3":
-        k = (q * q - 1) // m
-        return f"eps(a^{k}), omega"
-    if case == "t41m_minus":
-        d = (q - 1) // m
-        return f"omega, sigma4(delta=a^{(q + 1) * d})"
-    if case == "t41m_plus":
-        d = (q + 1) // m
-        return f"omega, sigma4(delta=a^{(q - 1) * d})"
-    if case == "ex43":
-        k = (q * q - 1) // 3
-        return f"omega, sigma4(delta=a^{k})"
-    if case == "ex44":
-        k = (q * q - 1) // 5
-        return f"omega, sigma4(delta=a^{k})"
-    if case == "t421":
-        k = (q + 1) // m
-        return f"sigma4(delta=a^{q - 1}) ^ {k}"
-    if case == "t422":
-        k = 2 * (q - 1) // m
-        return f"sigma4(delta=a^{(q + 1) // 2}) ^ {k}"
-    if case == "t511":
-        k = (q * q - 1) // m
-        return f"sigma5(delta=a^{q + 1}) ^ {k}"
-    if case == "t512":
-        k = (q + 1) // m
-        return f"sigma5(delta=a) ^ {k}"
-    if case == "t521":
-        k = 2 * (q + 1) // m
-        return f"sigma5(delta=a^{(q + 1) // 2}) ^ {k}"
-    if case == "t522":
-        n = (q + 1) // 2 if q % 4 == 1 else q + 1
-        k = n // m
-        return f"sigma5(delta=a) ^ {k}"
-    raise GFError(f"unknown case {case!r}")
-
-
-def _check_hypotheses(case: str, q: int, m: int):
-    if case not in CASES:
-        raise GFError(f"unknown case {case!r}")
-    n = case_modulus(case, q)
-    _require(m >= 1 and n % m == 0, f"need m | {n}, got m = {m}")
-    if case in ("t3", "t41m_minus", "t41m_plus", "t511", "t512"):
-        _require(q % 2 == 0, "even characteristic only")
-    if case == "ex43":
-        _require(q % 2 == 0 and (q - 1) % 3 == 0,
-                 "need char 2 and 3 | q - 1")
-    if case == "ex44":
-        _require(q % 2 == 0 and (q - 1) % 3 == 0,
-                 "need q a power of 4")
-    if case == "t511":
-        # at q = 2, delta = a^3 = 1 and sigma5 has order 6, not q^2 - 1
-        _require(q > 2, "q > 2 only")
-    if case in ("t421", "t422"):
-        _require(q % 2 == 1 and q > 3, "odd q > 3 only")
-    if case == "t421":
-        _require((q + 1) % 3 != 0, "need 3 not dividing q + 1")
-    if case in ("t521", "t522"):
-        _require(q % 2 == 1, "odd characteristic only")
-    if case == "t522":
-        _require(q % 12 != 5, "excluded congruence class q = 5 mod 12")
+        _divides(n, m)
+    return fam.spec(q, n // m)
 
 
 def expected_genus(case: str, q: int, m: int = 1) -> int:
     """Predicted genus of the quotient for case (q, m); exact integer."""
-    _check_hypotheses(case, q, m)
-    if case == "t3":
-        d = gcd(m, q + 1)
-        dt = gcd(m, q - 1)
-        g = Fraction(q * q - q + m - (d - 1) * (q - 1) - dt * (q + 1), 4 * m)
-    elif case == "t41m_minus":
-        g = Fraction(q * q - q - m * q, 4 * m)
-    elif case == "t41m_plus":
-        g = Fraction(q * q - q - m * q + 2 * m - 2, 4 * m)
-    elif case == "ex43":
-        g = Fraction(q * q - 4 * q, 12)
-    elif case == "ex44":
-        if q % 5 == 1:
-            g = Fraction(q * q - 6 * q, 20)
-        else:
-            g = Fraction(q * q - 6 * q + 8, 20)
-    elif case == "t421":
-        if m % 2 == 1:
-            g = 1 + Fraction(q * q - q - 2, 2 * m)
-        elif m % 4 == 0 and q % 8 == 3:
-            g = 1 + Fraction(q * q - 4 * q - 5, 2 * m)
-        else:
-            g = 1 + Fraction(q * q - 2 * q - 3, 2 * m)
-    elif case == "t422":
-        if m % 2 == 1:
-            g = Fraction(q * q - q, 2 * m)
-        elif m % 4 == 0 and q % 4 == 3:
-            g = Fraction(q * q - 4 * q + 3, 2 * m)
-        else:
-            g = Fraction(q * q - 2 * q + 1, 2 * m)
-    elif case == "t511":
-        d = gcd(m, q + 1)
-        g = Fraction((q - 1) * (q + 1 - d), 2 * m)
-    elif case == "t512":
-        g = Fraction((q - 1) * (q + 1 - m), 2 * m)
-    elif case == "t521":
-        if (q + 1) % m == 0:
-            g = Fraction((q - 1) * (q + 1 - m), 2 * m)
-        else:
-            g = Fraction((q - 1) * (q + 1 - m // 2), 2 * m)
-    elif case == "t522":
-        g = Fraction((q - 1) * (q + 1 - m), 2 * m)
-    else:
-        raise GFError(f"unknown case {case!r}")
+    fam = _family(case)
+    fam.check(q, m)
+    g = next(row.genus(q, m) for row in fam.rows if row.holds(q, m))
     if g.denominator != 1:
         raise HypothesisNotMet(f"{case} at q={q}, m={m} gives non-integer {g}")
     if g < 0:
@@ -263,57 +296,23 @@ class VSequence:
         assert self.kind == "sigma4"
         lvl = self.lvl
         p = self.tower.p
-        from math import comb
         acc = 0
         for i in range(n // 2 + 1):
             k = comb(n - i, i) % p
             if k == 0:
                 continue
-            term = lvl.mul(k % p if p > 2 else 1, lvl.pow(self.c, n - 2 * i))
-            acc = lvl.add(acc, term)
+            acc = lvl.add(acc, lvl.mul(k, lvl.pow(self.c, n - 2 * i)))
         return acc
 
 
 def v_vanishing_index(case: str, q: int, i: int) -> bool:
     """Whether v_{i-1} of the case's sigma vanishes, by congruence on i."""
-    if case == "t421":
-        return (2 * i) % (q + 1) == (0 if i % 2 == 0 else (q + 1) // 2)
-    if case == "t422":
-        return (2 * i) % (2 * q - 2) == (0 if i % 2 == 0 else q - 1)
-    if case in ("t41m_minus", "t41m_plus", "ex43", "ex44", "t3"):
+    fam = _family(case)
+    if fam.vanishes is None:
         raise GFError("use the delta-order predicate in even characteristic")
-    if case == "t511":
-        return i % (q - 1) == 0
-    if case == "t512":
-        return i % (q + 1) == 0
-    if case == "t521":
-        return i % 2 == 0
-    if case == "t522":
-        n = (q + 1) // 2 if q % 4 == 1 else q + 1
-        return i % n == 0
-    raise GFError(f"unknown case {case!r}")
+    return fam.vanishes(q, i)
 
 
 def v_vanishing_even_char(delta_order: int, i: int) -> bool:
     """sigma4 in characteristic 2: v_{i-1} = 0 iff ord(delta) divides i."""
     return i % delta_order == 0
-
-
-# Table layout: each named row is (case, condition on (q, m)).
-TABLE1_ROWS = (
-    ("i", "t3", lambda q, m: True),
-    ("ii", "t41m_minus", lambda q, m: True),
-    ("iii", "t41m_plus", lambda q, m: True),
-    ("iv", "t511", lambda q, m: True),
-)
-
-TABLE2_ROWS = (
-    ("i", "t421", lambda q, m: m % 2 == 1),
-    ("ii", "t421", lambda q, m: m % 4 == 0 and q % 8 == 3),
-    ("iii", "t421", lambda q, m: m % 2 == 0 and not (m % 4 == 0 and q % 8 == 3)),
-    ("iv", "t422", lambda q, m: m % 2 == 1),
-    ("v", "t422", lambda q, m: m % 4 == 0 and q % 4 == 3),
-    ("vi", "t422", lambda q, m: m % 2 == 0 and not (m % 4 == 0 and q % 4 == 3)),
-    ("vii", "t521", lambda q, m: (q + 1) % m == 0),
-    ("viii", "t521", lambda q, m: (q + 1) % m != 0),
-)

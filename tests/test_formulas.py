@@ -5,6 +5,7 @@ import pytest
 from hermquot.autgrp import aut_order, group_from_spec, parse_spec
 from hermquot.formulas import (
     CASES,
+    FAMILIES,
     HypothesisNotMet,
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -16,6 +17,7 @@ from hermquot.formulas import (
     v_vanishing_even_char,
     v_vanishing_index,
 )
+from hermquot.gf import factorize
 
 GRID = {
     "t3": (2, 4, 8),
@@ -182,6 +184,19 @@ def test_table_rows_partition():
             for m in ms(q):
                 hits = [lab for lab, cond in rows if cond(q, m)]
                 assert len(hits) == 1, (fam, q, m, hits)
+
+
+def test_every_family_rows_partition_its_grid():
+    # at every prime power q <= 64 within a family's hypotheses, exactly one
+    # genus row holds at each m | n
+    for case, fam in FAMILIES.items():
+        qs = [q for q in range(2, 65) if len(factorize(q)) == 1
+              and all(cond(q) for cond, _msg in fam.hypotheses)]
+        assert qs, case
+        for q in qs:
+            for m in divisors(fam.modulus(q)):
+                hits = [row.label for row in fam.rows if row.holds(q, m)]
+                assert len(hits) == 1, (case, q, m, hits)
 
 
 def test_unknown_case_rejected():

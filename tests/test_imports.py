@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every function
-reads each of its parameters, and every top-level definition is referenced
-somewhere else in the package."""
+reads each of its parameters, no code compares a name `case` with a case
+name, and every top-level definition is referenced somewhere else in the
+package."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,32 @@ def _unread_parameters(tree):
 def test_functions_read_their_parameters(path):
     # self, cls and _-prefixed names are exempt
     assert _unread_parameters(ast.parse(path.read_text())) == []
+
+
+def _is_name_literal(node):
+    """A string literal, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return all(map(_is_name_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _case_name_comparisons(tree):
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(n, ast.Name) and n.id == "case" for n in operands)
+                and any(map(_is_name_literal, operands))):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_switch_on_a_case_name(path):
+    # the family list lives only in the formulas catalogue: code reads a
+    # family's record, it does not compare `case` with a name or names
+    assert _case_name_comparisons(ast.parse(path.read_text())) == []
 
 
 # definitions kept only as seams for the tests and the benchmark
