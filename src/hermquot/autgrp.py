@@ -10,12 +10,16 @@ Two families generate everything we need:
 
 We store the matrix of the point action P |-> (sigma(x)(P), sigma(y)(P)).
 That action is contravariant in composition: the point matrix of f o g
-(g applied first to functions) is M_g M_f.
+(g applied first to functions) is M_g M_f. An Aut is a NamedTuple of the
+tower and that row-major 9-tuple, and a Group is a NamedTuple too.
+apply_place moves a rational place with mat_vec3's table reads written out
+(XOR in characteristic 2, the addition table otherwise) and divides by z in
+the log domain in the same pass.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
 from .curve import Place, degree3_place, normalize_point, place_of_point
@@ -30,8 +34,7 @@ def pgu_order(q: int) -> int:
     return q ** 3 * (q * q - 1) * (q ** 3 + 1)
 
 
-@dataclass(frozen=True)
-class Aut:
+class Aut(NamedTuple):
     """A curve automorphism, represented projectively (first nonzero entry 1)."""
 
     tower: FieldTower
@@ -128,11 +131,32 @@ def apply_point(f: Aut, lvl, pt):
 
 
 def apply_place(f: Aut, place: Place) -> Place:
-    tower = f.tower
-    if place.kind == "degree3":
+    """The image of a place. At a rational place (alpha, beta) this is
+    M (alpha, beta, 1) with mat_vec3's table reads, divided by its z in the
+    log domain in the same pass; P_inf goes to M's middle column, and an
+    image with z = 0 to place_of_point, which checks that it is P_inf."""
+    tower, kind, m = f.tower, place.kind, f.m
+    if kind == "degree3":
         return degree3_place(tower, apply_point(f, tower.q6, place.data[0]))
-    pt = (0, 1, 0) if place.kind == "infinity" else (place.alpha, place.beta, 1)
-    return place_of_point(tower, apply_point(f, tower.q2, pt))
+    if kind == "infinity":
+        return place_of_point(tower, (m[1], m[4], m[7]))
+    lvl = tower.q2
+    E, L = lvl._E, lvl._L
+    al, be = map(L.__getitem__, place.data)
+    a0, a1, _, a3, a4, _, a6, a7, _ = map(L.__getitem__, m)
+    if lvl.p == 2:
+        x = E[a0 + al] ^ E[a1 + be] ^ m[2]
+        y = E[a3 + al] ^ E[a4 + be] ^ m[5]
+        z = E[a6 + al] ^ E[a7 + be] ^ m[8]
+    else:
+        T, s = lvl._addt, lvl.size
+        x = T[T[E[a0 + al] * s + E[a1 + be]] * s + m[2]]
+        y = T[T[E[a3 + al] * s + E[a4 + be]] * s + m[5]]
+        z = T[T[E[a6 + al] * s + E[a7 + be]] * s + m[8]]
+    if not z:
+        return place_of_point(tower, (x, y, 0))
+    s = lvl.size - 1 - L[z]
+    return Place("rational", (E[L[x] + s], E[L[y] + s]))
 
 
 def sigma4(tower: FieldTower, delta: int) -> Aut:
@@ -161,8 +185,7 @@ def sigma5(tower: FieldTower, delta: int) -> Aut:
     return compose(from_affine(tower, a, 0, c), omega(tower))
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """A finite group of automorphisms, its elements in closure order with
     the identity at index 0.
 

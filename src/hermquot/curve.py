@@ -4,18 +4,23 @@ The projective model is Y^q Z + Y Z^q = X^(q+1) with x = X/Z, y = Y/Z.
 Rational places are the common pole of x and y at (0:1:0) plus the affine
 points over F_{q^2}; every remaining closed place whose degree matters here
 has degree 3 and is stored as its Frobenius orbit of three F_{q^6}-points.
+
+A Place is a NamedTuple (kind, data), so hashing and comparing one runs
+in C and building one sets no attributes. The rational place of a point (x : y : z) with z != 0 is
+(x / z, y / z), each quotient E[L[x] + n - L[z]] in the log domain of
+F_{q^2} with n = q^2 - 1: log reads of x, y and z and two exp reads, with
+no inversion or multiplication call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import BudgetExceeded, FieldTower, GFError
 
 DEFAULT_DEG3_BUDGET = 2_000_000   # largest |F_{q^6}| degree3_places enumerates
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A closed place: 'infinity', 'rational' (alpha, beta) or 'degree3'."""
 
     kind: str
@@ -117,8 +122,9 @@ def place_of_point(tower: FieldTower, pt) -> Place:
                           f"P_inf = (0:1:0)")
         return P_INF
     lvl = tower.q2
-    iz = lvl.inv(z)
-    return rational_place(lvl.mul(x, iz), lvl.mul(y, iz))
+    E, L = lvl._E, lvl._L
+    s = lvl.size - 1 - L[z]
+    return Place("rational", (E[L[x] + s], E[L[y] + s]))
 
 
 def rational_places(tower: FieldTower) -> list[Place]:

@@ -85,7 +85,6 @@ deg P i_P(sigma) over the places sigma fixes pointwise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -432,8 +431,7 @@ def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
                           fixed_rational_places(tower, aut, eigen))
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     q: int
     group_order: int
     genus: int

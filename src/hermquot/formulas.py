@@ -194,11 +194,6 @@ FAMILIES = {
 
 CASES = tuple(FAMILIES)
 
-# the paper's Tables 1 and 2, each row as (label, case, condition on (q, m))
-TABLE1_ROWS, TABLE2_ROWS = (
-    tuple((row.label, case, row.holds) for case, fam in FAMILIES.items()
-          for row in fam.rows if row.table == table) for table in (1, 2))
-
 
 def _family(case: str) -> Family:
     if case not in FAMILIES:

@@ -30,7 +30,7 @@ raises EngineError naming the place, also under python -O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._linalg import mat_mul3, mat_vec3
 from .autgrp import Aut, Group, apply_place, apply_point
@@ -68,8 +68,7 @@ def affine_form(lvl, frame, m):
     return lvl.mul(iz, m[0]), lvl.mul(iz, m[2]), lvl.mul(iz, m[5])
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+class LocalFrame(NamedTuple):
     """The curve point w = T_P^-1 (t, 1, u) near a rational place P, as its
     nonzero coefficient vectors w[e] of t^e, exact for e < horizon."""
 
@@ -111,8 +110,7 @@ def i_value(tower: FieldTower, place: Place, aut: Aut) -> int:
     return 2 if form[1] else tower.q + 2
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(NamedTuple):
     """A ramified orbit: its representative, size and (e, f, d) at each."""
 
     rep: Place

@@ -36,7 +36,13 @@ from hermquot.autgrp import (
     sigma5,
     word_tables,
 )
-from hermquot.curve import normalize_point, rational_places
+from hermquot.curve import (
+    P_INF,
+    normalize_point,
+    place_of_point,
+    rational_place,
+    rational_places,
+)
 from hermquot.gf import GFError, build_tower, factorize
 from test_acceptance import random_atom, random_group
 from test_engine import _translation_groups
@@ -97,6 +103,66 @@ def test_apply_place_permutes_rational_places(tw3):
     places = rational_places(tw3)
     image = {apply_place(f, pl) for pl in places}
     assert image == set(places)
+
+
+def _image_by_division(tw, f, place):
+    """The image of a rational place or P_inf by M v with mat_vec3, then x / z
+    and y / z with lvl.inv and lvl.mul."""
+    lvl = tw.q2
+    v = (0, 1, 0) if place == P_INF else (*place.data, 1)
+    x, y, z = mat_vec3(lvl, f.m, v)
+    if z == 0:
+        assert x == 0 and y != 0
+        return P_INF
+    iz = lvl.inv(z)
+    return rational_place(lvl.mul(x, iz), lvl.mul(y, iz))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_place_images_match_division(towers, q):
+    # words in omega, eps and translations, on every rational place and
+    # P_inf; place_of_point also on scalar multiples of each image
+    tw, rng = towers[q], random.Random(q)
+    lvl, places = tw.q2, rational_places(tw)
+
+    def atom():
+        k = rng.randrange(3)
+        if k == 0:
+            return omega(tw)
+        if k == 1:
+            return epsilon(tw, tw.a_pow(rng.randrange(lvl.size - 1)))
+        b = rng.randrange(lvl.size)
+        return from_affine(tw, 1, b, rng.choice(tw.solve_additive_raw(b)))
+
+    # omega sends P(0, 0) to P_inf
+    words = [omega(tw)]
+    for _ in range(20):
+        f = atom()
+        for _ in range(rng.randrange(4)):
+            f = compose(f, atom())
+        words.append(f)
+    for f in words:
+        for pl in places:
+            ref = _image_by_division(tw, f, pl)
+            assert apply_place(f, pl) == ref
+            v = (0, 1, 0) if pl == P_INF else (*pl.data, 1)
+            c = rng.randrange(1, lvl.size)
+            pt = tuple(lvl.mul(c, x) for x in mat_vec3(lvl, f.m, v))
+            assert place_of_point(tw, pt) == ref
+    assert apply_place(omega(tw), rational_place(0, 0)) == P_INF
+
+
+def test_place_at_infinity_other_than_p_inf_raises(towers):
+    # (1 : 0 : 0) is no place of the curve, from place_of_point itself and
+    # as apply_place's image of P(0, 0) by a matrix that is no automorphism
+    message = re.escape("the point (1:0:0) at infinity is not P_inf = (0:1:0)")
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        tw = towers[q]
+        with pytest.raises(GFError, match=message):
+            place_of_point(tw, (1, 0, 0))
+        swap = Aut(tw, (0, 0, 1, 0, 1, 0, 1, 0, 0))
+        with pytest.raises(GFError, match=message):
+            apply_place(swap, rational_place(0, 0))
 
 
 def test_from_affine_constraint():

@@ -7,8 +7,6 @@ from hermquot.formulas import (
     CASES,
     FAMILIES,
     HypothesisNotMet,
-    TABLE1_ROWS,
-    TABLE2_ROWS,
     VSequence,
     case_modulus,
     case_spec,
@@ -170,6 +168,10 @@ def test_v_vanishing_even_char(tw8):
 
 def test_table_rows_partition():
     # within each family the row conditions partition the (q, m) grid
+    # the paper's Tables 1 and 2, rows as (label, case, condition on (q, m))
+    TABLE1_ROWS, TABLE2_ROWS = (
+        [(row.label, case, row.holds) for case, fam in FAMILIES.items()
+         for row in fam.rows if row.table == table] for table in (1, 2))
     assert [case for _, case, _ in TABLE1_ROWS] == [
         "t3", "t41m_minus", "t41m_plus", "t511"]
     fams = {

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every function
 reads each of its parameters, no code compares a name `case` with a case
-name, and every top-level definition is referenced somewhere else in the
-package."""
+name, no module imports dataclasses, and every top-level definition and
+assignment is referenced somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -81,6 +81,25 @@ def test_no_switch_on_a_case_name(path):
     assert _case_name_comparisons(ast.parse(path.read_text())) == []
 
 
+def _dataclass_importers():
+    out = []
+    for path in MODULES + [Path(hermquot.__file__)]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                out.append(path.name)
+    return sorted(set(out))
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples, whose hashing and equality run in C; a
+    # frozen dataclass runs __init__, __hash__ and __eq__ as Python code
+    assert _dataclass_importers() == []
+
+
 # definitions kept only as seams for the tests and the benchmark
 TEST_SEAMS = {"twisted_counts", "v_vanishing_index", "v_vanishing_even_char",
               "expand_at", "ramification_data", "sigma_order"}
@@ -107,15 +126,25 @@ def _referenced_names(node):
     return out
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a def, a class, or the
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def test_every_definition_is_referenced():
     tops = [node for p in MODULES for node in ast.parse(p.read_text()).body]
     refs = [_referenced_names(node) for node in tops]
     # a reference from any other top-level statement counts, but not an
     # export from __init__
     unreferenced = [
-        node.name for i, node in enumerate(tops)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in r for j, r in enumerate(refs) if j != i)]
+        name for i, node in enumerate(tops) for name in _defined_names(node)
+        if not any(name in r for j, r in enumerate(refs) if j != i)]
     assert sorted(set(unreferenced) - TEST_SEAMS) == []
     # a method or property of a top-level class: a reference from another
     # member of its class counts too; dunder methods are called by Python
