@@ -34,11 +34,11 @@ def mat_mul3(lvl, A, B):
 
 def mat_vec3(lvl, A, v):
     """A v for a 3x3 matrix over F_{q^2}; v at F_{q^2} goes through the
-    tables as in mat_mul3, v at F_{q^6} through the level's own arithmetic."""
+    tables as in mat_mul3. At F_{q^6}, A acts on each coordinate of v's
+    entries separately: three F_{q^2} passes, one per power of t."""
     if lvl.name != "q2":
-        m, ad = lvl.mul, lvl.add
-        return tuple(ad(ad(m(A[i], v[0]), m(A[i + 1], v[1])), m(A[i + 2], v[2]))
-                     for i in (0, 3, 6))
+        w0, w1, w2 = (mat_vec3(lvl.base, A, c) for c in zip(*map(lvl.unpack, v)))
+        return tuple(map(lvl.pack, w0, w1, w2))
     E, L = lvl._E, lvl._L
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(L.__getitem__, A)
     v0, v1, v2 = map(L.__getitem__, v)
@@ -80,10 +80,21 @@ def charpoly3(lvl, A):
 
 
 def cross3(lvl, u, v):
-    """The cross product u x v, normal to the span of u and v."""
-    m, sb = lvl.mul, lvl.sub
-    (a, b, c), (d, e, f) = u, v
-    return [sb(m(b, f), m(c, e)), sb(m(c, d), m(a, f)), sb(m(a, e), m(b, d))]
+    """The cross product u x v, normal to the span of u and v; at F_{q^2}
+    on the tables as in mat_mul3, x - y being T[x |F| + N[y]] for odd p
+    with N the negation table."""
+    if lvl.name != "q2":
+        m, sb = lvl.mul, lvl.sub
+        (a, b, c), (d, e, f) = u, v
+        return [sb(m(b, f), m(c, e)), sb(m(c, d), m(a, f)), sb(m(a, e), m(b, d))]
+    E, L = lvl._E, lvl._L
+    a, b, c = map(L.__getitem__, u)
+    d, e, f = map(L.__getitem__, v)
+    if lvl.p == 2:
+        return [E[b + f] ^ E[c + e], E[c + d] ^ E[a + f], E[a + e] ^ E[b + d]]
+    T, N, s = lvl._addt, lvl.negt, lvl.size
+    return [T[E[b + f] * s + N[E[c + e]]], T[E[c + d] * s + N[E[a + f]]],
+            T[E[a + e] * s + N[E[b + d]]]]
 
 
 def row_kernel(lvl, row):
@@ -108,15 +119,30 @@ def kernel(lvl, rows):
     cross product of two rows, checked against the third and scaled so its
     last nonzero coordinate (the non-pivot column) is 1. Rank 1: the nonzero
     row's plane (row_kernel). Rank 3: none. Rank 0: the unit vectors."""
-    m = lvl.mul
     r0, r1, r2 = rows
     for u, w, (g, h, i) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
         v = cross3(lvl, u, w)
         if any(v):
-            if lvl.add(lvl.add(m(g, v[0]), m(h, v[1])), m(i, v[2])):
+            last = next(x for x in reversed(v) if x)
+            if lvl.name != "q2":
+                m = lvl.mul
+                if lvl.add(lvl.add(m(g, v[0]), m(h, v[1])), m(i, v[2])):
+                    return []
+                s = lvl.inv(last)
+                return [[m(s, x) for x in v]]
+            # the check and the division by last in the log domain
+            E, L = lvl._E, lvl._L
+            a, b, c = map(L.__getitem__, v)
+            g, h, i = map(L.__getitem__, (g, h, i))
+            if lvl.p == 2:
+                dot = E[g + a] ^ E[h + b] ^ E[i + c]
+            else:
+                T, sz = lvl._addt, lvl.size
+                dot = T[T[E[g + a] * sz + E[h + b]] * sz + E[i + c]]
+            if dot:
                 return []
-            s = lvl.inv(next(x for x in reversed(v) if x))
-            return [[m(s, x) for x in v]]
+            s = lvl.size - 1 - L[last]
+            return [[E[a + s], E[b + s], E[c + s]]]
     row = next((r for r in rows if any(r)), None)
     if row is None:
         return [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

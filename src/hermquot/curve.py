@@ -56,13 +56,14 @@ def rational_place(alpha: int, beta: int) -> Place:
 
 
 def place_sort_key(tower: FieldTower, place: Place):
-    if place.kind == "infinity":
-        return (0, ())
-    if place.kind == "rational":
+    kind, data = place
+    if kind == "rational":
         rank = tower.q2.rank
-        return (1, (rank[place.alpha], rank[place.beta]))
+        return (1, (rank[data[0]], rank[data[1]]))
+    if kind == "infinity":
+        return (0, ())
     k6 = tower.q6.key
-    return (2, tuple(tuple(k6(c) for c in pt) for pt in place.data))
+    return (2, tuple(tuple(k6(c) for c in pt) for pt in data))
 
 
 def normalize_point(lvl, v):
@@ -78,10 +79,20 @@ def normalize_point(lvl, v):
 
 
 def herm(lvl, u, v):
-    """The Hermitian form Y_u^q Z_v + Z_u^q Y_v - X_u^q X_v of the curve."""
-    fr, mul, add, sub = lvl.frobq, lvl.mul, lvl.add, lvl.sub
-    return sub(add(mul(fr(u[1]), v[2]), mul(fr(u[2]), v[1])),
-               mul(fr(u[0]), v[0]))
+    """The Hermitian form Y_u^q Z_v + Z_u^q Y_v - X_u^q X_v of the curve;
+    at F_{q^2} on the Frobenius, log/exp, addition and negation tables."""
+    if lvl.name != "q2":
+        fr, mul, add, sub = lvl.frobq, lvl.mul, lvl.add, lvl.sub
+        return sub(add(mul(fr(u[1]), v[2]), mul(fr(u[2]), v[1])),
+                   mul(fr(u[0]), v[0]))
+    E, L, F = lvl._E, lvl._L, lvl.frobt
+    y = E[L[F[u[1]]] + L[v[2]]]
+    z = E[L[F[u[2]]] + L[v[1]]]
+    x = E[L[F[u[0]]] + L[v[0]]]
+    if lvl.p == 2:
+        return y ^ z ^ x
+    T, s = lvl._addt, lvl.size
+    return T[T[y * s + z] * s + lvl.negt[x]]
 
 
 def on_curve(lvl, pt) -> bool:

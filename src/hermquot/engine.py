@@ -161,8 +161,16 @@ def _span_places(tower: FieldTower, basis) -> list[Place]:
     b0, b1 = basis
     (g00, g01), (g10, g11) = [[herm(lvl, u, v) for v in basis]
                               for u in basis]
-    points = [[lvl.add(x, lvl.mul(s, y)) for x, y in zip(b0, b1)]
-              for s in lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1)))]
+    # b0 + s b1 on the tables: s's log read once per zero s
+    E, L = lvl._E, lvl._L
+    lb = [L[y] for y in b1]
+    ls = map(L.__getitem__,
+             lvl.zeros(g00, ((g01, 1), (g10, q), (g11, q + 1))))
+    if lvl.p == 2:
+        points = [[x ^ E[s + y] for x, y in zip(b0, lb)] for s in ls]
+    else:
+        T, sz = lvl._addt, lvl.size
+        points = [[T[x * sz + E[s + y]] for x, y in zip(b0, lb)] for s in ls]
     if not g11:
         points.append(b1)
     return [place_of_point(tower, pt) for pt in points]

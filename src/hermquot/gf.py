@@ -18,13 +18,19 @@ precomputed per level.
 
 There is one polynomial arithmetic: the generic p_* helpers, which run over
 any level (F_p, F_{q^2} or F_{q^6}).  They test a modulus candidate for
-irreducibility and find roots.  The hot paths are written out by hand: the
-F_{q^6} product, the 3x3 matrix products over F_{q^2} (_linalg.mat_mul3
-and mat_vec3, which also apply the F_{q^6} Frobenius matrices), which read
-the F_{q^2} log/exp and addition tables directly, and BaseLevel.values,
-which evaluates a sparse polynomial on all of F_{q^2}^* in one scan of
-those tables; poly_roots and the curve-point search take their F_{q^2}
-zeros from it.
+irreducibility and find roots.  The hot paths are written out by hand on
+the F_{q^2} log/exp and addition tables, with no level method call per
+coefficient: ExtLevel's product, sums, negation and scaling, one log read
+per coefficient and the reductions of t^3 and t^4 kept as logs (at p = 2
+the F_{q^6} sum is XOR of the packed integers); the 3x3 matrix kernels
+over F_{q^2} (_linalg.mat_mul3, mat_vec3 and cross3), where mat_vec3 at
+F_{q^6} is three F_{q^2} passes, one per power of t, and applies the
+F_{q^6} Frobenius matrices; and BaseLevel.values, which evaluates a sparse
+polynomial on all of F_{q^2}^* in one scan of those tables.  poly_roots
+and the curve-point search take their F_{q^2} zeros from it; over F_{q^6},
+poly_roots runs the Frobenius gcd of a polynomial with coefficients in
+F_{q^2} over F_{q^2}, and takes the roots of an irreducible cubic as one
+Frobenius orbit r, r^(q^2), r^(q^4).
 """
 from __future__ import annotations
 
@@ -328,7 +334,9 @@ class BaseLevel:
 
 
 class ExtLevel:
-    """F_{q^6} as a cubic extension of the base level (no big tables)."""
+    """F_{q^6} as a cubic extension of the base level, its arithmetic
+    written out on the base level's log/exp and addition tables (no tables
+    of its own)."""
 
     name = "q6"
 
@@ -340,15 +348,19 @@ class ExtLevel:
         self._Q = Q
         self._Q2 = Q * Q
         self.size = Q ** 3
+        self._E, self._L = base._E, base._L
         self.mod = _first_irreducible(base, base.elements_by_key(), 3)
-        g0, g1, g2 = self.mod
-        nb = base.neg
-        self._red3 = (nb(g0), nb(g1), nb(g2))          # t^3
-        r0, r1, r2 = self._red3
+        # t^3 = r0 + r1 t + r2 t^2 and t^4 = t t^3, reduced, kept as logs
+        r0, r1, r2 = map(base.neg, self.mod)
         m, ad = base.mul, base.add
-        self._red4 = (m(r2, self._red3[0]),            # t^4 = t * t^3 reduced
-                      ad(r0, m(r2, self._red3[1])),
-                      ad(r1, m(r2, self._red3[2])))
+        red4 = (m(r2, r0), ad(r0, m(r2, r1)), ad(r1, m(r2, r2)))
+        self._lred = tuple(map(self._L.__getitem__, (r0, r1, r2, *red4)))
+        if base.p == 2:
+            # coefficient by coefficient XOR is XOR of the packed integers
+            self.add = self.sub = operator.xor
+            self.neg = base.neg
+        else:
+            self._addt, self._negt = base._addt, base.negt
         self.frobq_matrix = self.matrix(lambda x: self.pow(x, base.q))
         self.frobq2_matrix = self.matrix(lambda x: self.pow(x, Q))
         self._primitive = None
@@ -373,46 +385,69 @@ class ExtLevel:
         rank = self.base.rank
         return (rank[c0], rank[c1], rank[c2])
 
+    # add, sub and neg below are those of odd p; at p = 2 the instance has
+    # XOR and the identity in their place
     def add(self, x, y):
-        a0, a1, a2 = self.unpack(x)
-        b0, b1, b2 = self.unpack(y)
-        ad = self.base.add
-        return self.pack(ad(a0, b0), ad(a1, b1), ad(a2, b2))
+        Q, T = self._Q, self._addt
+        return (T[x % Q * Q + y % Q] + T[x // Q % Q * Q + y // Q % Q] * Q
+                + T[x // self._Q2 * Q + y // self._Q2] * self._Q2)
 
     def neg(self, x):
-        a0, a1, a2 = self.unpack(x)
-        n = self.base.neg
-        return self.pack(n(a0), n(a1), n(a2))
+        Q, N = self._Q, self._negt
+        return N[x % Q] + N[x // Q % Q] * Q + N[x // self._Q2] * self._Q2
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        Q, T, N = self._Q, self._addt, self._negt
+        return (T[x % Q * Q + N[y % Q]] + T[x // Q % Q * Q + N[y // Q % Q]] * Q
+                + T[x // self._Q2 * Q + N[y // self._Q2]] * self._Q2)
 
     def mul(self, x, y):
-        a0, a1, a2 = self.unpack(x)
-        b0, b1, b2 = self.unpack(y)
-        m, ad = self.base.mul, self.base.add
-        c0 = m(a0, b0)
-        c1 = ad(m(a0, b1), m(a1, b0))
-        c2 = ad(ad(m(a0, b2), m(a1, b1)), m(a2, b0))
-        c3 = ad(m(a1, b2), m(a2, b1))
-        c4 = m(a2, b2)
+        """The schoolbook product of the coefficient triples, each base
+        product one exp read at a sum of logs, and t^3, t^4 reduced with
+        the logs of their reductions."""
+        Q, E, L = self._Q, self._E, self._L
+        a0, a1, a2 = L[x % Q], L[x // Q % Q], L[x // self._Q2]
+        b0, b1, b2 = L[y % Q], L[y // Q % Q], L[y // self._Q2]
+        if self.char == 2:
+            c0 = E[a0 + b0]
+            c1 = E[a0 + b1] ^ E[a1 + b0]
+            c2 = E[a0 + b2] ^ E[a1 + b1] ^ E[a2 + b0]
+            c3 = E[a1 + b2] ^ E[a2 + b1]
+            c4 = E[a2 + b2]
+            if c3 or c4:
+                l3, l4 = L[c3], L[c4]
+                r0, r1, r2, s0, s1, s2 = self._lred
+                c0 ^= E[l3 + r0] ^ E[l4 + s0]
+                c1 ^= E[l3 + r1] ^ E[l4 + s1]
+                c2 ^= E[l3 + r2] ^ E[l4 + s2]
+            return c0 + (c1 + c2 * Q) * Q
+        T = self._addt
+        c0 = E[a0 + b0]
+        c1 = T[E[a0 + b1] * Q + E[a1 + b0]]
+        c2 = T[T[E[a0 + b2] * Q + E[a1 + b1]] * Q + E[a2 + b0]]
+        c3 = T[E[a1 + b2] * Q + E[a2 + b1]]
+        c4 = E[a2 + b2]
         if c3 or c4:
-            r30, r31, r32 = self._red3
-            r40, r41, r42 = self._red4
-            c0 = ad(c0, ad(m(c3, r30), m(c4, r40)))
-            c1 = ad(c1, ad(m(c3, r31), m(c4, r41)))
-            c2 = ad(c2, ad(m(c3, r32), m(c4, r42)))
-        return self.pack(c0, c1, c2)
+            l3, l4 = L[c3], L[c4]
+            r0, r1, r2, s0, s1, s2 = self._lred
+            c0 = T[T[c0 * Q + E[l3 + r0]] * Q + E[l4 + s0]]
+            c1 = T[T[c1 * Q + E[l3 + r1]] * Q + E[l4 + s1]]
+            c2 = T[T[c2 * Q + E[l3 + r2]] * Q + E[l4 + s2]]
+        return c0 + (c1 + c2 * Q) * Q
 
     def scalar_mul(self, c: int, x: int) -> int:
         """Multiply by c from the base field."""
-        a0, a1, a2 = self.unpack(x)
-        m = self.base.mul
-        return self.pack(m(c, a0), m(c, a1), m(c, a2))
+        Q, E, L = self._Q, self._E, self._L
+        lc = L[c]
+        return (E[lc + L[x % Q]] + E[lc + L[x // Q % Q]] * Q
+                + E[lc + L[x // self._Q2]] * self._Q2)
 
     def inv(self, x):
         """x^-1 = y / N(x) with y = x^(q^2) x^(q^4) and the norm N(x) = x y
-        in the base field; the base inverse raises ZeroDivisionError at 0."""
+        in the base field; the base inverse raises ZeroDivisionError at 0,
+        and is x^-1 itself for x in the base field."""
+        if x < self._Q:
+            return self.base.inv(x)
         y = self.frobq2(x)
         y = self.mul(y, self.frobq2(y))
         return self.scalar_mul(self.base.inv(self.mul(x, y)), y)
@@ -486,18 +521,22 @@ def p_mul(lvl, a, b):
 
 
 def p_divmod(lvl, a, b):
+    """Long division; a monic b needs no inverse, and the leading term of
+    each step, which cancels, is not computed."""
     a = list(a)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = lvl.inv(b[-1])
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = lvl.mul(a[i + len(b) - 1], inv_lead)
+    *low, lead = b
+    inv_lead = None if lead == 1 else lvl.inv(lead)
+    n = len(low)
+    quo = [0] * max(0, len(a) - n)
+    for i in range(len(a) - n - 1, -1, -1):
+        c = a[i + n] if inv_lead is None else lvl.mul(a[i + n], inv_lead)
         quo[i] = c
         if c:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(low):
                 a[i + j] = lvl.sub(a[i + j], lvl.mul(c, bj))
-    return quo, p_trim(a[:len(b) - 1])
+    return quo, p_trim(a[:n])
 
 
 def p_mod(lvl, a, b):
@@ -529,12 +568,9 @@ def p_powmod(lvl, a, n, m):
     return r
 
 
-def _split_linears(lvl, g, rng):
-    """g = monic product of distinct linear factors; return its roots."""
-    if len(g) == 2:
-        return [lvl.neg(g[0]) if g[1] == 1 else lvl.mul(lvl.neg(g[0]), lvl.inv(g[1]))]
-    if len(g) < 2:
-        return []
+def _split(lvl, g, rng):
+    """A proper monic factor of g, a monic product of two or more distinct
+    linear factors, by seeded equal-degree splitting."""
     for _ in range(200):
         r = rng.randrange(lvl.size)
         if lvl.char == 2:
@@ -553,9 +589,17 @@ def _split_linears(lvl, g, rng):
             w[0] = lvl.sub(w[0], 1)
             d = p_gcd(lvl, p_trim(w), g)
         if 1 < len(d) < len(g):
-            other = p_divmod(lvl, g, d)[0]
-            return _split_linears(lvl, d, rng) + _split_linears(lvl, p_monic(lvl, other), rng)
+            return d
     raise GFError("equal-degree splitting failed to converge")  # pragma: no cover
+
+
+def _split_linears(lvl, g, rng):
+    """g = monic product of distinct linear factors; return its roots."""
+    if len(g) < 3:
+        return [lvl.neg(g[0])] if len(g) == 2 else []
+    d = _split(lvl, g, rng)
+    return (_split_linears(lvl, d, rng)
+            + _split_linears(lvl, p_divmod(lvl, g, d)[0], rng))
 
 
 def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
@@ -564,8 +608,15 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
     F_{q^2} up to SCAN_ROOT_LIMIT elements, the crossover measured on the
     characteristic polynomials of `hermquot table`, is scanned in one pass
     over its log tables (BaseLevel.zeros). Larger F_{q^2} and every F_{q^6}
-    use a gcd with the Frobenius power of X followed by seeded equal-degree
-    splitting, so the result is deterministic.
+    take the gcd g of f with X^|F| - X, then seeded equal-degree splitting
+    (Cantor-Zassenhaus), so the result is deterministic. Over F_{q^6}, when
+    f's coefficients lie in F_{q^2} the gcd runs over F_{q^2}, and a cubic g
+    is split once, which leaves a linear factor X - r: if r is not in
+    F_{q^2}, g is irreducible over F_{q^2} and its roots are the Frobenius
+    orbit r, r^(q^2), r^(q^4), each conjugate checked to be a root
+    (GFError otherwise); if r is in F_{q^2}, so are the other two roots,
+    and the rest of g is split as usual. The (root, multiplicity) pairs
+    come in key order.
     """
     cs = p_trim(list(cs))
     if not cs:
@@ -576,12 +627,30 @@ def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
         roots = lvl.zeros(cs[0], zip(cs[1:], itertools.count(1)))
     else:
         f = p_monic(lvl, cs)
-        h = p_powmod(lvl, [0, 1], lvl.size, f)
+        over = (lvl.base if lvl.name == "q6" and all(map(lvl.in_base, f))
+                else lvl)
+        h = p_powmod(over, [0, 1], lvl.size, f)
         h = list(h) + [0] * (2 - len(h))
-        h[1] = lvl.sub(h[1], 1)
-        g = p_gcd(lvl, p_trim(h), f)
+        h[1] = over.sub(h[1], 1)
+        g = p_gcd(over, p_trim(h), f)
         rng = random.Random(0xC0FFEE ^ seed ^ len(cs))
-        roots = _split_linears(lvl, g, rng) if len(g) > 1 else []
+        if over is lvl or len(g) != 4:
+            roots = _split_linears(lvl, g, rng)
+        else:
+            d = _split(lvl, g, rng)
+            lin, rest = d, p_divmod(lvl, g, d)[0]
+            if len(lin) != 2:
+                lin, rest = rest, lin
+            r = lvl.neg(lin[0])
+            if lvl.in_base(r):
+                roots = [r] + _split_linears(lvl, rest, rng)
+            else:
+                roots = [r, lvl.frobq2(r)]
+                roots.append(lvl.frobq2(roots[1]))
+                for x in roots[1:]:
+                    if p_eval(lvl, g, x):
+                        raise GFError(f"the conjugate {x} of the root {r} "
+                                      f"of a cubic over F_q^2 is not a root")
     out = []
     key = lvl.rank.__getitem__ if lvl.name == "q2" else lvl.key
     add, mul = lvl.add, lvl.mul

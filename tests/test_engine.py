@@ -839,9 +839,11 @@ def test_pgu33_quotient_rows(tw3):
 # eigenspace with a third vector is too big, and a Singer-type element of
 # order 3 at q = 2 whose charpoly has no root over F_(q^6), whose eigenspace
 # there has two vectors, or whose eigenvector is rational breaks the
-# degree-3 place search; a stabiliser one too large for its orbit breaks
-# orbit-stabiliser at a fixed place of omega, and a Hilbert sum off by one
-# breaks its agreement with the i-values. An eigenvector of eps(a) at q = 3
+# degree-3 place search, as does a q^2-power Frobenius off by one where
+# poly_roots takes a cubic's other roots from its first; a stabiliser one
+# too large for its orbit breaks orbit-stabiliser at a fixed place of
+# omega, and a Hilbert sum off by one breaks its agreement with the
+# i-values. An eigenvector of eps(a) at q = 3
 # moved off its line breaks a power's check of its chain's eigenvectors.
 # The wild count at q = 3 of omega tau(0, a^2) omega, which fixes P(0, 0),
 # given P_inf's frame (none) there conjugates it to a matrix that does not
@@ -879,6 +881,11 @@ FAULTS = {
                        "an element of order 3 fixes a rational point "
                        "through an irreducible cubic",
                        "lambda real: lambda *a: True"),
+    "cubic-conjugate": ("gf.ExtLevel.frobq2", 2, SINGER3_Q2,
+                        "the conjugate 9 of the root 4 of a cubic over "
+                        "F_q^2 is not a root",
+                        "lambda real: lambda self, x: real(self, x) ^ "
+                        "(sys._getframe(1).f_code.co_name == 'poly_roots')"),
     "power-eigenvector": ("_eigen_data", 3, "eps(a)",
                           "an element of order 2 does not keep the "
                           "eigenvectors of the element it is a power of",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermquot.gf as gf
-from hermquot._linalg import kernel
+from hermquot._linalg import kernel, mat_vec3
 from hermquot.autgrp import epsilon, from_affine, parse_spec
 from hermquot.curve import degree3_places
 from hermquot.gf import (
@@ -445,6 +445,163 @@ def test_poly_roots_repeated_roots(towers, q):
             cs = _from_roots(lvl, [x for x, m in mults.items() for _ in range(m)])
             assert poly_roots(lvl, cs) == sorted(mults.items(),
                                                  key=lambda xm: lvl.key(xm[0]))
+
+
+# A per-coefficient reference for F_(q^6) = F_(q^2)[t]/(g): every base
+# operation a BaseLevel method call, the product schoolbook with t^4 and
+# then t^3 reduced by t^3 = -(g0 + g1 t + g2 t^2), powers by square and
+# multiply on that product.
+def _ref_mul(q6, x, y):
+    base = q6.base
+    a, b = q6.unpack(x), q6.unpack(y)
+    c = [0] * 5
+    for i in range(3):
+        for j in range(3):
+            c[i + j] = base.add(c[i + j], base.mul(a[i], b[j]))
+    for k in (4, 3):
+        top, c[k] = c[k], 0
+        for i, g in enumerate(q6.mod):
+            c[k - 3 + i] = base.sub(c[k - 3 + i], base.mul(top, g))
+    return q6.pack(*c[:3])
+
+
+def _ref_pow(q6, x, k):
+    out = 1
+    while k:
+        if k & 1:
+            out = _ref_mul(q6, out, x)
+        x, k = _ref_mul(q6, x, x), k >> 1
+    return out
+
+
+def _ref_coefficientwise(q6, op, *xs):
+    return q6.pack(*map(op, *map(q6.unpack, xs)))
+
+
+DIFF_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _ext_operands(q6, rng):
+    """Zero, one, elements of F_(q^2), of degree 1 in t (whose products
+    need no reduction) and random elements."""
+    Q = q6.base.size
+    return ([0, 1, Q - 1, rng.randrange(1, Q), q6.pack(0, 1, 0),
+             q6.pack(rng.randrange(Q), rng.randrange(1, Q), 0)]
+            + [rng.randrange(q6.size) for _ in range(14)])
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_extension_arithmetic_matches_the_reference(towers, q):
+    # the written-out F_(q^6) arithmetic against the per-coefficient
+    # reference on every pair of operands, zero among them; the products of
+    # degree 3 or 4 in t, which take the reduction branch, and those of
+    # lower degree both occur
+    q6 = towers[q].q6
+    base = q6.base
+    rng = random.Random(q)
+    xs = _ext_operands(q6, rng)
+    degrees = set()
+    for x in xs:
+        assert q6.neg(x) == _ref_coefficientwise(q6, base.neg, x)
+        assert q6.frobq(x) == _ref_pow(q6, x, q)
+        assert q6.frobq2(x) == _ref_pow(q6, x, q * q)
+        if x:
+            assert q6.inv(x) == _ref_pow(q6, x, q6.size - 2)
+        for y in xs:
+            assert q6.mul(x, y) == _ref_mul(q6, x, y)
+            assert q6.add(x, y) == _ref_coefficientwise(q6, base.add, x, y)
+            assert q6.sub(x, y) == _ref_coefficientwise(q6, base.sub, x, y)
+            a, b = q6.unpack(x), q6.unpack(y)
+            degrees.add(max((i + j for i in range(3) for j in range(3)
+                             if a[i] and b[j]), default=-1) >= 3)
+    assert degrees == {False, True}
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_mat_vec3_over_the_extension_matches_the_reference(towers, q):
+    # a matrix over F_(q^2) times a vector over F_(q^6), zero entries among
+    # both, against the sums of reference products
+    q6 = towers[q].q6
+    rng = random.Random(q)
+    Q = q6.base.size
+    for _ in range(30):
+        A = tuple(rng.choice([0, rng.randrange(Q)]) for _ in range(9))
+        v = tuple(rng.choice([0, rng.randrange(q6.size)]) for _ in range(3))
+        want = tuple(
+            reduce(q6.add, (_ref_mul(q6, A[3 * i + j], v[j]) for j in range(3)))
+            for i in range(3))
+        assert mat_vec3(q6, A, v) == want
+
+
+def _irreducible(lvl, rng, degree):
+    """A random monic polynomial of degree 2 or 3 over F_(q^2) with no root
+    there, so irreducible."""
+    while True:
+        cs = [rng.randrange(lvl.size) for _ in range(degree)] + [1]
+        if not any(p_eval(lvl, cs, x) == 0 for x in range(lvl.size)):
+            return cs
+
+
+def _roots_over_the_extension(q6, cs, seed):
+    """The roots over F_(q^6) of a squarefree polynomial, the whole route
+    over F_(q^6): the gcd with X^(q^6) - X, equal-degree splitting, the
+    roots in key order."""
+    f = gf.p_monic(q6, cs)
+    h = gf.p_powmod(q6, [0, 1], q6.size, f) + [0, 0]
+    h[1] = q6.sub(h[1], 1)
+    g = gf.p_gcd(q6, gf.p_trim(h), f)
+    rng = random.Random(seed)
+    return sorted(gf._split_linears(q6, g, rng), key=q6.key)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_cubic_roots_as_one_frobenius_orbit(towers, q):
+    # an irreducible cubic over F_(q^2) has three distinct roots in
+    # F_(q^6); poly_roots' list must be three distinct roots (by the
+    # reference product), each of multiplicity 1, in key order, and the
+    # same list the route over F_(q^6) alone gives
+    q6 = towers[q].q6
+    rng = random.Random(q)
+
+    def ref_eval(cs, x):
+        out = 0
+        for c in reversed(cs):
+            out = q6.add(_ref_mul(q6, out, x), c)
+        return out
+
+    for i in range(50):
+        cs = _irreducible(q6.base, rng, 3)
+        found = poly_roots(q6, cs, seed=i)
+        roots = [r for r, _ in found]
+        assert [m for _, m in found] == [1, 1, 1]
+        assert len(set(roots)) == 3 and not any(map(q6.in_base, roots))
+        assert not any(ref_eval(cs, r) for r in roots)
+        assert roots == sorted(roots, key=q6.key)
+        if i < 5:
+            assert roots == _roots_over_the_extension(q6, cs, i)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_roots_of_other_polynomials_over_the_base(towers, q):
+    # coefficients in F_(q^2) but no single Frobenius orbit: three roots in
+    # F_(q^2), a double one among them, a root times an irreducible
+    # quadratic (whose roots lie in F_(q^4), not F_(q^6)), and an
+    # irreducible cubic times a linear factor
+    q6 = towers[q].q6
+    base = q6.base
+    rng = random.Random(q)
+    r, s, u = rng.sample(range(base.size), 3)
+    quad, cubic = _irreducible(base, rng, 2), _irreducible(base, rng, 3)
+    cases = [(_from_roots(base, [r, s, u]), {r: 1, s: 1, u: 1}),
+             (_from_roots(base, [r, r, s]), {r: 2, s: 1}),
+             (gf.p_mul(base, _from_roots(base, [r]), quad), {r: 1}),
+             (gf.p_mul(base, _from_roots(base, [s]), cubic), None)]
+    for i, (cs, want) in enumerate(cases):
+        found = poly_roots(q6, cs, seed=i)
+        if want is None:
+            want = dict.fromkeys(_roots_over_the_extension(q6, cs, i), 1)
+            assert len(want) == 4 and s in want
+        assert found == sorted(want.items(), key=lambda rm: q6.key(rm[0]))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every function
 reads each of its parameters, no code compares a name `case` with a case
-name, no module imports dataclasses, and every top-level definition and
+name, no module imports dataclasses, the table kernels call no level
+method on their F_(q^2) path, and every top-level definition and
 assignment is referenced somewhere else in the package."""
 
 import ast
@@ -98,6 +99,76 @@ def test_no_module_imports_dataclasses():
     # records are NamedTuples, whose hashing and equality run in C; a
     # frozen dataclass runs __init__, __hash__ and __eq__ as Python code
     assert _dataclass_importers() == []
+
+
+# the kernels written out on the F_(q^2) log/exp and addition tables: on
+# their F_(q^2) path none of them calls or aliases a level method
+TABLE_KERNELS = {"gf.py": ("ExtLevel.mul", "ExtLevel.add", "ExtLevel.sub"),
+                 "_linalg.py": ("mat_mul3", "mat_vec3", "cross3")}
+LEVEL_METHODS = {"mul", "add", "sub"}
+
+
+def _is_q2_test(test):
+    """True for `<level>.name == "q2"` (or != "q6"), False for the
+    opposite test, None for any other condition."""
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "name"
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value in ("q2", "q6")
+            and isinstance(test.ops[0], (ast.Eq, ast.NotEq))):
+        return None
+    return (test.comparators[0].value == "q2") == isinstance(test.ops[0], ast.Eq)
+
+
+def _level_method_reads(node):
+    """Reads of .mul, .add or .sub in node (operator's excepted), leaving
+    out the branch of each level-name test that is not the F_(q^2) one."""
+    if isinstance(node, ast.If) and _is_q2_test(node.test) is not None:
+        kept = node.body if _is_q2_test(node.test) else node.orelse
+        return [r for n in kept for r in _level_method_reads(n)]
+    out = []
+    if (isinstance(node, ast.Attribute) and node.attr in LEVEL_METHODS
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "operator")):
+        out.append(f"{node.attr} (line {node.lineno})")
+    for child in ast.iter_child_nodes(node):
+        out += _level_method_reads(child)
+    return out
+
+
+def _table_kernel_level_calls(src_dir):
+    out = {}
+    for module, names in TABLE_KERNELS.items():
+        tree = ast.parse((src_dir / module).read_text())
+        for name in names:
+            node = tree
+            for part in name.split("."):
+                node = next(n for n in node.body if isinstance(
+                    n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+            reads = [r for stmt in node.body for r in _level_method_reads(stmt)]
+            if reads:
+                out[name] = reads
+    return out
+
+
+def test_table_kernels_call_no_level_method():
+    # ExtLevel's product and sums, and the 3x3 matrix kernels, read the
+    # tables: a level method call per entry is what they replace
+    assert _table_kernel_level_calls(Path(hermquot.__file__).parent) == {}
+
+
+def test_table_kernel_check_sees_level_calls():
+    # the check flags a call and an alias, and reads past the generic
+    # branch of a level-name test only
+    src = ("def f(lvl, u, v):\n"
+           "    if lvl.name != 'q2':\n"
+           "        return lvl.mul(u, v)\n"
+           "    m, sb = lvl.mul, operator.sub\n"
+           "    return lvl.add(m(u, v), 0)\n")
+    reads = [r for stmt in ast.parse(src).body[0].body
+             for r in _level_method_reads(stmt)]
+    assert reads == ["mul (line 4)", "add (line 5)"]
 
 
 # definitions kept only as seams for the tests and the benchmark
