@@ -14,7 +14,9 @@ That action is contravariant in composition: the point matrix of f o g
 tower and that row-major 9-tuple, and a Group is a NamedTuple too.
 apply_place moves a rational place with mat_vec3's table reads written out
 (XOR in characteristic 2, the addition table otherwise) and divides by z in
-the log domain in the same pass.
+the log domain in the same pass. close_group makes each coset H x with
+coset_products, which reads the logs of H's entries once per generator
+step and x's once per coset.
 """
 from __future__ import annotations
 
@@ -90,6 +92,50 @@ def proj_mul(lvl, a: tuple, b: tuple) -> tuple:
         s = lvl.size - 1 - L[c]
         m = tuple([E[L[x] + s] for x in m])
     return m
+
+
+def coset_products(lvl, logs, x: tuple) -> list:
+    """[proj_mul(lvl, h, x) for h in H], H given as the logs of its
+    entries, one 9-tuple per element read once per step of the closure: x's
+    logs are read once, each product is written out on the tables as in
+    mat_mul3, and proj_mul's scaling is done inline (a product of
+    invertible matrices has a nonzero entry)."""
+    E, L, n, out = lvl._E, lvl._L, lvl.size - 1, []
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = map(L.__getitem__, x)
+    if lvl.p == 2:
+        for a0, a1, a2, a3, a4, a5, a6, a7, a8 in logs:
+            m = (E[a0 + b0] ^ E[a1 + b3] ^ E[a2 + b6],
+                 E[a0 + b1] ^ E[a1 + b4] ^ E[a2 + b7],
+                 E[a0 + b2] ^ E[a1 + b5] ^ E[a2 + b8],
+                 E[a3 + b0] ^ E[a4 + b3] ^ E[a5 + b6],
+                 E[a3 + b1] ^ E[a4 + b4] ^ E[a5 + b7],
+                 E[a3 + b2] ^ E[a4 + b5] ^ E[a5 + b8],
+                 E[a6 + b0] ^ E[a7 + b3] ^ E[a8 + b6],
+                 E[a6 + b1] ^ E[a7 + b4] ^ E[a8 + b7],
+                 E[a6 + b2] ^ E[a7 + b5] ^ E[a8 + b8])
+            c = m[0] or next(filter(None, m))
+            if c != 1:
+                k = n - L[c]
+                m = tuple([E[L[y] + k] for y in m])
+            out.append(m)
+        return out
+    T, s = lvl._addt, lvl.size
+    for a0, a1, a2, a3, a4, a5, a6, a7, a8 in logs:
+        m = (T[T[E[a0 + b0] * s + E[a1 + b3]] * s + E[a2 + b6]],
+             T[T[E[a0 + b1] * s + E[a1 + b4]] * s + E[a2 + b7]],
+             T[T[E[a0 + b2] * s + E[a1 + b5]] * s + E[a2 + b8]],
+             T[T[E[a3 + b0] * s + E[a4 + b3]] * s + E[a5 + b6]],
+             T[T[E[a3 + b1] * s + E[a4 + b4]] * s + E[a5 + b7]],
+             T[T[E[a3 + b2] * s + E[a4 + b5]] * s + E[a5 + b8]],
+             T[T[E[a6 + b0] * s + E[a7 + b3]] * s + E[a8 + b6]],
+             T[T[E[a6 + b1] * s + E[a7 + b4]] * s + E[a8 + b7]],
+             T[T[E[a6 + b2] * s + E[a7 + b5]] * s + E[a8 + b8]])
+        c = m[0] or next(filter(None, m))
+        if c != 1:
+            k = n - L[c]
+            m = tuple([E[L[y] + k] for y in m])
+        out.append(m)
+    return out
 
 
 def compose(f: Aut, g: Aut) -> Aut:
@@ -278,7 +324,9 @@ def _dimino(lvl, gens: tuple, cap: int):
     for k, g in enumerate(gens):
         if g.m in index:
             continue
-        sub, n = elements[1:], len(elements)
+        # H's logs, read once for every coset of this step
+        L, n = lvl._L, len(elements)
+        logs = [tuple(map(L.__getitem__, h)) for h in elements[1:]]
         used = [j for j, t in enumerate(tables) if t is not None] + [k]
         word = word_tables(tables, up, by)
         rows = {j: [] for j in used}
@@ -296,7 +344,7 @@ def _dimino(lvl, gens: tuple, cap: int):
                         raise GFError(
                             f"subgroup closure exceeded the cap {cap}")
                     y = len(elements)
-                    coset = [x] + [proj_mul(lvl, h, x) for h in sub]
+                    coset = [x] + coset_products(lvl, logs, x)
                     new = list(range(y, y + n))
                     index.update(zip(coset, new))
                     elements += coset
@@ -326,8 +374,9 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
 
     The generators join one at a time. One not yet in the subgroup H closed
     so far adds each right coset H x that a coset representative times a
-    generator so far reaches, at |H| products a coset: about |G| products
-    in all, not |G| |gens|. The cap guards runaway input: the closure
+    generator so far reaches, at |H| products a coset (coset_products, on
+    H's logs read once per step): about |G| products in all, not
+    |G| |gens|. The cap guards runaway input: the closure
     raises before adding a coset that would pass it, so exactly when
     |G| > cap. The elements stay in closure order, the identity at 0.
 

@@ -28,8 +28,9 @@ place and acts regularly on the q^3 others (Hirschfeld-Korchmaros-Torres
 2008), so sigma fixes one rational place and no degree-3 one, as p does not
 divide q^2 - q + 1. Of order p, sigma's matrix is lam (I + N) with N
 nilpotent, and the place is read off the highest nonzero power of N
-(_wild_place); of order n = p m, m > 1, sigma fixes the place of its
-order-p subgroup <sigma^m>.
+(_wild_place), unless sigma fixes a place found before in the walk,
+which is then its one place; of order n = p m, m > 1, sigma fixes the
+place of its order-p subgroup <sigma^m>.
 
 Only places fixed by some nontrivial element can ramify, so the different
 degree is a sum over a handful of orbits. Each orbit comes from a
@@ -535,9 +536,12 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     data from t's (_power_eigen_data), unless t has no eigenvalue in
     F_{q^2} (Singer-type), when each class is analysed alone; each
     eigenspace is searched for places once per walk (found). A class of
-    order p takes its representative's one fixed place from the nilpotent
-    part of its matrix (_wild_place), one of order n = p m, m > 1, from the
-    record of <sigma^m>, which the walk by increasing order has met before.
+    order p takes its representative's one fixed place from the places
+    found before in the walk, each tried with one apply_place, or else
+    from the nilpotent part of its matrix (_wild_place): when G fixes a
+    place, one search serves every class. One of order n = p m, m > 1,
+    takes it from the record of <sigma^m>, which the walk by increasing
+    order has met before.
 
     The walk runs on element indices and makes no matrix product: x s
     follows the group's tables along the path of s in the closure's tree
@@ -582,6 +586,7 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     out = [None] * len(subs)
     spectra = {}  # a chain's tame part t -> _eigen_data(t)
     found = {}  # an eigenspace's basis -> the rational places on it
+    wild = []  # the places _wild_place found at this walk's representatives
     # by increasing order, so the order-p subgroup of a wild one comes
     # first; the sort is stable, so a class's lowest index stays its
     # representative
@@ -591,7 +596,15 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         gens, n, source, e = subs[i]
         gens = [els[x] for x in gens]
         if n == p:
-            fixed, deg3, eig = [_wild_place(tower, gens[0].m)], [], None
+            # sigma fixes exactly one rational place: a place found before
+            # that it fixes is that one
+            sigma = gens[0]
+            pl = next((pl for pl in wild if apply_place(sigma, pl) == pl),
+                      None)
+            if pl is None:
+                pl = _wild_place(tower, sigma.m)
+                wild.append(pl)
+            fixed, deg3, eig = [pl], [], None
         elif n % p:
             if source not in spectra:
                 spectra[source] = _eigen_data(tower, els[source])

@@ -8,9 +8,11 @@ conjugation; T_P and its exact inverse are written down in closed form
 stabiliser is the affine group x -> a x + b, y -> a^(q+1) y + a b^q x + c,
 whose lower ramification filtration is known (Garcia, Stichtenoth and Xing
 2000): G_1 = {a = 1}, G_2 = ... = G_(q+1) = {tau(0, c)} and G_(q+2) = 1. So
-for sigma fixing P, with (a, b, c) read off T_P sigma T_P^-1 (affine_form,
-also the wild point count's one reader), i_P(sigma) is 1 when a != 1, 2
-when a = 1 and b != 0, and q + 2 when only c is left.
+for sigma fixing P, with (a, b, c) of T_P sigma T_P^-1 (affine_form, the
+wild point count's reader), i_P(sigma) is 1 when a != 1, 2 when a = 1 and
+b != 0, and q + 2 when only c is left. a = m0 / m8 and b = m2 / m8 for
+m = T_P M T_P^-1, so the i-value is read off m's entries with no division,
+and inertia_data builds P's frame once for its whole inertia group.
 
 expand_at writes the curve point near P as a power series in the
 uniformizer: at P_inf, t = x/y = X/Y and u = 1/y = Z/Y solves
@@ -56,12 +58,18 @@ def to_infinity(tower: FieldTower, place: Place):
             (1, al, 0, aq, be, 1, 0, 1, 0))
 
 
+def _at_infinity(lvl, frame, m):
+    """T M T^-1 for a frame (T, T^-1) from to_infinity, M itself for None."""
+    if frame is None:
+        return m
+    return mat_mul3(lvl, mat_mul3(lvl, frame[0], m), frame[1])
+
+
 def affine_form(lvl, frame, m):
     """(a, b, c) of T M T^-1 for a frame (T, T^-1) from to_infinity (M itself
     for None), in the shape (a, 0, b; a b^q, a^(q+1), c; 0, 0, 1) up to a
     scalar; None when T M T^-1 moves P_inf = (0 : 1 : 0)."""
-    if frame is not None:
-        m = mat_mul3(lvl, mat_mul3(lvl, frame[0], m), frame[1])
+    m = _at_infinity(lvl, frame, m)
     if m[1] or m[6] or m[7]:
         return None
     iz = lvl.inv(m[8])
@@ -95,19 +103,27 @@ def expand_at(tower: FieldTower, place: Place, horizon: int) -> LocalFrame:
     return LocalFrame(place, frame and frame[0], v, horizon)
 
 
+def _framed_i_value(tower: FieldTower, frame, m: tuple) -> int:
+    """i_P(sigma) for sigma's point matrix m and P's frame from to_infinity,
+    read off the entries of T m T^-1 with no division: 0 when it moves
+    P_inf, else a = m0 / m8 and b = m2 / m8 of its affine form give 1 when
+    a != 1, 2 when b != 0, and q + 2 otherwise."""
+    m = _at_infinity(tower.q2, frame, m)
+    if m[1] or m[6] or m[7]:
+        return 0
+    if m[0] != m[8]:
+        return 1
+    return 2 if m[2] else tower.q + 2
+
+
 def i_value(tower: FieldTower, place: Place, aut: Aut) -> int:
     """i_P(sigma) = v_P(sigma(t) - t) for the place's uniformizer t, 0 when
-    sigma does not fix the place, read off sigma's affine form at P_inf."""
+    sigma does not fix the place (_framed_i_value)."""
     if aut.is_identity():
         raise GFError("i-value of the identity is infinite")
     if place.kind == "degree3":
         raise GFError("i-values are only computed at rational places")
-    form = affine_form(tower.q2, to_infinity(tower, place), aut.m)
-    if form is None:
-        return 0
-    if form[0] != 1:
-        return 1
-    return 2 if form[1] else tower.q + 2
+    return _framed_i_value(tower, to_infinity(tower, place), aut.m)
 
 
 class OrbitRow(NamedTuple):
@@ -199,7 +215,10 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
     wild = e % p == 0
     if not wild and not dual_check:
         return OrbitRow(place, size, e, 1, e - 1, None)
-    ivals = sorted((i_value(tower, place, s), w) for s, w in inertia)
+    # one frame for the place, not one per element
+    frame = to_infinity(tower, place)
+    ivals = sorted((_framed_i_value(tower, frame, s.m), w)
+                   for s, w in inertia)
     if ivals and ivals[0][0] < 1:
         raise EngineError(f"an element of the inertia group at {place} does "
                           f"not fix it, so |G_0| is not e = {e}")

@@ -1,5 +1,6 @@
 """Automorphisms: generators, composition, group closure, and the spec DSL."""
 
+import functools
 import os
 import random
 import re
@@ -23,6 +24,7 @@ from hermquot.autgrp import (
     close_group,
     compose,
     conjugation_tables,
+    coset_products,
     epsilon,
     from_affine,
     group_from_spec,
@@ -87,6 +89,42 @@ def test_compose_acts_contravariantly(tw3):
     g = from_affine(tw3, 1, 1, tw3.solve_additive_raw(1)[0])
     for pl in rational_places(tw3)[:15]:
         assert apply_place(compose(f, g), pl) == apply_place(g, apply_place(f, pl))
+
+
+def _reference_product(lvl, a, b):
+    """The 3x3 product a b entry by entry with the level's own mul and add,
+    not scaled."""
+    return [functools.reduce(lvl.add, (lvl.mul(a[3 * i + k], b[3 * k + j])
+                                       for k in range(3)))
+            for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_coset_products_match_proj_mul(towers, q):
+    # random words in the atoms as H and as x: each product of the coset
+    # kernel is proj_mul's and the reference's scaled by normalize_point,
+    # among them products whose first entry is 0, is 1, or is scaled away
+    tw = towers[q]
+    lvl, rng = tw.q2, random.Random(q)
+
+    def word():
+        f = identity(tw)
+        for _ in range(rng.randrange(1, 5)):
+            f = compose(f, random_atom(tw, rng))
+        return f.m
+
+    hs = [word() for _ in range(40)]
+    logs = [tuple(lvl._L[y] for y in h) for h in hs]
+    firsts = set()
+    for _ in range(25):
+        x = word()
+        got = coset_products(lvl, logs, x)
+        assert got == [proj_mul(lvl, h, x) for h in hs]
+        for h, m in zip(hs, got):
+            ref = _reference_product(lvl, h, x)
+            assert m == normalize_point(lvl, ref)
+            firsts.add(min(ref[0], 2))
+    assert firsts == {0, 1, 2}
 
 
 def test_inverse_and_pow(tw4):

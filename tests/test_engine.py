@@ -604,6 +604,59 @@ def _translation_groups(tw, rng):
     return out
 
 
+def _check_order_p_records(tw, grp, monkeypatch):
+    """Walk grp counting the calls of _wild_place: every order-p record's
+    place is _wild_place of its generator, and the walk searches once per
+    distinct place among its order-p representatives. Returns (calls,
+    representatives)."""
+    real, calls = engine._wild_place, []
+    monkeypatch.setattr(engine, "_wild_place",
+                        lambda tw, m: calls.append(m) or real(tw, m))
+    walk = _cyclic_walk(tw, grp)
+    monkeypatch.setattr(engine, "_wild_place", real)
+    wild = [c for c in walk if c.order == tw.p]
+    for c in wild:
+        assert c.fixed == [real(tw, c.gens[0].m)]
+    reps = [c for i, c in enumerate(walk) if c.rep == i and c in wild]
+    assert len(calls) == len({c.fixed[0] for c in reps})
+    return len(calls), len(reps)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_order_p_records_on_moved_translation_groups(towers, q, monkeypatch):
+    # 1-3 random translations tau(b, c), moved off P_inf by a word in omega
+    # and eps: one _wild_place call per group serves every representative
+    tw = towers[q]
+    rng = random.Random(30 + q)
+    calls = reps = 0
+    for _ in range(10):
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            b = rng.randrange(tw.q2.size)
+            gens.append(from_affine(tw, 1, b,
+                                    rng.choice(tw.solve_additive_raw(b))))
+        t = omega(tw)
+        for _ in range(rng.randrange(1, 4)):
+            t = compose(t, rng.choice(
+                [omega(tw), epsilon(tw, tw.a_pow(rng.randrange(1, q * q)))]))
+        if apply_place(t, P_INF) == P_INF:
+            t = compose(t, omega(tw))
+        t_inv = inverse(t)
+        grp = close_group(tw, [compose(compose(t_inv, g), t) for g in gens])
+        assert all(apply_place(g, P_INF) != P_INF for g in grp.gens)
+        n, r = _check_order_p_records(tw, grp, monkeypatch)
+        assert n == 1
+        calls, reps = calls + n, reps + r
+    assert calls < reps
+
+
+@pytest.mark.parametrize("q, calls_reps", [(3, (2, 2)), (4, (1, 1)),
+                                           (5, (1, 2))])
+def test_order_p_records_on_pgu(towers, q, calls_reps, monkeypatch):
+    assert _check_order_p_records(towers[q], _pgu(towers[q]),
+                                  monkeypatch) == calls_reps
+
+
 def _sylow_p_subgroup(tw):
     """The translations tau(b, c), of order q^3, from b over the F_p-basis
     1, a, ..., a^(2e - 1) of F_{q^2}, moved by omega to fix (0 : 0 : 1)."""
@@ -779,7 +832,8 @@ def test_walk_searches_each_eigenspace_once(towers, q, monkeypatch):
 def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
     # translation groups at q = 8, 16 and the 9c stream at q <= 8: the walk
     # follows the group's tables, and the only product left is the
-    # nilpotent square of each order-p class representative (_wild_place)
+    # nilpotent square of _wild_place, once per distinct place among the
+    # order-p class representatives
     tw = towers[q] if q in towers else build_tower(2, 4)
     groups = _translation_groups(tw, random.Random(q)) if q in (8, 16) else []
     if q != 16:
@@ -799,8 +853,9 @@ def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
     for grp in groups:
         squares.clear()
         walk = _cyclic_walk(tw, grp)
-        assert squares == [True] * sum(
-            1 for i, c in enumerate(walk) if c.rep == i and c.order == tw.p)
+        assert squares == [True] * len(
+            {c.fixed[0] for i, c in enumerate(walk)
+             if c.rep == i and c.order == tw.p})
 
 
 def test_orbit_guard_reads_the_walk_at_the_last_member(tw3):
@@ -852,8 +907,12 @@ def test_pgu33_quotient_rows(tw3):
 # point of x -> a x + b moves to 0. omega's N_sigma at q = 3 off by q, or
 # the engine's i-value off by one at the wild place P(0, 0) of
 # omega tau(0, a^2) omega, breaks the class's Lefschetz identity
-# N_sigma = (q + 1)^2 - q D. A name with a module prefix is looked up
-# there, any other in the engine.
+# N_sigma = (q + 1)^2 - q D. The walk's reuse of a place found before, if
+# its probe (the one generator expression in the engine that calls
+# apply_place) accepts a place sigma does not fix, gives the second class
+# of elations of SL(2, 9) = <tau(0, c), omega tau(0, c) omega> the place of
+# the first, and P_inf an inertia group too large for its stabiliser. A
+# name with a module prefix is looked up there, any other in the engine.
 FAULTS = {
     "burnside": ("_twisted_count", 3, "omega",
                  "twisted points over F_q^6 sum to 33, not a multiple of "
@@ -909,6 +968,12 @@ FAULTS = {
                           "an element of order 3 has N = 1 on the wild "
                           "path, not (q + 1)^2 - q D = -2 with D = 6",
                           "lambda real: lambda *a: real(*a) + 1"),
+    "wild-place-reuse": ("apply_place", 9,
+                         "tau(0,a^45), omega*tau(0,a^45)*omega",
+                         "the inertia group at P_inf has order 76, not a "
+                         "divisor of its stabiliser's order 72",
+                         "lambda real: lambda f, pl: pl if sys._getframe(1)"
+                         ".f_code.co_name == '<genexpr>' else real(f, pl)"),
     "orbit-stabiliser": ("inertia_data", 3, "omega",
                          "the inertia group at P(4,1) has order 2, not a "
                          "divisor of its stabiliser's order 3",

@@ -104,7 +104,8 @@ def test_no_module_imports_dataclasses():
 # the kernels written out on the F_(q^2) log/exp and addition tables: on
 # their F_(q^2) path none of them calls or aliases a level method
 TABLE_KERNELS = {"gf.py": ("ExtLevel.mul", "ExtLevel.add", "ExtLevel.sub"),
-                 "_linalg.py": ("mat_mul3", "mat_vec3", "cross3")}
+                 "_linalg.py": ("mat_mul3", "mat_vec3", "cross3"),
+                 "autgrp.py": ("coset_products",)}
 LEVEL_METHODS = {"mul", "add", "sub"}
 
 

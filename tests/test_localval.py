@@ -438,6 +438,54 @@ def test_i_value_matches_the_adjugate_reference(frame_places):
     assert branches == {0, 1, 2, "q + 2"}
 
 
+def _division_i_value(tw, place, m):
+    """The i-value by division: (a, b, c) of the conjugate at P_inf from
+    affine_form, 1 when a != 1, 2 when b != 0, q + 2 when only c is left,
+    and 0 when the conjugate moves P_inf."""
+    form = affine_form(tw.q2, to_infinity(tw, place), m)
+    if form is None:
+        return 0
+    if form[0] != 1:
+        return 1
+    return 2 if form[1] else tw.q + 2
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_i_value_read_off_entries_matches_the_division(towers, q):
+    # every element of the stabiliser of P_inf and of two affine places,
+    # closed from eps(a) and tau(1, c) moved there by adj(T) . T, T the
+    # constructors' frame: at its own place and at the next one, the
+    # i-value read off the conjugate's entries is the division's, and 0
+    # exactly when the element moves the place
+    tw = towers[q]
+    lvl = tw.q2
+    places = [P_INF] + random.Random(q).sample(rational_places(tw)[1:], 2)
+    base = [epsilon(tw, tw.a),
+            from_affine(tw, 1, 1, tw.solve_additive_raw(1)[0])]
+    order = q ** 3 * (q * q - 1)
+    seen = set()
+    for k, pl in enumerate(places):
+        gens = base
+        if pl != P_INF:
+            t = _constructor_frame(tw, pl)
+            gens = [Aut(tw, normalize_point(lvl, mat_mul3(
+                lvl, mat_mul3(lvl, mat_adj3(lvl, t), g.m), t))) for g in base]
+        grp = close_group(tw, gens, cap=order)
+        assert grp.order == order
+        other = places[(k + 1) % len(places)]
+        for f in grp.elements[1:]:
+            want = _division_i_value(tw, pl, f.m)
+            assert want > 0 and i_value(tw, pl, f) == want
+            seen.add(want if want < 3 else "q + 2")
+            got = i_value(tw, other, f)
+            if apply_place(f, other) != other:
+                assert got == 0
+                seen.add("moved")
+            else:
+                assert got == _division_i_value(tw, other, f.m) > 0
+    assert seen == {1, 2, "q + 2", "moved"}
+
+
 def _grid_and_9c_groups(towers):
     for case, qs in GRID.items():
         for q in qs:
