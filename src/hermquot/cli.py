@@ -31,8 +31,7 @@ from .curve import (DEFAULT_DEG3_BUDGET, degree3_count, degree3_places,
                     rational_places)
 from .engine import genus_of_quotient, tame_diff_crosscheck
 from .formulas import HypothesisNotMet
-from .gf import (TABLE_LIMIT, BudgetExceeded, GFError, build_tower, factorize,
-                 is_prime)
+from .gf import TABLE_LIMIT, BudgetExceeded, GFError, build_tower, factorize
 
 # the largest q whose F_(q^2) gets log tables; a q above it is rejected
 # before factoring or primality testing, which trial-divide
@@ -55,30 +54,10 @@ def _factor_q(q: int):
     return p, e
 
 
-def _tower_from_args(args):
-    if args.q is not None:
-        p, e = _factor_q(args.q)
-        if args.p is not None and args.p != p:
-            raise UsageError(f"--p {args.p} contradicts --q {args.q}")
-        if args.e is not None and args.e != e:
-            raise UsageError(f"--e {args.e} contradicts --q {args.q}")
-    elif args.p is not None:
-        p, e = args.p, 1 if args.e is None else args.e
-        if e < 1:
-            raise UsageError(f"--e {e} is below 1")
-        # p >= 2 and e past Q_MAX's bit length give p^e > Q_MAX
-        if p < 2 or e > Q_MAX.bit_length() or p ** e > Q_MAX:
-            raise UsageError(f"--p {p} --e {e}: q = p^e outside 2..{Q_MAX}")
-        if not is_prime(p):
-            raise UsageError(f"--p {p} is not prime")
-    else:
-        raise UsageError("one of --q or --p is required")
-    return _tower(p, e)
-
-
 @functools.cache
 def _tower(p: int, e: int):
-    """One tower per (p, e) per process, for every --q/--p/--e call."""
+    """One tower per (p, e) per process, shared by every genus, verify and
+    places call; table builds each q of its list afresh."""
     return build_tower(p, e)
 
 
@@ -148,7 +127,7 @@ def _as_text(data) -> str:
 
 
 def cmd_genus(args) -> int:
-    tower = _tower_from_args(args)
+    tower = _tower(*_factor_q(args.q))
     formula = None
     if args.case and args.spec is not None:
         raise UsageError("--spec and --case exclude each other")
@@ -167,21 +146,17 @@ def cmd_genus(args) -> int:
         except HypothesisNotMet as ex:
             _write(f"skipped(hypothesis): {ex}")
             return 0
-        gens = [spec]
     elif args.spec is not None:
-        expected = None
-        gens = [args.spec] if args.spec.strip() else []
+        expected, spec = None, args.spec
     else:
         raise UsageError("genus needs --spec or --case/--m")
-    gen_auts = []
-    for g in gens:
-        gen_auts.extend(autgrp.parse_spec(tower, g))
-    group = autgrp.close_group(tower, gen_auts)
+    group = autgrp.group_from_spec(tower, spec)
     rep = genus_of_quotient(tower, group, expected=expected)
     if expected is not None:
         formula = {"name": args.case, "params": {"q": tower.q, "m": args.m},
                    "expected": expected, "matched": rep.genus == expected}
-    data = _report_dict(tower, group, rep, gens, formula)
+    data = _report_dict(tower, group, rep, [spec] if spec.strip() else [],
+                        formula)
     _write(json.dumps(data, indent=2) if args.format == "json"
            else _as_text(data), args.out)
     if expected is not None and rep.genus != expected:
@@ -232,14 +207,10 @@ def cmd_table(args) -> int:
     for c in cases:
         if c not in formulas.CASES:
             raise UsageError(f"unknown case {c!r}")
-    if args.q is not None and args.q_list is not None:
-        raise UsageError("--q and --q-list exclude each other")
     try:
-        qs = [int(s) for s in args.q_list.split(",")] if args.q_list else [args.q]
+        qs = [int(s) for s in args.q_list.split(",")]
     except ValueError:
         raise UsageError(f"--q-list {args.q_list!r} is not a list of integers") from None
-    if qs == [None]:
-        raise UsageError("table needs --q or --q-list")
     rows = []
     for q in sorted(set(qs)):
         rows.extend(_table_rows(build_tower(*_factor_q(q)), cases))
@@ -261,7 +232,7 @@ def cmd_table(args) -> int:
 def cmd_places(args) -> int:
     if args.deg3_budget < 0:
         raise UsageError(f"--deg3-budget {args.deg3_budget} is negative")
-    tower = _tower_from_args(args)
+    tower = _tower(*_factor_q(args.q))
     data = {"q": tower.q, "rational": [], "degree3_count": degree3_count(tower)}
     for pl in rational_places(tower):
         data["rational"].append(_place_str(tower, pl))
@@ -353,7 +324,7 @@ def _verify_suites(tower):
 
 
 def cmd_verify(args) -> int:
-    tower = _tower_from_args(args)
+    tower = _tower(*_factor_q(args.q))
     bad = 0
     for name, passes, fails, first in _verify_suites(tower):
         line = f"{name}: {passes} passed, {fails} failed"
@@ -368,17 +339,18 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
     unchanged and returns a fresh namespace, so main calls can share it."""
-    ap = argparse.ArgumentParser(prog="hermquot",
+    ap = argparse.ArgumentParser(prog="hermquot", allow_abbrev=False,
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def tower_flags(sp):
-        sp.add_argument("--q", type=int, help="prime power q")
-        sp.add_argument("--p", type=int, help="characteristic")
-        sp.add_argument("--e", type=int, help="exponent, q = p^e")
+    # every subcommand takes its flags in full: an abbreviation exits 2
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("genus", help="genus of one quotient")
-    tower_flags(g)
+    def q_flag(sp):
+        sp.add_argument("--q", type=int, required=True, help="prime power q")
+
+    g = add_parser("genus", help="genus of one quotient")
+    q_flag(g)
     g.add_argument("--format", choices=["text", "json"], default="text")
     g.add_argument("--out", help="write output to a file")
     g.add_argument("--spec", help="generator list, e.g. 'eps(a), omega'")
@@ -386,20 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int)
     g.set_defaults(func=cmd_genus)
 
-    t = sub.add_parser("table", help="sweep cases against their formulas")
-    t.add_argument("--q", type=int, help="prime power q")
+    t = add_parser("table", help="sweep cases against their formulas")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.add_argument("--out", help="write output to a file")
     t.add_argument("--case", help="comma-separated case names (default all)")
-    t.add_argument("--q-list", help="comma-separated q values")
+    t.add_argument("--q-list", required=True,
+                   help="comma-separated q values, one or more")
     t.set_defaults(func=cmd_table)
 
-    v = sub.add_parser("verify", help="run property suites")
-    tower_flags(v)
+    v = add_parser("verify", help="run property suites")
+    q_flag(v)
     v.set_defaults(func=cmd_verify)
 
-    pl = sub.add_parser("places", help="list places of the curve")
-    tower_flags(pl)
+    pl = add_parser("places", help="list places of the curve")
+    q_flag(pl)
     pl.add_argument("--format", choices=["text", "json"], default="text")
     pl.add_argument("--with-degree3", action="store_true")
     pl.add_argument("--deg3-budget", type=int, default=DEFAULT_DEG3_BUDGET,

@@ -143,7 +143,7 @@ def rational_places(tower: FieldTower) -> list[Place]:
     q2 = tower.q2
     out = [P_INF]
     rank = q2.rank.__getitem__
-    for alpha in q2.elements_by_key():
+    for alpha in q2.rank:
         for beta in sorted(tower.solve_additive_raw(alpha, "q2"), key=rank):
             out.append(rational_place(alpha, beta))
     if len(out) != tower.q ** 3 + 1:

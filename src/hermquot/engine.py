@@ -432,14 +432,6 @@ def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
     raise EngineError(f"an element of order {order} is on no count path")
 
 
-def twisted_counts(tower: FieldTower, aut: Aut) -> TwistedCount:
-    """N_sigma for a nontrivial automorphism, from points."""
-    assert not aut.is_identity()
-    eigen = _eigen_data(tower, aut)
-    return _twisted_count(tower, aut, aut_order(aut), eigen[0],
-                          fixed_rational_places(tower, aut, eigen))
-
-
 class GenusReport(NamedTuple):
     q: int
     group_order: int

@@ -155,7 +155,9 @@ class BaseLevel:
     With n = q^2 - 1, _L is the log table with log 0 = 2n and _E the exp
     table twice and then 2n + 1 zeros, so x y = _E[_L[x] + _L[y]] with no
     branch; _addt[x |F| + y] = x + y for odd p.  rank[x] is x's place in
-    key order."""
+    key order, the order of its digits compared from the constant term
+    upward; rank is its own inverse, so it also lists the elements in key
+    order."""
 
     name = "q2"
 
@@ -187,10 +189,6 @@ class BaseLevel:
         for d in reversed(digits):
             x = x * self.p + d
         return x
-
-    def key(self, x: int) -> tuple[int, ...]:
-        """Ordering key: coefficient tuple from the constant term upward."""
-        return self.digits(x)
 
     # -- construction ------------------------------------------------------
     def _build_tables(self):
@@ -292,9 +290,6 @@ class BaseLevel:
             raise GFError("dlog of zero")
         return self.log[x]
 
-    def elements_by_key(self):
-        return list(self.rank)
-
     def values(self, terms):
         """Values of sum c s^e over the (c, e) in terms at s = a^l for
         l = 0..n-1, n = |F| - 1, as a sequence: c s^e is exp[log c + e l],
@@ -349,7 +344,7 @@ class ExtLevel:
         self._Q2 = Q * Q
         self.size = Q ** 3
         self._E, self._L = base._E, base._L
-        self.mod = _first_irreducible(base, base.elements_by_key(), 3)
+        self.mod = _first_irreducible(base, base.rank, 3)
         # t^3 = r0 + r1 t + r2 t^2 and t^4 = t t^3, reduced, kept as logs
         r0, r1, r2 = map(base.neg, self.mod)
         m, ad = base.mul, base.add

@@ -1,12 +1,15 @@
 """Command line interface: exit codes, output formats, table sweeps."""
 
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -146,13 +149,65 @@ def test_usage_error_exit_code(capsys):
     ("table", "--q-list", "1000000000000000003"),
     ("genus", "--p", "2", "--e", "1000000000", "--spec", "omega"),
     ("genus", "--q", "2048", "--spec", "omega"),
-    ("table", "--q", "4", "--q-list", "8"),  # exclude each other
+    ("table", "--q", "4", "--q-list", "8"),
+    # one spelling per input: no --p/--e, table takes --q-list only, and
+    # no flag is accepted under a prefix
+    ("places", "--q", "2", "--p", "2"),
+    ("verify", "--q", "2", "--e", "1"),
+    ("table", "--q", "4"),
+    ("verify",),  # --q is required
+    ("genus", "--q", "4", "--sp", "omega"),
+    ("genus", "--q", "4", "--spec", "omega", "--form", "json"),
+    ("places", "--q", "2", "--with"),
+    ("table", "--q-l", "4"),
+    ("table", "--q-list", "4", "--ca", "t3"),
 ])
 def test_unknown_flag_format_or_q_exit_code(capsys, argv):
     t0 = time.monotonic()
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
     assert time.monotonic() - t0 < 1
+
+
+# each subcommand's flags, as README.md's "Flags per subcommand" lists them:
+# adding or dropping a flag changes this table and the README with it
+FLAGS = {
+    "genus": {"--q", "--spec", "--case", "--m", "--format", "--out"},
+    "table": {"--q-list", "--case", "--format", "--out"},
+    "verify": {"--q"},
+    "places": {"--q", "--format", "--with-degree3", "--deg3-budget"},
+}
+
+
+def _subcommand_parsers():
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_flags_per_subcommand_match_the_readme():
+    parsed = {name: {s for a in sp._actions for s in a.option_strings}
+              - {"-h", "--help"} for name, sp in _subcommand_parsers().items()}
+    assert parsed == FLAGS
+    assert sum(map(len, FLAGS.values())) == 15
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("Flags per subcommand")[1].split("\n\n")[1]
+    bullets = re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", section, re.M | re.S)
+    assert {name: set(re.findall(r"`(--[\w-]+)", text))
+            for name, text in bullets} == FLAGS
+
+
+def test_no_flag_is_accepted_under_a_prefix():
+    # every strict prefix of a flag that is not a flag itself stays
+    # unrecognised, so the command exits 2 on it
+    required = {"table": ["--q-list", "2"]}
+    ap = build_parser()
+    for name, flags in FLAGS.items():
+        argv = [name, *required.get(name, ["--q", "2"])]
+        prefixes = {f[:n] for f in flags for n in range(3, len(f))} - flags
+        for prefix in sorted(prefixes):
+            _args, extras = ap.parse_known_args(argv + [prefix])
+            assert extras == [prefix], (name, prefix)
 
 
 def test_table_q5_hypothesis_skips(capsys):
@@ -175,7 +230,7 @@ def test_table_q5_hypothesis_skips(capsys):
 def test_table_t511_skipped_at_q2(capsys):
     # at q = 2 sigma5(delta=a^3) has order 6, not q^2 - 1 = 3, so the
     # closed form does not describe the groups the spec builds
-    code, out, _ = run_cli(capsys, "table", "--q", "2", "--case", "t511",
+    code, out, _ = run_cli(capsys, "table", "--q-list", "2", "--case", "t511",
                            "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))

@@ -51,7 +51,6 @@ from hermquot.engine import (
     genus_of_quotient,
     pointwise_fixed_degree3_places,
     tame_diff_crosscheck,
-    twisted_counts,
 )
 from hermquot.formulas import case_modulus, case_spec, expected_genus
 from hermquot.gf import GFError, build_tower, poly_roots
@@ -62,7 +61,7 @@ from _walk_oracle import (
     walk_per_subgroup,
 )
 from test_acceptance import GRID, random_atom, random_group
-from test_twisted import SINGER3_Q2
+from test_twisted import SINGER3_Q2, twisted_counts
 
 
 def brute_fixed_rational(tw, f):

@@ -101,11 +101,12 @@ def _q2_level(towers, q):
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_rank_is_key_order(towers, q):
     # rank is built by digit reversal, not by a sort; it must be each
-    # element's position in the order of its key
+    # element's position in the order of its digits, and, being its own
+    # inverse, list the elements in that order
     lvl = _q2_level(towers, q)
-    by_key = sorted(range(lvl.size), key=lvl.key)
+    by_key = sorted(range(lvl.size), key=lvl.digits)
     assert [lvl.rank[x] for x in by_key] == list(range(lvl.size))
-    assert lvl.elements_by_key() == by_key
+    assert lvl.rank == by_key
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
@@ -443,8 +444,8 @@ def test_poly_roots_repeated_roots(towers, q):
                                       for _ in range(3)]:
         for mults in ({r: 3}, {r: 2, s: 1}, {s: 3, t: 2}, {r: 2, s: 2, t: 1}):
             cs = _from_roots(lvl, [x for x, m in mults.items() for _ in range(m)])
-            assert poly_roots(lvl, cs) == sorted(mults.items(),
-                                                 key=lambda xm: lvl.key(xm[0]))
+            assert poly_roots(lvl, cs) == sorted(
+                mults.items(), key=lambda xm: lvl.digits(xm[0]))
 
 
 # A per-coefficient reference for F_(q^6) = F_(q^2)[t]/(g): every base

@@ -173,8 +173,8 @@ def test_table_kernel_check_sees_level_calls():
 
 
 # definitions kept only as seams for the tests and the benchmark
-TEST_SEAMS = {"twisted_counts", "v_vanishing_index", "v_vanishing_even_char",
-              "expand_at", "ramification_data", "sigma_order"}
+TEST_SEAMS = {"v_vanishing_index", "v_vanishing_even_char", "expand_at",
+              "ramification_data", "sigma_order"}
 
 
 # methods and properties kept only as seams for the tests and the benchmark

@@ -9,7 +9,8 @@ from hermquot._linalg import charpoly3, mat_vec3
 from hermquot.autgrp import (aut_order, compose, from_affine, group_from_spec,
                              parse_spec)
 from hermquot.curve import normalize_point
-from hermquot.engine import (_cyclic_walk, genus_of_quotient, twisted_counts,
+from hermquot.engine import (_cyclic_walk, _eigen_data, _twisted_count,
+                             fixed_rational_places, genus_of_quotient,
                              twisted_fix_count)
 from hermquot.formulas import case_modulus, case_spec
 from hermquot.gf import BaseLevel, GFError, build_tower, poly_roots
@@ -21,6 +22,15 @@ from test_acceptance import random_atom, random_group
 SINGER3_Q2 = "tau(a^0, a^1) * omega * eps(a^1)"
 SINGER7_Q3 = "tau(a^1, a^0) * omega * eps(a^7)"
 SINGER3_Q5 = "tau(a^0, a^4) * omega * eps(a^16)"
+
+
+def twisted_counts(tw, aut):
+    """The engine's N_sigma for one nontrivial automorphism, on its own: the
+    count path and fixed places the quotient's class walk would give it."""
+    assert not aut.is_identity()
+    eigen = _eigen_data(tw, aut)
+    return _twisted_count(tw, aut, aut_order(aut), eigen[0],
+                          fixed_rational_places(tw, aut, eigen))
 
 
 def brute_twisted_counts(tw, auts, n):
