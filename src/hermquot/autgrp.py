@@ -82,16 +82,8 @@ def from_affine(tower: FieldTower, a: int, b: int, c: int) -> Aut:
 
 def proj_mul(lvl, a: tuple, b: tuple) -> tuple:
     """The product a b of point matrices over F_{q^2} (row-major 9-tuples),
-    scaled in the log domain so that its first nonzero entry is 1."""
-    m = mat_mul3(lvl, a, b)
-    c = m[0] or next(filter(None, m), 0)
-    if c != 1:
-        if not c:
-            raise GFError("zero vector is not a projective point")
-        E, L = lvl._E, lvl._L
-        s = lvl.size - 1 - L[c]
-        m = tuple([E[L[x] + s] for x in m])
-    return m
+    scaled so that its first nonzero entry is 1."""
+    return normalize_point(lvl, mat_mul3(lvl, a, b))
 
 
 def coset_products(lvl, logs, x: tuple) -> list:
@@ -170,12 +162,6 @@ def aut_pow(f: Aut, n: int) -> Aut:
     return out
 
 
-def apply_point(f: Aut, lvl, pt):
-    """Image of a projective point; matrix entries are base-field ints,
-    valid verbatim at any level of the tower."""
-    return mat_vec3(lvl, f.m, pt)
-
-
 def apply_place(f: Aut, place: Place) -> Place:
     """The image of a place. At a rational place (alpha, beta) this is
     M (alpha, beta, 1) with mat_vec3's table reads, divided by its z in the
@@ -183,7 +169,7 @@ def apply_place(f: Aut, place: Place) -> Place:
     image with z = 0 to place_of_point, which checks that it is P_inf."""
     tower, kind, m = f.tower, place.kind, f.m
     if kind == "degree3":
-        return degree3_place(tower, apply_point(f, tower.q6, place.data[0]))
+        return degree3_place(tower, mat_vec3(tower.q6, m, place.data[0]))
     if kind == "infinity":
         return place_of_point(tower, (m[1], m[4], m[7]))
     lvl = tower.q2

@@ -68,14 +68,19 @@ def place_sort_key(tower: FieldTower, place: Place):
 
 def normalize_point(lvl, v):
     """Scale a nonzero projective vector (a point, or a 3x3 matrix as a
-    row-major 9-tuple) so its first nonzero entry is 1."""
-    for c in v:
-        if c != 0:
-            if c == 1:
-                return tuple(v)
-            ic = lvl.inv(c)
-            return tuple(lvl.mul(ic, x) for x in v)
-    raise GFError("zero vector is not a projective point")
+    row-major 9-tuple) so its first nonzero entry c is 1; at F_{q^2} each
+    entry x / c is E[L[x] + n - L[c]] in the log domain, n = q^2 - 1."""
+    c = v[0] or next(filter(None, v), 0)
+    if c == 1:
+        return tuple(v)
+    if not c:
+        raise GFError("zero vector is not a projective point")
+    if lvl.name != "q2":
+        ic = lvl.inv(c)
+        return tuple(lvl.mul(ic, x) for x in v)
+    E, L = lvl._E, lvl._L
+    s = lvl.size - 1 - L[c]
+    return tuple([E[L[x] + s] for x in v])
 
 
 def herm(lvl, u, v):

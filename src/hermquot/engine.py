@@ -77,10 +77,11 @@ of order prime to p lies in a maximal torus of type (q + 1)^3 or
 (q^2 - 1)(q + 1), split over F_{q^2}, or q^3 + 1, whose elements with no
 eigenvalue in F_{q^2} have an irreducible charpoly; any other element is an
 EngineError. The points over F_{q^6} alone give the subcount of quotient
-places under places of degree 1 and 3; unless ord(sigma) = 3 they are
-sigma's fixed rational points (_twisted_count). Each class's N_sigma must
-also meet the Lefschetz fixed-point formula, as Frobenius acts on H^1 of
-the maximal curve as -q: N_sigma = (q + 1)^2 - q D, D the sum of
+places under places of degree 1 and 3, by one rule on every path: unless
+ord(sigma) = 3 they are sigma's fixed rational points, and at order 3 they
+are all N_sigma of them (proved in _twisted_count). Each class's N_sigma
+must also meet the Lefschetz fixed-point formula, as Frobenius acts on H^1
+of the maximal curve as -q: N_sigma = (q + 1)^2 - q D, D the sum of
 deg P i_P(sigma) over the places sigma fixes pointwise.
 """
 from __future__ import annotations
@@ -228,6 +229,23 @@ def _wild_place(tower: FieldTower, m: tuple) -> Place:
     return place_of_point(tower, pt)
 
 
+def _cubic_eigenvector(tower: FieldTower, aut: Aut, cubic):
+    """(mu, v): the first root mu in F_{q^6} of aut's irreducible cubic
+    charpoly and the vector spanning its eigenspace there, or
+    EngineError."""
+    q6 = tower.q6
+    roots = poly_roots(q6, cubic)
+    if not roots:
+        raise EngineError(f"the charpoly of an element of order "
+                          f"{aut_order(aut)} has no root in F_q^6")
+    mu = roots[0][0]
+    basis = _eigenspace(q6, aut.m, mu)
+    if len(basis) != 1:
+        raise EngineError(f"an element of order {aut_order(aut)} has an "
+                          f"eigenspace of dimension {len(basis)} over F_q^6")
+    return mu, basis[0]
+
+
 def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
                                    eigen=None) -> list[Place]:
     """All degree-3 places every point of which is fixed by aut. Nonempty
@@ -245,15 +263,7 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     # irreducible cubic factor: eigenvalues form one Frobenius orbit in
     # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
     # single root already determines the whole candidate place
-    roots = poly_roots(q6, cubic)
-    if not roots:
-        raise EngineError(f"the charpoly of an element of order "
-                          f"{aut_order(aut)} has no root in F_q^6")
-    basis = _eigenspace(q6, aut.m, roots[0][0])
-    if len(basis) != 1:
-        raise EngineError(f"an element of order {aut_order(aut)} has an "
-                          f"eigenspace of dimension {len(basis)} over F_q^6")
-    pt = normalize_point(q6, basis[0])
+    pt = normalize_point(q6, _cubic_eigenvector(tower, aut, cubic)[1])
     if not on_curve(q6, pt):
         return []
     if point_is_rational(tower, pt):
@@ -279,8 +289,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     as q^2 + q + 1 is prime to p.
     """
     q, q6 = tower.q, tower.q6
-    mu = poly_roots(q6, charpoly3(tower.q2, aut.m))[0][0]
-    p1 = _eigenspace(q6, aut.m, mu)[0]
+    mu, p1 = _cubic_eigenvector(tower, aut, charpoly3(tower.q2, aut.m))
     p2 = tuple(map(q6.frobq2, p1))
     ps = (p1, p2, tuple(map(q6.frobq2, p2)))
     h = [[herm(q6, u, v) for v in ps] for u in ps]
@@ -298,9 +307,8 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     return (q * q - q + 1) * (len(p_gcd(q6, poly, p_trim(r))) - 1)
 
 
-def _diagonal_counts(tower: FieldTower, eig):
-    """(N, N6) for sigma diagonalisable over F_{q^2}, where N counts every
-    x with Frob(x) = sigma(x) and N6 those over F_{q^6}.
+def _diagonal_counts(tower: FieldTower, eig) -> int:
+    """N = #{x : Frob(x) = sigma(x)} for sigma diagonalisable over F_{q^2}.
 
     With eigenvalues a^(k_i) and eigenvectors p_i, the solutions are
     x = sum t_i Theta^(e_i) p_i with e_i = k_i - k_1, Theta^(q^2 - 1) = a and
@@ -313,9 +321,7 @@ def _diagonal_counts(tower: FieldTower, eig):
     nonzero entries of a row all sit at one eigenvalue, and a nondegenerate
     Gram matrix (one product W V, W's rows the (-X^q, Z^q, Y^q) of the p_i)
     with this pattern has such a k. For each (t_i : t_j) in P^1 the t_k are
-    then a norm fibre of size 0, 1 or q + 1. A solution is over
-    F_{q^6} iff sigma^3 fixes it, i.e. its support lies in one eigenspace
-    of M^3.
+    then a norm fibre of size 0, 1 or q + 1.
     """
     lvl, q = tower.q2, tower.q
     n = lvl.size - 1
@@ -347,27 +353,20 @@ def _diagonal_counts(tower: FieldTower, eig):
     i, j = (x for x in range(3) if x != k)
     ik = lvl.neg(lvl.inv(c[k][k]))
     d = [[lvl.mul(ik, c[x][y]) for y in (i, j)] for x in (i, j)]
-    cls = [3 * x % n for x in ks]  # eigenvalue logs of M^3
-    frobt = lvl.frobt
-    # (t_i : t_j) = (1 : 0), (0 : 1) and (1 : a^l): the value of c_kk t_k^(q+1)
-    # is beta, support {i}, {j} and {i, j} plus k when t_k != 0
-    total = total6 = 0
-    for vals, support in (([d[0][0]], (i,)), ([d[1][1]], (j,)),
-                          (lvl.values(((d[0][0], 0), (d[0][1], 1),
-                                       (d[1][0], q), (d[1][1], q + 1))),
-                           (i, j))):
+    # (t_i : t_j) = (1 : 0), (0 : 1) and (1 : a^l), each with the value of
+    # t_k^(q+1) it needs: 0 gives one point, a nonzero norm q + 1
+    total = 0
+    for vals in ([d[0][0]], [d[1][1]],
+                 lvl.values(((d[0][0], 0), (d[0][1], 1),
+                             (d[1][0], q), (d[1][1], q + 1)))):
         zeros = vals.count(0)
-        norms = sum(1 for v in vals if frobt[v] == v) - zeros
+        norms = sum(1 for v in vals if fr[v] == v) - zeros
         total += zeros + (q + 1) * norms
-        if len({cls[x] for x in support}) == 1:
-            total6 += zeros
-            if cls[k] == cls[support[0]]:
-                total6 += (q + 1) * norms
-    return total, total6
+    return total
 
 
-def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
-    """(N, N6) for sigma with p | ord(sigma), as in _diagonal_counts.
+def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int) -> int:
+    """N, as in _diagonal_counts, for sigma with p | ord(sigma).
 
     sigma fixes exactly the rational place its p-part fixes; conjugating
     that place to P_inf (N is invariant under conjugation in PGU(3, q))
@@ -381,8 +380,7 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
         y -> a^(q+1) y + c + (1 - a^(q+1)) d - b x0^q; a p-part forces
         a^(q+1) = 1 and c' = c - b x0^q != 0, and the roots of
         (a - 1) x^(q+1) = c' satisfy x^(q^2 - 1) = a all or none;
-    each with the q roots y of y^q + y = x^(q+1). sigma^3 fixes P_inf and
-    no affine twisted point unless sigma^3 = 1.
+    each with the q roots y of y^q + y = x^(q+1).
     """
     lvl, q = tower.q2, tower.q
     if len(fixed) != 1:
@@ -401,8 +399,7 @@ def _wild_counts(tower: FieldTower, aut: Aut, fixed, order: int):
             raise EngineError(f"an element of order {order} is semisimple")
         beta = lvl.div(c, lvl.sub(a, 1))
         xs = q + 1 if lvl.pow(beta, q - 1) == a else 0
-    total = 1 + q * xs
-    return total, (total if order == 3 else 1)
+    return 1 + q * xs
 
 
 class TwistedCount(NamedTuple):
@@ -417,19 +414,22 @@ class TwistedCount(NamedTuple):
 def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
                    fixed) -> TwistedCount:
     if order % tower.p == 0:
-        return TwistedCount(*_wild_counts(tower, aut, fixed, order), "wild")
-    if sum(len(b) for _l, _m, b in eig) == 3:
-        return TwistedCount(*_diagonal_counts(tower, eig), "diagonal")
-    if not eig:
-        n = twisted_fix_count(tower, aut)
-        # other orders: over F_{q^6} only the fixed rational points solve
-        # Frob(x) = sigma(x), and an irreducible charpoly fixes none. sigma
-        # would cycle the points of a non-rational solution's degree-3 place
-        # as Frobenius does; a line through all three would be defined over
-        # F_{q^2} and meet the curve only in rational points, so in their
-        # basis sigma is diagonal times a 3-cycle, of order 3
-        return TwistedCount(n, n if order == 3 else 0, "F_q^6")
-    raise EngineError(f"an element of order {order} is on no count path")
+        path, n = "wild", _wild_counts(tower, aut, fixed, order)
+    elif sum(len(b) for _l, _m, b in eig) == 3:
+        path, n = "diagonal", _diagonal_counts(tower, eig)
+    elif not eig:
+        path, n = "F_q^6", twisted_fix_count(tower, aut)
+    else:
+        raise EngineError(f"an element of order {order} is on no count path")
+    # n6, the solutions over F_{q^6}: the rational ones are sigma's fixed
+    # rational points. A non-rational one x lies on a degree-3 place, whose
+    # three points x, Frob(x), Frob^2(x) sigma cycles as Frobenius does. A
+    # line through them would be defined over F_{q^2}, and such a line meets
+    # the curve only in rational points, so they span the plane; in their
+    # basis sigma is a 3-cycle times a diagonal matrix, and sigma^3 is
+    # scalar, so ord(sigma) = 3. At order 3, Frob^3(x) = sigma^3(x) = x for
+    # every solution x, so all of them lie over F_{q^6}.
+    return TwistedCount(n, n if order == 3 else len(fixed), path)
 
 
 class GenusReport(NamedTuple):

@@ -54,17 +54,6 @@ ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
 SCAN_ROOT_LIMIT = 1024      # F_(q^2) root scan up to this size (q <= 32)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine at desk scale."""
     out: dict[int, int] = {}
@@ -248,13 +237,12 @@ class BaseLevel:
                 break
         else:  # pragma: no cover
             raise GFError("no primitive element")
-        log = [-1] * size
+        L = [2 * n] * size
         for i, v in enumerate(exp):
-            log[v] = i
-        self.a, self.exp, self.log = x, exp, log
+            L[v] = i
+        self.a, self._L = x, L
         self._E = exp + exp + [0] * (2 * n + 1)
-        self._L = [2 * n] + log[1:]
-        self.frobt = [0] + [exp[l * self.q % n] for l in log[1:]]
+        self.frobt = [0] + [exp[l * self.q % n] for l in L[1:]]
         self._strides = {}  # e -> getter of the e l mod n, l < n, for values
 
     # -- arithmetic ---------------------------------------------------------
@@ -267,7 +255,7 @@ class BaseLevel:
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.exp[(-self.log[x]) % (self.size - 1)]
+        return self._E[self.size - 1 - self._L[x]]
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -279,7 +267,7 @@ class BaseLevel:
             if k < 0:
                 raise ZeroDivisionError("0 ** negative")
             return 0
-        return self.exp[(self.log[x] * k) % (self.size - 1)]
+        return self._E[self._L[x] * k % (self.size - 1)]
 
     def frobq(self, x):
         """x -> x^q."""
@@ -288,7 +276,7 @@ class BaseLevel:
     def dlog(self, x) -> int:
         if x == 0:
             raise GFError("dlog of zero")
-        return self.log[x]
+        return self._L[x]
 
     def values(self, terms):
         """Values of sum c s^e over the (c, e) in terms at s = a^l for
@@ -324,7 +312,7 @@ class BaseLevel:
         l = -1
         for _ in range(vals.count(x)):
             l = vals.index(x, l + 1)
-            out.append(self.exp[l])
+            out.append(self._E[l])
         return out
 
 
@@ -673,7 +661,7 @@ class FieldTower:
     """The tower F_p < F_{q^2} < F_{q^6} for q = p^e."""
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
+        if factorize(p) != {p: 1}:
             raise GFError(f"p = {p} is not prime")
         if e < 1:
             raise GFError(f"e = {e} is below 1")
@@ -700,7 +688,7 @@ class FieldTower:
 
     # -- element helpers ----------------------------------------------------
     def a_pow(self, k: int) -> int:
-        return self.q2.exp[k % (self.q2.size - 1)]
+        return self.q2._E[k % (self.q2.size - 1)]
 
     def elt_str(self, v: int) -> str:
         """Print a q2 value as '0' or 'a^k'."""

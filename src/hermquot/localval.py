@@ -35,9 +35,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._linalg import mat_mul3, mat_vec3
-from .autgrp import Aut, Group, apply_place, apply_point
+from .autgrp import Aut, Group, apply_place
 from .curve import P_INF, Place, normalize_point
-from .gf import FieldTower, GFError
+from .gf import FieldTower, GFError, factorize
 
 
 class EngineError(GFError):
@@ -141,12 +141,6 @@ class OrbitRow(NamedTuple):
         return self.rep.degree
 
 
-def _is_prime_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def fixes_pointwise(tower: FieldTower, aut: Aut, place: Place) -> bool:
     """Whether aut fixes every point of the place. Its matrix has F_{q^2}
     entries and so commutes with Frobenius: at a degree-3 place, fixing one
@@ -154,7 +148,7 @@ def fixes_pointwise(tower: FieldTower, aut: Aut, place: Place) -> bool:
     if place.kind != "degree3":
         return apply_place(aut, place) == place
     pt = place.data[0]
-    return normalize_point(tower.q6, apply_point(aut, tower.q6, pt)) == pt
+    return normalize_point(tower.q6, mat_vec3(tower.q6, aut.m, pt)) == pt
 
 
 def ramification_data(tower: FieldTower, place: Place, group: Group,
@@ -225,7 +219,7 @@ def inertia_data(tower: FieldTower, place: Place, inertia, setwise: int,
     d_sum = sum(v * w for v, w in ivals)
     # the Hilbert form of the same sum, and the filtration's G_1
     d_hilbert, g1 = _hilbert_sum(ivals, e)
-    if not _is_prime_power_of(g1, p):
+    if set(factorize(g1)) - {p}:
         raise EngineError(f"|G_1| = {g1} at {place} is not a power of p")
     if d_hilbert != d_sum:
         raise EngineError(f"the Hilbert sum at {place} is {d_hilbert}, not "

@@ -127,8 +127,8 @@ def test_tables_match_the_generic_walk(towers, q):
     log = [-1] * lvl.size
     for i, x in enumerate(exp):
         log[x] = i
-    assert lvl.exp == exp
-    assert lvl.log == log
+    assert lvl._E == exp + exp + [0] * (2 * n + 1)
+    assert lvl._L == [2 * n] + log[1:]
     assert lvl.frobt == [0] + [exp[log[x] * q % n] for x in range(1, lvl.size)]
     neg = [lvl.pack([(-d) % p for d in lvl.digits(x)]) for x in range(lvl.size)]
     assert lvl.negt == (None if p == 2 else neg)
@@ -425,7 +425,7 @@ def test_values_and_zeros_match_horner(towers, q):
         dense = [0] * (max((e for _c, e in terms), default=0) + 1)
         for c, e in terms:
             dense[e] = lvl.add(dense[e], c)
-        horner = [p_eval(lvl, dense, x) for x in lvl.exp]
+        horner = [p_eval(lvl, dense, x) for x in lvl._E[:n]]
         assert list(lvl.values(terms)) == horner
         rest = [(c, e) for c, e in terms if e]
         c0 = dense[0]
