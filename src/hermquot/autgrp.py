@@ -509,5 +509,5 @@ def parse_spec(tower: FieldTower, text: str) -> list[Aut]:
     return _Parser(tower, text).parse()
 
 
-def group_from_spec(tower: FieldTower, text: str, cap: int | None = None) -> Group:
-    return close_group(tower, parse_spec(tower, text), cap=cap)
+def group_from_spec(tower: FieldTower, text: str) -> Group:
+    return close_group(tower, parse_spec(tower, text))

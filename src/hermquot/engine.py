@@ -102,13 +102,11 @@ from .localval import (EngineError, OrbitRow, affine_form, fixes_pointwise,
 
 
 def _eigen_data(tower: FieldTower, aut: Aut):
-    """[(eigenvalue over F_{q^2}, multiplicity, kernel basis)] plus the
-    charpoly when it has no root in F_{q^2}, None otherwise."""
+    """[(eigenvalue over F_{q^2}, kernel basis)] in key order, empty exactly
+    when the charpoly is an irreducible cubic (Singer-type)."""
     lvl = tower.q2
-    cp = charpoly3(lvl, aut.m)
-    out = [(lam, mult, _eigenspace(lvl, aut.m, lam))
-           for lam, mult in poly_roots(lvl, cp)]
-    return out, None if out else cp
+    return [(lam, _eigenspace(lvl, aut.m, lam))
+            for lam in poly_roots(lvl, charpoly3(lvl, aut.m))]
 
 
 def _power_eigen_data(tower: FieldTower, eig, m: tuple, order: int, e: int):
@@ -120,11 +118,10 @@ def _power_eigen_data(tower: FieldTower, eig, m: tuple, order: int, e: int):
     normal to their cross product, whose basis is row_kernel's, as
     _eigenspace would give it. Each one's eigenvalue for m is read off one
     vector (m is a scalar times M^e) and checked on every vector, and no two
-    may be equal; its multiplicity is its dimension, sigma^e being semisimple
-    too."""
+    may be equal."""
     lvl = tower.q2
     spaces = {}
-    for lam, _mult, basis in eig:
+    for lam, basis in eig:
         spaces.setdefault(lvl.pow(lam, e), []).append(basis)
     out = []
     for bases in spaces.values():
@@ -140,9 +137,9 @@ def _power_eigen_data(tower: FieldTower, eig, m: tuple, order: int, e: int):
                               f"eigenvectors of the element it is a power of")
         if len(bases) == len(vs) == 2:
             vs = row_kernel(lvl, cross3(lvl, *vs))
-        out.append((lam, len(vs), vs))
+        out.append((lam, vs))
     out.sort(key=lambda x: lvl.rank[x[0]])
-    return out, None
+    return out
 
 
 def _eigenspace(lvl, m, lam):
@@ -187,10 +184,10 @@ def fixed_rational_places(tower: FieldTower, aut: Aut, eigen=None,
     before to its places, and each eigenspace is searched once across the
     calls that share it."""
     assert not aut.is_identity()
-    eig, _ = eigen or _eigen_data(tower, aut)
+    eig = _eigen_data(tower, aut) if eigen is None else eigen
     found = {} if found is None else found
     places = []
-    for _lam, _mult, basis in eig:
+    for _lam, basis in eig:
         if len(basis) not in (1, 2):
             raise EngineError(f"an element of order {aut_order(aut)} has an "
                               f"eigenspace of dimension {len(basis)}")
@@ -229,16 +226,16 @@ def _wild_place(tower: FieldTower, m: tuple) -> Place:
     return place_of_point(tower, pt)
 
 
-def _cubic_eigenvector(tower: FieldTower, aut: Aut, cubic):
+def _cubic_eigenvector(tower: FieldTower, aut: Aut):
     """(mu, v): the first root mu in F_{q^6} of aut's irreducible cubic
     charpoly and the vector spanning its eigenspace there, or
     EngineError."""
     q6 = tower.q6
-    roots = poly_roots(q6, cubic)
+    roots = poly_roots(q6, charpoly3(tower.q2, aut.m))
     if not roots:
         raise EngineError(f"the charpoly of an element of order "
                           f"{aut_order(aut)} has no root in F_q^6")
-    mu = roots[0][0]
+    mu = roots[0]
     basis = _eigenspace(q6, aut.m, mu)
     if len(basis) != 1:
         raise EngineError(f"an element of order {aut_order(aut)} has an "
@@ -257,13 +254,13 @@ def pointwise_fixed_degree3_places(tower: FieldTower, aut: Aut,
     cubic factor of the charpoly can fix a degree-3 place."""
     assert not aut.is_identity()
     q6 = tower.q6
-    _eig, cubic = eigen or _eigen_data(tower, aut)
-    if cubic is None:
+    eig = _eigen_data(tower, aut) if eigen is None else eigen
+    if eig:
         return []
     # irreducible cubic factor: eigenvalues form one Frobenius orbit in
     # F_{q^6}, and their eigenvectors one degree-3 orbit of points, so a
     # single root already determines the whole candidate place
-    pt = normalize_point(q6, _cubic_eigenvector(tower, aut, cubic)[1])
+    pt = normalize_point(q6, _cubic_eigenvector(tower, aut)[1])
     if not on_curve(q6, pt):
         return []
     if point_is_rational(tower, pt):
@@ -289,7 +286,7 @@ def twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     as q^2 + q + 1 is prime to p.
     """
     q, q6 = tower.q, tower.q6
-    mu, p1 = _cubic_eigenvector(tower, aut, charpoly3(tower.q2, aut.m))
+    mu, p1 = _cubic_eigenvector(tower, aut)
     p2 = tuple(map(q6.frobq2, p1))
     ps = (p1, p2, tuple(map(q6.frobq2, p2)))
     h = [[herm(q6, u, v) for v in ps] for u in ps]
@@ -326,7 +323,7 @@ def _diagonal_counts(tower: FieldTower, eig) -> int:
     lvl, q = tower.q2, tower.q
     n = lvl.size - 1
     vecs, ks = [], []
-    for lam, _mult, basis in eig:
+    for lam, basis in eig:
         vecs += basis
         ks += [lvl.dlog(lam)] * len(basis)
     e = [(k - ks[0]) % n for k in ks]
@@ -415,7 +412,7 @@ def _twisted_count(tower: FieldTower, aut: Aut, order: int, eig,
                    fixed) -> TwistedCount:
     if order % tower.p == 0:
         path, n = "wild", _wild_counts(tower, aut, fixed, order)
-    elif sum(len(b) for _l, _m, b in eig) == 3:
+    elif sum(len(b) for _l, b in eig) == 3:
         path, n = "diagonal", _diagonal_counts(tower, eig)
     elif not eig:
         path, n = "F_q^6", twisted_fix_count(tower, aut)
@@ -510,7 +507,7 @@ class _CyclicSubgroup(NamedTuple):
     fixed: list  # fixed rational places
     deg3: list   # pointwise-fixed degree-3 places
     rep: int     # walk index of its conjugacy class's representative
-    eig: list | None  # sigma's [(eigenvalue, multiplicity, basis)] on a
+    eig: list | None  # sigma's _eigen_data [(eigenvalue, basis)] on a
                       # representative of order prime to p, None elsewhere
 
 
@@ -600,17 +597,16 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         elif n % p:
             if source not in spectra:
                 spectra[source] = _eigen_data(tower, els[source])
-            eigen = spectra[source]
+            eig = spectra[source]
             if e > 1:
                 # t semisimple and split over F_{q^2}, or else (Singer-type)
                 # an analysis of its own
-                eigen = (_power_eigen_data(tower, eigen[0], gens[0].m, n, e)
-                         if sum(len(b) for _l, _m, b in eigen[0]) == 3
-                         else _eigen_data(tower, gens[0]))
-            fixed = fixed_rational_places(tower, gens[0], eigen, found)
-            deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eigen)
+                eig = (_power_eigen_data(tower, eig, gens[0].m, n, e)
+                       if sum(len(b) for _l, b in eig) == 3
+                       else _eigen_data(tower, gens[0]))
+            fixed = fixed_rational_places(tower, gens[0], eig, found)
+            deg3 = (pointwise_fixed_degree3_places(tower, gens[0], eig)
                     if (q * q - q + 1) % n == 0 else [])
-            eig = eigen[0]
         else:
             fixed, deg3, eig = out[where[source]].fixed, [], None
         out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eig)

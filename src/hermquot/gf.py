@@ -26,11 +26,13 @@ the F_{q^6} sum is XOR of the packed integers); the 3x3 matrix kernels
 over F_{q^2} (_linalg.mat_mul3, mat_vec3 and cross3), where mat_vec3 at
 F_{q^6} is three F_{q^2} passes, one per power of t, and applies the
 F_{q^6} Frobenius matrices; and BaseLevel.values, which evaluates a sparse
-polynomial on all of F_{q^2}^* in one scan of those tables.  poly_roots
-and the curve-point search take their F_{q^2} zeros from it; over F_{q^6},
-poly_roots runs the Frobenius gcd of a polynomial with coefficients in
-F_{q^2} over F_{q^2}, and takes the roots of an irreducible cubic as one
-Frobenius orbit r, r^(q^2), r^(q^4).
+polynomial on all of F_{q^2}^* in one scan of those tables.  The
+curve-point search takes its F_{q^2} zeros from it, and so does poly_roots
+up to SCAN_ROOT_LIMIT elements; above that poly_roots splits the Frobenius
+gcd by equal-degree splitting (Cantor-Zassenhaus).  Over F_{q^6},
+poly_roots serves one caller, a Singer-type charpoly: an irreducible cubic
+over F_{q^2}, split once, whose roots are one Frobenius orbit r, r^(q^2),
+r^(q^4).
 """
 from __future__ import annotations
 
@@ -51,7 +53,9 @@ class BudgetExceeded(GFError):
 
 TABLE_LIMIT = 1 << 20       # largest field size for exp/log tables
 ADD_TABLE_LIMIT = 1024      # largest field size for a full addition table
-SCAN_ROOT_LIMIT = 1024      # F_(q^2) root scan up to this size (q <= 32)
+# F_(q^2) root scan up to this size (q <= 32), the gcd above: per cubic
+# the scan grows with the field and the gcd barely, level at 1024 elements
+SCAN_ROOT_LIMIT = 1024
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -72,8 +76,8 @@ def factorize(n: int) -> dict[int, int]:
 # Levels.  Every polynomial operation but the hot paths goes through
 # the p_* helpers below, which need only add, sub, mul and inv from a level
 # (zero and one are the ints 0 and 1), and Rabin's test also size; F_p is
-# such a minimal level.  poly_roots also needs char, neg and key
-# (deterministic ordering tuple).  F_{q^2} and F_{q^6} also expose pow and frobq (the q-power map).
+# such a minimal level.  Equal-degree splitting also needs char and neg.
+# F_{q^2} and F_{q^6} also expose pow and frobq (the q-power map).
 
 class _PrimeLevel:
     """F_p with plain modular arithmetic; only used while building F_{q^2}."""
@@ -585,73 +589,53 @@ def _split_linears(lvl, g, rng):
             + _split_linears(lvl, p_divmod(lvl, g, d)[0], rng))
 
 
-def poly_roots(lvl, cs, seed: int = 0) -> list[tuple[int, int]]:
-    """Roots of a nonzero polynomial in the level, with multiplicities.
+def poly_roots(lvl, cs) -> list[int]:
+    """The distinct roots in the level, in key order, of a nonzero
+    polynomial over F_{q^2}, or of an irreducible cubic over F_{q^2} in
+    F_{q^6}.
 
-    F_{q^2} up to SCAN_ROOT_LIMIT elements, the crossover measured on the
-    characteristic polynomials of `hermquot table`, is scanned in one pass
-    over its log tables (BaseLevel.zeros). Larger F_{q^2} and every F_{q^6}
-    take the gcd g of f with X^|F| - X, then seeded equal-degree splitting
-    (Cantor-Zassenhaus), so the result is deterministic. Over F_{q^6}, when
-    f's coefficients lie in F_{q^2} the gcd runs over F_{q^2}, and a cubic g
-    is split once, which leaves a linear factor X - r: if r is not in
-    F_{q^2}, g is irreducible over F_{q^2} and its roots are the Frobenius
-    orbit r, r^(q^2), r^(q^4), each conjugate checked to be a root
-    (GFError otherwise); if r is in F_{q^2}, so are the other two roots,
-    and the rest of g is split as usual. The (root, multiplicity) pairs
-    come in key order.
+    F_{q^2} up to SCAN_ROOT_LIMIT elements is scanned in one pass over its
+    log tables (BaseLevel.zeros); a larger F_{q^2} takes the gcd g of f with
+    X^|F| - X, then seeded equal-degree splitting (Cantor-Zassenhaus), so
+    the result is deterministic. Over F_{q^6}, f must be a cubic with
+    coefficients in F_{q^2} (GFError otherwise), split once: the linear
+    factor X - r gives the Frobenius orbit r, r^(q^2), r^(q^4), each
+    conjugate checked to be a root other than r (GFError otherwise, as when
+    f has a root in F_{q^2}).
     """
     cs = p_trim(list(cs))
     if not cs:
         raise GFError("zero polynomial")
+    if lvl.name == "q6":
+        if len(cs) != 4 or not all(map(lvl.in_base, cs)):
+            raise GFError("roots over F_q^6 are found only for a cubic over "
+                          "F_q^2")
+        f = p_monic(lvl, cs)
+        d = _split(lvl, f, random.Random(0xC0FFEE ^ len(cs)))
+        lin = d if len(d) == 2 else p_divmod(lvl, f, d)[0]
+        r = lvl.neg(lin[0])
+        roots = [r, lvl.frobq2(r)]
+        roots.append(lvl.frobq2(roots[1]))
+        for x in roots[1:]:
+            if p_eval(lvl, f, x):
+                raise GFError(f"the conjugate {x} of the root {r} of a cubic "
+                              f"over F_q^2 is not a root")
+            if x == r:
+                raise GFError(f"the root {r} of a cubic over F_q^2 lies in "
+                              f"F_q^2")
+        return sorted(roots, key=lvl.key)
     if len(cs) == 1:
         return []
-    if lvl.name == "q2" and lvl.size <= SCAN_ROOT_LIMIT:
+    if lvl.size <= SCAN_ROOT_LIMIT:
         roots = lvl.zeros(cs[0], zip(cs[1:], itertools.count(1)))
     else:
         f = p_monic(lvl, cs)
-        over = (lvl.base if lvl.name == "q6" and all(map(lvl.in_base, f))
-                else lvl)
-        h = p_powmod(over, [0, 1], lvl.size, f)
+        h = p_powmod(lvl, [0, 1], lvl.size, f)
         h = list(h) + [0] * (2 - len(h))
-        h[1] = over.sub(h[1], 1)
-        g = p_gcd(over, p_trim(h), f)
-        rng = random.Random(0xC0FFEE ^ seed ^ len(cs))
-        if over is lvl or len(g) != 4:
-            roots = _split_linears(lvl, g, rng)
-        else:
-            d = _split(lvl, g, rng)
-            lin, rest = d, p_divmod(lvl, g, d)[0]
-            if len(lin) != 2:
-                lin, rest = rest, lin
-            r = lvl.neg(lin[0])
-            if lvl.in_base(r):
-                roots = [r] + _split_linears(lvl, rest, rng)
-            else:
-                roots = [r, lvl.frobq2(r)]
-                roots.append(lvl.frobq2(roots[1]))
-                for x in roots[1:]:
-                    if p_eval(lvl, g, x):
-                        raise GFError(f"the conjugate {x} of the root {r} "
-                                      f"of a cubic over F_q^2 is not a root")
-    out = []
-    key = lvl.rank.__getitem__ if lvl.name == "q2" else lvl.key
-    add, mul = lvl.add, lvl.mul
-    for r in sorted(roots, key=key):
-        # synthetic division by X - r: Horner's partial sums are the
-        # quotient's coefficients, the last one the remainder
-        mult, rest = 0, cs
-        while True:
-            acc, sums = 0, []
-            for c in reversed(rest):
-                acc = add(mul(acc, r), c)
-                sums.append(acc)
-            if acc:
-                break
-            mult += 1
-            rest = sums[-2::-1]
-        out.append((r, mult))
-    return out
+        h[1] = lvl.sub(h[1], 1)
+        roots = _split_linears(lvl, p_gcd(lvl, p_trim(h), f),
+                               random.Random(0xC0FFEE ^ len(cs)))
+    return sorted(roots, key=lvl.rank.__getitem__)
 
 
 # ---------------------------------------------------------------------------

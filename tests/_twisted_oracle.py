@@ -135,7 +135,7 @@ def kernel_twisted_fix_count(tower: FieldTower, aut: Aut) -> int:
     m = aut.m
     m3 = mat_mul3(lvl, mat_mul3(lvl, m, m), m)
     total = 0
-    for eta, _mult in poly_roots(lvl, charpoly3(lvl, m3)):
+    for eta in poly_roots(lvl, charpoly3(lvl, m3)):
         lam = q6.pow(w, (-lvl.dlog(eta) * inv_log_nw) % n)
         ll = q6.matrix(lambda x: q6.mul(lam, x))
         rows = []

@@ -41,11 +41,11 @@ def walk_per_subgroup(tower, group) -> list[Subgroup]:
         n = len(powers)
         gens = [powers[k - 1] for k in range(1, n) if gcd(k, n) == 1]
         seen.update(g.m for g in gens)
-        eigen = _eigen_data(tower, s)
-        fixed = fixed_rational_places(tower, s, eigen)
-        deg3 = (pointwise_fixed_degree3_places(tower, s, eigen)
+        eig = _eigen_data(tower, s)
+        fixed = fixed_rational_places(tower, s, eig)
+        deg3 = (pointwise_fixed_degree3_places(tower, s, eig)
                 if (q * q - q + 1) % n == 0 else [])
-        out.append(Subgroup(gens, n, eigen[0], fixed, deg3))
+        out.append(Subgroup(gens, n, eig, fixed, deg3))
     return out
 
 

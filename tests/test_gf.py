@@ -18,7 +18,6 @@ from hermquot.gf import (
     GFError,
     build_tower,
     factorize,
-    p_divmod,
     p_eval,
     poly_roots,
 )
@@ -315,41 +314,15 @@ def test_poly_roots_against_scan(towers):
         for trial in range(20):
             deg = rng.randrange(1, 6)
             cs = [rng.randrange(lvl.size) for _ in range(deg)] + [1]
-            roots = poly_roots(lvl, cs, seed=trial)
-            brute = {}
+            roots = poly_roots(lvl, cs)
+            brute = []
             for x in range(lvl.size):
                 acc = 0
                 for c in reversed(cs):
                     acc = lvl.add(lvl.mul(acc, x), c)
                 if acc == 0:
-                    brute[x] = 1
-            assert {r for r, _ in roots} == set(brute)
-
-
-def test_poly_roots_in_extension(towers):
-    # x^{q^6-1} - 1 vanishes on all of F_{q^6}^*, so a polynomial with
-    # known roots must come back exactly, with multiplicities. Every
-    # F_{q^6}, like every F_{q^2} with q > 32, takes the Frobenius gcd and
-    # equal-degree splitting, in odd characteristic and by trace splitting
-    # in characteristic 2.
-    for q, trials in ((2, 10), (7, 4), (8, 4)):
-        q6 = towers[q].q6
-        rng = random.Random(5)
-        for trial in range(trials):
-            rts = rng.sample(range(1, q6.size), 3)
-            mults = dict.fromkeys(rts, 1)
-            if trial % 2:
-                mults[rts[0]] = 2  # a repeated root
-            cs = [q6.pack(1, 0, 0)]  # ascending coefficients, start with 1
-            for r, m in mults.items():
-                for _ in range(m):
-                    nxt = [0] * (len(cs) + 1)
-                    for i, c in enumerate(cs):
-                        nxt[i + 1] = q6.add(nxt[i + 1], c)
-                        nxt[i] = q6.sub(nxt[i], q6.mul(c, r))
-                    cs = nxt
-            found = poly_roots(q6, cs, seed=trial)
-            assert found == sorted(mults.items(), key=lambda rm: q6.key(rm[0]))
+                    brute.append(x)
+            assert set(roots) == set(brute)
 
 
 def _from_roots(lvl, roots):
@@ -367,39 +340,33 @@ ROOT_LEVELS = ([(q, "q2") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
                + [(q, "q6") for q in (2, 3, 4, 5)])
 
 
-def _brute_roots(lvl, cs):
-    """(root, multiplicity) pairs by evaluating at every element of the
-    level, multiplicities by repeated long division by X - r."""
-    out = {}
-    for x in range(lvl.size):
-        if p_eval(lvl, cs, x) == 0:
-            mult, rest = 0, cs
-            while True:
-                quo, rem = p_divmod(lvl, rest, [lvl.sub(0, x), 1])
-                if rem:
-                    break
-                mult, rest = mult + 1, quo
-            out[x] = mult
-    return out
-
-
 @pytest.mark.parametrize("q,name", ROOT_LEVELS)
 def test_poly_roots_scan_and_gcd_paths_agree(towers, monkeypatch, q, name):
     # SCAN_ROOT_LIMIT only picks the faster path: at either limit the
-    # (root, multiplicity) lists match an element-by-element p_eval scan,
-    # on random cubics (no, some or all roots) and on ones with a double root
+    # distinct roots in key order match an element-by-element p_eval scan.
+    # Over F_(q^2) the polynomials are random cubics (no, some or all roots)
+    # and ones with a double root; over F_(q^6), where the limit plays no
+    # part, irreducible cubics over F_(q^2)
     lvl = towers[q].level(name)
     rng = random.Random(q)
-    polys = [[rng.randrange(lvl.size) for _ in range(3)] + [1] for _ in range(3)]
-    for _ in range(2):
-        r, s = rng.randrange(lvl.size), rng.randrange(lvl.size)
-        polys.append(_from_roots(lvl, [r, r, s]))  # a repeated root
-    expected = [_brute_roots(lvl, cs) for cs in polys]
+    if name == "q2":
+        polys = [[rng.randrange(lvl.size) for _ in range(3)] + [1]
+                 for _ in range(3)]
+        for _ in range(2):
+            r, s = rng.randrange(lvl.size), rng.randrange(lvl.size)
+            polys.append(_from_roots(lvl, [r, r, s]))  # a repeated root
+        key = lvl.rank.__getitem__
+    else:
+        polys = [_irreducible(lvl.base, rng, 3) for _ in range(3)]
+        key = lvl.key
+    expected = [sorted((x for x in range(lvl.size) if p_eval(lvl, cs, x) == 0),
+                       key=key) for cs in polys]
     for limit in (0, 1 << 62):
         monkeypatch.setattr(gf, "SCAN_ROOT_LIMIT", limit)
-        found = [poly_roots(lvl, cs, seed=i) for i, cs in enumerate(polys)]
-        assert [dict(rts) for rts in found] == expected
-    assert all(sum(exp.values()) == 3 for exp in expected[3:])
+        assert [poly_roots(lvl, cs) for cs in polys] == expected
+    # the double roots are roots, and each irreducible cubic has three
+    assert all(expected[3:]) if name == "q2" else all(
+        len(exp) == 3 for exp in expected)
 
 
 @pytest.mark.parametrize("q", TABLE_QS)
@@ -436,16 +403,15 @@ def test_values_and_zeros_match_horner(towers, q):
 @pytest.mark.parametrize("q", [4, 16, 32, 64, 9, 27, 5, 25])
 def test_poly_roots_repeated_roots(towers, q):
     # triple and double roots, 0 among them, in characteristics 2, 3 and
-    # 5, and in characteristic 2 on both sides of SCAN_ROOT_LIMIT;
-    # multiplicities come from synthetic division
+    # 5, and in characteristic 2 on both sides of SCAN_ROOT_LIMIT: each
+    # root comes once, in key order
     lvl = _q2_level(towers, q)
     rng = random.Random(q)
     for r, s, t in [(0, 1, lvl.a)] + [tuple(rng.sample(range(lvl.size), 3))
                                       for _ in range(3)]:
         for mults in ({r: 3}, {r: 2, s: 1}, {s: 3, t: 2}, {r: 2, s: 2, t: 1}):
             cs = _from_roots(lvl, [x for x, m in mults.items() for _ in range(m)])
-            assert poly_roots(lvl, cs) == sorted(
-                mults.items(), key=lambda xm: lvl.digits(xm[0]))
+            assert poly_roots(lvl, cs) == sorted(mults, key=lvl.digits)
 
 
 # A per-coefficient reference for F_(q^6) = F_(q^2)[t]/(g): every base
@@ -559,8 +525,8 @@ def _roots_over_the_extension(q6, cs, seed):
 def test_cubic_roots_as_one_frobenius_orbit(towers, q):
     # an irreducible cubic over F_(q^2) has three distinct roots in
     # F_(q^6); poly_roots' list must be three distinct roots (by the
-    # reference product), each of multiplicity 1, in key order, and the
-    # same list the route over F_(q^6) alone gives
+    # reference product) in key order, and the same list the route over
+    # F_(q^6) alone gives
     q6 = towers[q].q6
     rng = random.Random(q)
 
@@ -572,9 +538,7 @@ def test_cubic_roots_as_one_frobenius_orbit(towers, q):
 
     for i in range(50):
         cs = _irreducible(q6.base, rng, 3)
-        found = poly_roots(q6, cs, seed=i)
-        roots = [r for r, _ in found]
-        assert [m for _, m in found] == [1, 1, 1]
+        roots = poly_roots(q6, cs)
         assert len(set(roots)) == 3 and not any(map(q6.in_base, roots))
         assert not any(ref_eval(cs, r) for r in roots)
         assert roots == sorted(roots, key=q6.key)
@@ -584,25 +548,30 @@ def test_cubic_roots_as_one_frobenius_orbit(towers, q):
 
 @pytest.mark.parametrize("q", DIFF_QS)
 def test_roots_of_other_polynomials_over_the_base(towers, q):
-    # coefficients in F_(q^2) but no single Frobenius orbit: three roots in
-    # F_(q^2), a double one among them, a root times an irreducible
-    # quadratic (whose roots lie in F_(q^4), not F_(q^6)), and an
-    # irreducible cubic times a linear factor
+    # over F_(q^6) poly_roots finds only one Frobenius orbit, the roots of
+    # an irreducible cubic over F_(q^2); every other polynomial raises
+    # GFError. The input check refuses a quadratic over F_(q^2), a cubic
+    # with a coefficient outside F_(q^2) and an irreducible cubic times a
+    # linear factor; a cubic over F_(q^2) with a root there (three roots, a
+    # double one, a triple one, a root times an irreducible quadratic,
+    # whose roots lie in F_(q^4), not F_(q^6)) is caught as its first root
+    # equals its conjugate
     q6 = towers[q].q6
     base = q6.base
     rng = random.Random(q)
     r, s, u = rng.sample(range(base.size), 3)
     quad, cubic = _irreducible(base, rng, 2), _irreducible(base, rng, 3)
-    cases = [(_from_roots(base, [r, s, u]), {r: 1, s: 1, u: 1}),
-             (_from_roots(base, [r, r, s]), {r: 2, s: 1}),
-             (gf.p_mul(base, _from_roots(base, [r]), quad), {r: 1}),
-             (gf.p_mul(base, _from_roots(base, [s]), cubic), None)]
-    for i, (cs, want) in enumerate(cases):
-        found = poly_roots(q6, cs, seed=i)
-        if want is None:
-            want = dict.fromkeys(_roots_over_the_extension(q6, cs, i), 1)
-            assert len(want) == 4 and s in want
-        assert found == sorted(want.items(), key=lambda rm: q6.key(rm[0]))
+    outside = _from_roots(q6, rng.sample(range(base.size, q6.size), 3))
+    assert not all(map(q6.in_base, outside))
+    for cs in (quad, _from_roots(base, [r, s]), outside,
+               gf.p_mul(base, _from_roots(base, [s]), cubic)):
+        with pytest.raises(GFError, match="only for a cubic over F_q"):
+            poly_roots(q6, cs)
+    for cs in (_from_roots(base, [r, s, u]), _from_roots(base, [r, r, s]),
+               _from_roots(base, [r, r, r]),
+               gf.p_mul(base, _from_roots(base, [r]), quad)):
+        with pytest.raises(GFError, match="lies in F_q"):
+            poly_roots(q6, cs)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every function
-reads each of its parameters, no code compares a name `case` with a case
+reads each of its parameters, some call in the package or the benchmark
+sets each defaulted parameter, no code compares a name `case` with a case
 name, no module imports dataclasses, the table kernels call no level
 method on their F_(q^2) path, and every top-level definition and
 assignment is referenced somewhere else in the package, each allowed
@@ -55,6 +56,66 @@ def _unread_parameters(tree):
 def test_functions_read_their_parameters(path):
     # self, cls and _-prefixed names are exempt
     assert _unread_parameters(ast.parse(path.read_text())) == []
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, its place among the positional arguments
+    of a call, or None if keyword-only) for every defaulted parameter of a
+    def; a method's self takes no place in a call."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = id(node) in methods
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, a.arg, i - skip)
+                for i, a in enumerate(positional) if i >= first]
+        out += [(node.name, a.arg, None) for a, d in
+                zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls_setting(trees):
+    """(function name, keyword or positional place) for every argument that
+    a call by name or attribute passes; a starred argument stands for every
+    place, a ** one for every keyword."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else func.attr
+                    if isinstance(func, ast.Attribute) else None)
+            for i, a in enumerate(node.args):
+                out.add((name, "*" if isinstance(a, ast.Starred) else i))
+            out.update((name, k.arg or "**") for k in node.keywords)
+    return out
+
+
+def _unset_optional_parameters(src_trees, caller_trees):
+    calls = _calls_setting(caller_trees)
+    out = []
+    for tree in src_trees:
+        for name, arg, place in _defaulted_parameters(tree):
+            passed = (arg, "**") if place is None else (arg, "**", place, "*")
+            if name not in TEST_SEAMS and not any(
+                    (name, x) in calls for x in passed):
+                out.append(f"{name}({arg})")
+    return sorted(out)
+
+
+def test_every_optional_parameter_is_set_outside_tests():
+    # a default that no call in src/ or bench/ overrides is an option kept
+    # alive only by the tests; TEST_SEAMS definitions are exempt
+    src = [ast.parse(p.read_text()) for p in MODULES]
+    bench = [ast.parse(p.read_text()) for p in sorted(
+        (Path(hermquot.__file__).parents[2] / "bench").glob("*.py"))]
+    assert _unset_optional_parameters(src, src + bench) == []
 
 
 def _is_name_literal(node):

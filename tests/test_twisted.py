@@ -29,7 +29,7 @@ def twisted_counts(tw, aut):
     count path and fixed places the quotient's class walk would give it."""
     assert not aut.is_identity()
     eigen = _eigen_data(tw, aut)
-    return _twisted_count(tw, aut, aut_order(aut), eigen[0],
+    return _twisted_count(tw, aut, aut_order(aut), eigen,
                           fixed_rational_places(tw, aut, eigen))
 
 
