@@ -16,11 +16,15 @@ apply_place moves a rational place with mat_vec3's table reads written out
 (XOR in characteristic 2, the addition table otherwise) and divides by z in
 the log domain in the same pass. close_group makes each coset H x with
 coset_products, which reads the logs of H's entries once per generator
-step and x's once per coset.
+step and x's once per coset, and each product with a generator with
+generator_products, on the generators' logs read once per closure. The
+engine's walk runs chains of powers once per class of cyclic subgroups and
+reads the other members off the conjugation tables (conjugation_tables).
 """
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from ._linalg import IDENTITY3, mat_adj3, mat_mul3, mat_vec3
@@ -113,6 +117,48 @@ def coset_products(lvl, logs, x: tuple) -> list:
         return out
     T, s = lvl._addt, lvl.size
     for a0, a1, a2, a3, a4, a5, a6, a7, a8 in logs:
+        m = (T[T[E[a0 + b0] * s + E[a1 + b3]] * s + E[a2 + b6]],
+             T[T[E[a0 + b1] * s + E[a1 + b4]] * s + E[a2 + b7]],
+             T[T[E[a0 + b2] * s + E[a1 + b5]] * s + E[a2 + b8]],
+             T[T[E[a3 + b0] * s + E[a4 + b3]] * s + E[a5 + b6]],
+             T[T[E[a3 + b1] * s + E[a4 + b4]] * s + E[a5 + b7]],
+             T[T[E[a3 + b2] * s + E[a4 + b5]] * s + E[a5 + b8]],
+             T[T[E[a6 + b0] * s + E[a7 + b3]] * s + E[a8 + b6]],
+             T[T[E[a6 + b1] * s + E[a7 + b4]] * s + E[a8 + b7]],
+             T[T[E[a6 + b2] * s + E[a7 + b5]] * s + E[a8 + b8]])
+        c = m[0] or next(filter(None, m))
+        if c != 1:
+            k = n - L[c]
+            m = tuple([E[L[y] + k] for y in m])
+        out.append(m)
+    return out
+
+
+def generator_products(lvl, x: tuple, logs) -> list:
+    """[proj_mul(lvl, x, g) for g in gens], the generators given as the logs
+    of their entries, read once per closure: coset_products with the known
+    factor on the right, x's logs read once."""
+    E, L, n, out = lvl._E, lvl._L, lvl.size - 1, []
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = map(L.__getitem__, x)
+    if lvl.p == 2:
+        for b0, b1, b2, b3, b4, b5, b6, b7, b8 in logs:
+            m = (E[a0 + b0] ^ E[a1 + b3] ^ E[a2 + b6],
+                 E[a0 + b1] ^ E[a1 + b4] ^ E[a2 + b7],
+                 E[a0 + b2] ^ E[a1 + b5] ^ E[a2 + b8],
+                 E[a3 + b0] ^ E[a4 + b3] ^ E[a5 + b6],
+                 E[a3 + b1] ^ E[a4 + b4] ^ E[a5 + b7],
+                 E[a3 + b2] ^ E[a4 + b5] ^ E[a5 + b8],
+                 E[a6 + b0] ^ E[a7 + b3] ^ E[a8 + b6],
+                 E[a6 + b1] ^ E[a7 + b4] ^ E[a8 + b7],
+                 E[a6 + b2] ^ E[a7 + b5] ^ E[a8 + b8])
+            c = m[0] or next(filter(None, m))
+            if c != 1:
+                k = n - L[c]
+                m = tuple([E[L[y] + k] for y in m])
+            out.append(m)
+        return out
+    T, s = lvl._addt, lvl.size
+    for b0, b1, b2, b3, b4, b5, b6, b7, b8 in logs:
         m = (T[T[E[a0 + b0] * s + E[a1 + b3]] * s + E[a2 + b6]],
              T[T[E[a0 + b1] * s + E[a1 + b4]] * s + E[a2 + b7]],
              T[T[E[a0 + b2] * s + E[a1 + b5]] * s + E[a2 + b8]],
@@ -293,16 +339,18 @@ def _dimino(lvl, gens: tuple, cap: int):
     tree (up, by), the tables of the generators that joined, None for one
     already in the group when its turn came, and each generator's index.
     The index lists share one int object per index."""
+    L = lvl._L
+    glogs = [tuple(map(L.__getitem__, g.m)) for g in gens]
     # the first generator's powers first, each its own coset of 1
     elements, ids = [IDENTITY3], [0]
     tables = [None] * len(gens)
     if gens:
-        m = x = gens[0].m
+        x, first = gens[0].m, glogs[:1]
         while x != IDENTITY3:
             if len(elements) >= cap:
                 raise GFError(f"subgroup closure exceeded the cap {cap}")
             elements.append(x)
-            x = proj_mul(lvl, x, m)
+            x, = generator_products(lvl, x, first)
         ids = list(range(len(elements)))
         tables[0] = ids[1:] + ids[:1]
     up, by = [0] + ids[:-1], [0] * len(ids)
@@ -311,9 +359,10 @@ def _dimino(lvl, gens: tuple, cap: int):
         if g.m in index:
             continue
         # H's logs, read once for every coset of this step
-        L, n = lvl._L, len(elements)
+        n = len(elements)
         logs = [tuple(map(L.__getitem__, h)) for h in elements[1:]]
         used = [j for j, t in enumerate(tables) if t is not None] + [k]
+        ulogs = [glogs[j] for j in used]
         word = word_tables(tables, up, by)
         rows = {j: [] for j in used}
         right = {}  # i -> the map i' -> H[i'] H[i] of H
@@ -321,9 +370,8 @@ def _dimino(lvl, gens: tuple, cap: int):
         # first; H itself, at 0, reaches g's coset
         pos = 0
         while pos < len(elements):
-            r = elements[pos]
-            for j in used:
-                x = proj_mul(lvl, r, gens[j].m)
+            for j, x in zip(used, generator_products(lvl, elements[pos],
+                                                     ulogs)):
                 y = index.get(x)
                 if y is None:
                     if len(elements) + n > cap:
@@ -362,9 +410,11 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
     so far adds each right coset H x that a coset representative times a
     generator so far reaches, at |H| products a coset (coset_products, on
     H's logs read once per step): about |G| products in all, not
-    |G| |gens|. The cap guards runaway input: the closure
-    raises before adding a coset that would pass it, so exactly when
-    |G| > cap. The elements stay in closure order, the identity at 0.
+    |G| |gens|. The first generator's powers and each representative times
+    a generator come from generator_products. The cap guards runaway
+    input: the closure raises before adding a coset that would pass it, so
+    exactly when |G| > cap. The elements stay in closure order, the
+    identity at 0.
 
     The tables and the tree cost no further products. A coset found as
     r t, r at position c and t = gens[j], is stored at y + i as H[i] r t,
@@ -373,7 +423,9 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
     (H[i] r) t = (H[i] H[i']) r' at c' + (i -> H[i] H[i']), and that map is
     H's own tables followed along the path of H[i'], which stays in H. A
     generator already in the group when its turn comes gets its table by
-    following the others along its path."""
+    following the others along its path. The engine's walk follows the
+    tables in a chain of powers once per class of cyclic subgroups, and
+    the other members come from conjugation_tables, with no chain."""
     if cap is None:
         cap = 4 * tower.q ** 3
     gens = tuple(g for g in gens if not g.is_identity())
@@ -389,8 +441,9 @@ def close_group(tower: FieldTower, gens, cap: int | None = None) -> Group:
             for t in word(where[j]):
                 xs = [t[x] for x in xs]
             tables[j] = xs
-    return Group(tower, tuple([Aut(tower, m) for m in elements]), gens,
-                 tuple(tables), up, by)
+    # tuple.__new__ in C, not the NamedTuple's __new__ in Python, per element
+    auts = tuple(map(tuple.__new__, repeat(Aut), zip(repeat(tower), elements)))
+    return Group(tower, auts, gens, tuple(tables), up, by)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\^|\*|,|\(|\)|=)|([A-Za-z_][A-Za-z_0-9]*)|(-?\d+))")

@@ -6,12 +6,14 @@ powers of sigma up to the identity give n = ord(sigma), the phi(n)
 generators sigma^k, gcd(k, n) = 1, of <sigma>, and those of each subgroup
 <sigma^d>. The generators fix the same places as sigma, as sigma is a power
 of each; so all is found at sigma, once per G-conjugacy class of cyclic
-subgroups: conjugating by the group's generators finds each class, and
-fixed(g sigma g^-1) = g(fixed(sigma)) gives every other member its places.
-The walk runs on element indices with no matrix product: a product with
-sigma follows the group's generator tables (Group.tables) along sigma's
-path in the tree that the closure records, and a conjugate is one lookup
-in a table made per walk from that tree (autgrp.conjugation_tables).
+subgroups. A chain of powers runs once per class at most: a new cyclic
+subgroup brings its class, each member's generators its parent's
+conjugated, and fixed(g sigma g^-1) = g(fixed(sigma)) gives every other
+member its places. The walk runs on element indices with no matrix
+product: a product with sigma follows the group's generator tables
+(Group.tables) along sigma's path in the tree that the closure records,
+and a conjugate is one lookup in a table made per walk from that tree
+(autgrp.conjugation_tables).
 For ord(sigma) prime to p the fixed rational places come out of an
 eigenvalue analysis of sigma's matrix over F_{q^2}, and a pointwise-fixed
 degree-3 place needs an irreducible cubic factor of its charpoly (every
@@ -512,16 +514,18 @@ class _CyclicSubgroup(NamedTuple):
 
 
 def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
-    """One record per nontrivial cyclic subgroup <sigma> of the group, from
-    the power walk of sigma or of an element that sigma is a power of. Its
+    """One record per nontrivial cyclic subgroup <sigma> of the group. Its
     generators fix the same places as sigma, since sigma is in turn a power
-    of each. The places are found once per G-conjugacy class of cyclic
-    subgroups, each class by conjugating with the group's generators:
-    fixed(g sigma g^-1) = g(fixed(sigma)), so a member met from another by
-    g gets that member's places moved by g. The eigen analysis runs only
-    on classes of order prime to p, and once per chain of powers: the walk
-    of s analyses its tame part t = s^(p^a) (p^a the p-part of ord s) at
-    most once, and a tame class <s^d> = <t^e>, e = d / p^a, takes its eigen
+    of each. A chain of powers runs only at an element that no class met
+    before reaches, so once per class at most, and each new <s^d> brings
+    its G-class at once by a breadth-first search over the generators: a
+    member met from another by g takes that one's generators mapped
+    through g's conjugation table, and its places moved by g, as
+    fixed(g sigma g^-1) = g(fixed(sigma)). A conjugate already met must lie
+    in the class, or EngineError. The eigen analysis runs only on classes
+    of order prime to p, and once per chain of powers: the walk of s
+    analyses its tame part t = s^(p^a) (p^a the p-part of ord s) at most
+    once, and a tame class <s^d> = <t^e>, e = d / p^a, takes its eigen
     data from t's (_power_eigen_data), unless t has no eigenvalue in
     F_{q^2} (Singer-type), when each class is analysed alone; each
     eigenspace is searched for places once per walk (found). A class of
@@ -539,7 +543,11 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
     q, p = tower.q, tower.p
     els, size = group.elements, group.order
     word = word_tables(group.tables, group.up, group.by)
-    subs, where = [], [None] * size
+    conj = list(zip(group.gens, conjugation_tables(group)))
+    # subs[i] = (generator indices, order, a, b): a class representative
+    # has (a, b) = (source, e) and a member (its parent's index, the
+    # generator that conjugates the parent to it); classes = (first, end)
+    subs, where, classes = [], [None] * size, []
     for s in range(1, size):
         if where[s] is not None:
             continue
@@ -560,28 +568,41 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         for d in range(1, n):
             if n % d or where[powers[d - 1]] is not None:
                 continue
-            gens = [powers[d * k - 1] for k in range(1, n // d)
-                    if gcd(k, n // d) == 1]
+            m = n // d
+            gens = [powers[d * k - 1] for k in range(1, m) if gcd(k, m) == 1]
+            first = len(subs)
             for x in gens:
-                where[x] = len(subs)
+                where[x] = first
             # the element whose data <s^d> starts from: a tame <s^d> is
             # <t^e>, e = d / p^a, and a wild one of order > p fixes what
             # <s^(n/p)> fixes
-            if n // d % p:
-                subs.append((gens, n // d, powers[pa - 1], d // pa))
-            else:
-                subs.append((gens, n // d, powers[n // p - 1], 0))
-    conj = list(zip(group.gens, conjugation_tables(group)))
+            subs.append((gens, m, powers[pa - 1], d // pa) if m % p
+                        else (gens, m, powers[n // p - 1], 0))
+            # its G-class, each member's generators its parent's conjugated
+            j = first
+            while j < len(subs):
+                gens = subs[j][0]
+                for g, table in conj:
+                    k = where[table[gens[0]]]
+                    if k is None:
+                        k = len(subs)
+                        mapped = [table[x] for x in gens]
+                        for x in mapped:
+                            where[x] = k
+                        subs.append((mapped, m, j, g))
+                    elif k < first:
+                        raise EngineError(
+                            f"a conjugate of a cyclic subgroup of order {m} "
+                            f"lies in another class")
+                j += 1
+            classes.append((first, len(subs)))
     out = [None] * len(subs)
     spectra = {}  # a chain's tame part t -> _eigen_data(t)
     found = {}  # an eigenspace's basis -> the rational places on it
     wild = []  # the places _wild_place found at this walk's representatives
     # by increasing order, so the order-p subgroup of a wild one comes
-    # first; the sort is stable, so a class's lowest index stays its
-    # representative
-    for i in sorted(range(len(subs)), key=lambda i: subs[i][1]):
-        if out[i] is not None:
-            continue
+    # first; the sort is stable, so classes of one order keep walk order
+    for i, end in sorted(classes, key=lambda c: subs[c[0]][1]):
         gens, n, source, e = subs[i]
         gens = [els[x] for x in gens]
         if n == p:
@@ -610,18 +631,14 @@ def _cyclic_walk(tower: FieldTower, group: Group) -> list[_CyclicSubgroup]:
         else:
             fixed, deg3, eig = out[where[source]].fixed, [], None
         out[i] = _CyclicSubgroup(gens, n, fixed, deg3, i, eig)
-        # the class, each member met from one before it
-        frontier = [i]
-        for j in frontier:
-            y, c = subs[j][0][0], out[j]
-            for g, table in conj:
-                k = where[table[y]]
-                if out[k] is None:
-                    out[k] = _CyclicSubgroup(
-                        [els[x] for x in subs[k][0]], n,
-                        [apply_place(g, pl) for pl in c.fixed],
-                        [apply_place(g, pl) for pl in c.deg3], i, None)
-                    frontier.append(k)
+        # the other members, each after its parent
+        for k in range(i + 1, end):
+            gens, n, j, g = subs[k]
+            c = out[j]
+            out[k] = _CyclicSubgroup(
+                [els[x] for x in gens], n,
+                [apply_place(g, pl) for pl in c.fixed],
+                [apply_place(g, pl) for pl in c.deg3], i, None)
     return out
 
 

@@ -27,6 +27,7 @@ from hermquot.autgrp import (
     coset_products,
     epsilon,
     from_affine,
+    generator_products,
     group_from_spec,
     identity,
     inverse,
@@ -47,7 +48,7 @@ from hermquot.curve import (
 )
 from hermquot.gf import GFError, build_tower, factorize
 from test_acceptance import random_atom, random_group
-from test_engine import _translation_groups
+from test_engine import _grid_specs, _translation_groups
 
 from _closure_oracle import close_group_bfs
 
@@ -103,7 +104,8 @@ def _reference_product(lvl, a, b):
 def test_coset_products_match_proj_mul(towers, q):
     # random words in the atoms as H and as x: each product of the coset
     # kernel is proj_mul's and the reference's scaled by normalize_point,
-    # among them products whose first entry is 0, is 1, or is scaled away
+    # among them products whose first entry is 0, is 1, or is scaled away;
+    # the generator kernel, x on the left, is proj_mul's too
     tw = towers[q]
     lvl, rng = tw.q2, random.Random(q)
 
@@ -120,6 +122,8 @@ def test_coset_products_match_proj_mul(towers, q):
         x = word()
         got = coset_products(lvl, logs, x)
         assert got == [proj_mul(lvl, h, x) for h in hs]
+        assert generator_products(lvl, x, logs) == [
+            proj_mul(lvl, x, h) for h in hs]
         for h, m in zip(hs, got):
             ref = _reference_product(lvl, h, x)
             assert m == normalize_point(lvl, ref)
@@ -369,6 +373,36 @@ def test_close_group_cap_is_exact(towers, q, make):
     for close in (close_group, close_group_bfs):
         with pytest.raises(GFError, match="exceeded the cap"):
             close(tw, gens, cap=n - 1)
+
+
+def test_close_group_makes_no_proj_mul(towers, compose_towers, monkeypatch):
+    # the first generator's powers and every coset representative times a
+    # generator come from generator_products, on logs read once per
+    # closure: no proj_mul on the grid, 200 groups of the 9c stream at each
+    # q <= 8, the translation groups at q = 8, 16 and PGU(3, 2..4)
+    cases = []
+    for q in (2, 4, 5, 7, 8):
+        for spec in _grid_specs(q):
+            grp = group_from_spec(towers[q], spec)
+            cases.append((towers[q], grp.gens, None, grp.order))
+    for q in (4, 5, 7, 8):
+        rng = random.Random(12345 + q)
+        for _ in range(200):
+            grp = random_group(towers[q], rng)
+            cases.append((towers[q], grp.gens, 600, grp.order))
+    for q in (8, 16):
+        for grp in _translation_groups(compose_towers[q], random.Random(q)):
+            cases.append((compose_towers[q], grp.gens, None, grp.order))
+    for q in (2, 3, 4):
+        cases.append((towers[q], _pgu_gens(towers[q]), pgu_order(q),
+                      pgu_order(q)))
+
+    def no_product(*_args):
+        raise AssertionError("proj_mul in the closure")
+
+    monkeypatch.setattr(autgrp, "proj_mul", no_product)
+    for tw, gens, cap, order in cases:
+        assert close_group(tw, gens, cap=cap).order == order
 
 
 def _assert_tables(grp):

@@ -718,11 +718,14 @@ def _analyses_per_chain(tw, walk):
     """The matrices whose eigen analysis the walk needs: the tame part
     t = s^(p^a) of each chain of powers that holds a tame class
     representative r = t^e (p^a the p-part of ord s), and r itself when t
-    is not diagonalisable over F_(q^2) (Singer-type). The records come in
-    chains: <s>, then the subgroups of <s> met first there, each with a
-    power of s first; the next chain's s is not a power of s."""
+    is not diagonalisable over F_(q^2) (Singer-type). The representatives
+    come in chains: <s>, then the subgroups of <s> met first there, each
+    with a power of s first; the next chain's s is not a power of s. The
+    other members of a class follow its representative and are skipped."""
     out, powers = set(), {}
     for i, c in enumerate(walk):
+        if c.rep != i:
+            continue
         r = c.gens[0]
         if r.m not in powers:
             pa = 1
@@ -731,7 +734,7 @@ def _analyses_per_chain(tw, walk):
             tame = aut_pow(r, pa)
             split = sum(len(b) for _l, b in _eigen_data(tw, tame)) == 3
             powers = {aut_pow(r, k).m for k in range(1, c.order + 1)}
-        if c.rep == i and c.order % tw.p:
+        if c.order % tw.p:
             out.add(tame.m)
             if not split:
                 out.add(r.m)
@@ -883,6 +886,35 @@ def test_cyclic_walk_makes_no_matrix_product(towers, q, monkeypatch):
              if c.rep == i and c.order == tw.p})
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 16])
+def test_cyclic_walk_starts_one_power_chain_per_class(towers, q, monkeypatch):
+    # translation groups at q = 8, 16 and the 9c stream at q <= 8: a power
+    # chain starts only at an element that no class met before reaches, and
+    # that element generates a new class's representative; every other
+    # member of a class takes its generators from a conjugation table
+    tw = towers[q] if q in towers else build_tower(2, 4)
+    groups = _translation_groups(tw, random.Random(q)) if q in (8, 16) else []
+    if q != 16:
+        rng = random.Random(12345 + q)
+        groups += [random_group(tw, rng) for _ in range(200)]
+    real, heads = engine.word_tables, []
+
+    def counting(*tables):
+        word = real(*tables)
+        return lambda x: heads.append(x) or word(x)
+
+    monkeypatch.setattr(engine, "word_tables", counting)
+    chains = records = 0
+    for grp in groups:
+        heads.clear()
+        walk = _cyclic_walk(tw, grp)
+        reps = {walk[i].gens[0].m for i, c in enumerate(walk) if c.rep == i}
+        assert len(set(heads)) == len(heads) <= len(reps)
+        assert {grp.elements[x].m for x in heads} <= reps
+        chains, records = chains + len(heads), records + len(walk)
+    assert chains < records
+
+
 def test_orbit_guard_reads_the_walk_at_the_last_member(tw3):
     # the walk lists the inertia group at every member of an orbit, so a
     # record that has lost the orbit's last place breaks the guard there
@@ -939,6 +971,8 @@ def test_pgu33_quotient_rows(tw3):
 # apply_place) accepts a place sigma does not fix, gives the second class
 # of elations of SL(2, 9) = <tau(0, c), omega tau(0, c) omega> the place of
 # the first, and P_inf an inertia group too large for its stabiliser. A
+# conjugation table of the cyclic eps(a) at q = 3 that sends its square into
+# <eps(a)> puts a class registered before into the class of <eps(a)^2>. A
 # name with a module prefix is looked up there, any other in the engine.
 FAULTS = {
     "burnside": ("_twisted_count", 3, "omega",
@@ -1007,6 +1041,11 @@ FAULTS = {
                          "divisor of its stabiliser's order 72",
                          "lambda real: lambda f, pl: pl if sys._getframe(1)"
                          ".f_code.co_name == '<genexpr>' else real(f, pl)"),
+    "class-registration": ("conjugation_tables", 3, "eps(a)",
+                           "a conjugate of a cyclic subgroup of order 4 lies "
+                           "in another class",
+                           "lambda real: lambda grp: (lambda ts: ts[0]"
+                           ".__setitem__(2, 1) or ts)(real(grp))"),
     "orbit-stabiliser": ("inertia_data", 3, "omega",
                          "the inertia group at P(4,1) has order 2, not a "
                          "divisor of its stabiliser's order 3",

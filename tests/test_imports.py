@@ -167,7 +167,7 @@ def test_no_module_imports_dataclasses():
 # their F_(q^2) path none of them calls or aliases a level method
 TABLE_KERNELS = {"gf.py": ("ExtLevel.mul", "ExtLevel.add", "ExtLevel.sub"),
                  "_linalg.py": ("mat_mul3", "mat_vec3", "cross3"),
-                 "autgrp.py": ("coset_products",)}
+                 "autgrp.py": ("coset_products", "generator_products")}
 LEVEL_METHODS = {"mul", "add", "sub"}
 
 
